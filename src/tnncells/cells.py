@@ -78,7 +78,9 @@ def symbolic_cauchon_matrix(C: CauchonDiagram) -> tuple[VarRegistry, Matrix]:
     return registry, tuple(rows)
 
 
-@lru_cache(maxsize=None)
+# 4096 = B(1,12), the most diagrams of any grid under the 12-cell symbolic
+# cap, so one process can reuse every family of one full-grid enumeration.
+@lru_cache(maxsize=4096)
 def family_of_diagram(C: CauchonDiagram) -> MinorFamily:
     """The minors vanishing identically on the restored generic matrix."""
     _, M = symbolic_cauchon_matrix(C)

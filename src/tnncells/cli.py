@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -39,13 +38,6 @@ HARD_CELL_CAP = 64        # bitmask width
 SYMBOLIC_CELL_CAP = 12    # full-grid symbolic restoration
 CORPUS_CELL_CAP = 16      # numeric corpora + per-diagram symbolic families
 POISSON_CELL_CAP = 9      # symbolic brackets over every diagram
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("TNN_CELLS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(obj, fmt: str) -> None:
@@ -280,7 +272,6 @@ _SUITES = (
 def _run_one_suite(name: str, args) -> verify_mod.SuiteReport | str:
     """Returns the report, or an error string for a usage problem."""
     m, p = args.m, args.p
-    threads = args.threads
     if name == "counting":
         if m is None:
             return verify_mod.counting_suite()
@@ -300,13 +291,13 @@ def _run_one_suite(name: str, args) -> verify_mod.SuiteReport | str:
         return verify_mod.bruhat_monotone_suite(m, p, sample, args.seed)
     if name == "tnn-roundtrip":
         err = _check_cells(m, p, args.cap or CORPUS_CELL_CAP, args.force)
-        return err or verify_mod.tnn_roundtrip_suite(m, p, args.n, args.seed, threads)
+        return err or verify_mod.tnn_roundtrip_suite(m, p, args.n, args.seed)
     if name == "deletion":
         err = _check_cells(m, p, args.cap or CORPUS_CELL_CAP, args.force)
-        return err or verify_mod.deletion_suite(m, p, args.n, args.seed, threads)
+        return err or verify_mod.deletion_suite(m, p, args.n, args.seed)
     if name == "poisson":
         err = _check_cells(m, p, args.cap or POISSON_CELL_CAP, args.force)
-        return err or verify_mod.poisson_suite(m, p, args.n, args.seed, threads)
+        return err or verify_mod.poisson_suite(m, p, args.n, args.seed)
     if name == "bruhat-cell":
         err = _check_cells(m, p, None, False)
         return err or verify_mod.bruhat_cell_suite(m, p, args.samples, args.seed)
@@ -403,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sample", type=int, default=-1, help="pair sample (-1 = auto)")
     sp.add_argument("--samples", type=int, default=20, help="sweeps per case (bruhat-cell)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=_default_threads())
     sp.add_argument("--cap", type=int, default=None, help="symbolic cell-count cap override")
     sp.add_argument("--force", action="store_true")
 

@@ -10,7 +10,7 @@ the verification suites check by brute force.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import SizeCapError
 
@@ -200,10 +200,6 @@ def enumerate_restricted_perms(m: int, p: int) -> Iterator[RestrictedPermutation
     yield from extend(1)
 
 
-def count_restricted_perms(m: int, p: int) -> int:
-    return sum(1 for _ in enumerate_restricted_perms(m, p))
-
-
 def _one_line(w) -> tuple[int, ...]:
     if isinstance(w, RestrictedPermutation):
         return w.w
@@ -230,16 +226,6 @@ def bruhat_leq(w, z) -> bool:
             if cw > cz:
                 return False
     return True
-
-
-def longest_element(n: int) -> tuple[int, ...]:
-    """One-line form of the order-reversing permutation [n, n-1, ..., 1]."""
-    return tuple(range(n, 0, -1))
-
-
-def compose(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-    """(u . v)(j) = u(v(j)), one-line forms."""
-    return tuple(u[v[j] - 1] for j in range(len(v)))
 
 
 @dataclass(frozen=True)

@@ -158,19 +158,6 @@ def bruhat_cell_vanishes(
 # -- the four membership conditions ----------------------------------------
 
 
-def condition_flags(
-    w: RestrictedPermutation, mid: MinorId
-) -> tuple[bool, bool, bool, bool]:
-    """Which of the four membership conditions hold for this minor."""
-    ctx = _PermContext(w)
-    return (
-        ctx.cond1(mid.rows, mid.cols),
-        ctx.cond2(mid.rows, mid.cols),
-        ctx.cond3(mid.cols),
-        ctx.cond4(mid.rows),
-    )
-
-
 class _PermContext:
     """Pools and images shared by all minors of one permutation."""
 

@@ -20,12 +20,35 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InexactDivisionError, RegistryMismatchError
-from .kernel import term_map_mul
 
 Exponents = tuple[int, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _term_map_mul(a: dict, b: dict) -> dict:
+    """Product of two sparse exponent-vector -> coefficient maps.
+
+    Keys are equal-length tuples of ints; zero coefficients are dropped so
+    the result is normalized whenever the inputs are.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            c = out.get(e)
+            if c is None:
+                out[e] = ca * cb
+            else:
+                c = c + ca * cb
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
+    return out
 
 
 @dataclass(frozen=True)
@@ -231,7 +254,7 @@ class LaurentPoly:
             return NotImplemented
         if not self.terms or not o.terms:
             return LaurentPoly._raw(self.registry, {})
-        return LaurentPoly._raw(self.registry, term_map_mul(self.terms, o.terms))
+        return LaurentPoly._raw(self.registry, _term_map_mul(self.terms, o.terms))
 
     __rmul__ = __mul__
 

@@ -15,8 +15,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from . import kernel
-from .errors import InexactDivisionError
 from .laurent import LaurentPoly, laurent_div_exact
 
 Matrix = tuple[tuple, ...]
@@ -102,19 +100,14 @@ def det_exact(M: Matrix):
     if n != w:
         raise ValueError(f"matrix is {n}x{w}, not square")
     if is_symbolic(M):
-        return _det_symbolic(M)
-    ints, scales = _scaled_int_rows(M)
-    return Fraction(kernel.det_bareiss_int(ints), math.prod(scales))
-
-
-def _det_symbolic(M: Matrix) -> LaurentPoly:
-    try:
         return _det_bareiss_symbolic(M)
-    except InexactDivisionError:
-        return _det_cofactor(M)
+    ints, scales = _scaled_int_rows(M)
+    return Fraction(_det_bareiss_int(ints), math.prod(scales))
 
 
 def _det_bareiss_symbolic(M: Matrix) -> LaurentPoly:
+    # Every Bareiss quotient exists because the Laurent ring is an integral
+    # domain, and laurent_div_exact finds any quotient that exists.
     a = [list(r) for r in M]
     n = len(a)
     zero = M[0][0].registry.zero()
@@ -140,31 +133,12 @@ def _det_bareiss_symbolic(M: Matrix) -> LaurentPoly:
     return -d if sign < 0 else d
 
 
-def _det_cofactor(M: Matrix):
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    total = None
-    cols = list(range(1, n))
-    for t in range(n):
-        x = M[0][t]
-        if x:
-            sub = submatrix(M, range(1, n), [c for c in range(n) if c != t])
-            term = x * _det_cofactor(sub)
-            if t % 2:
-                term = -term
-            total = term if total is None else total + term
-    if total is None:
-        return M[0][0].registry.zero() if isinstance(M[0][0], LaurentPoly) else Fraction(0)
-    return total
-
-
 def all_minors(M: Matrix) -> dict[tuple[tuple[int, ...], tuple[int, ...]], object]:
     """Every nonempty square-submatrix determinant, keyed 0-based."""
     if is_symbolic(M):
         return _all_minors_symbolic(M)
     ints, scales = _scaled_int_rows(M)
-    raw = kernel.all_minors_int(ints)
+    raw = _all_minors_int(ints)
     out = {}
     for (rows, cols), d in raw.items():
         denom = math.prod(scales[i] for i in rows)
@@ -235,3 +209,67 @@ def _rank_int(rows: list[list[int]]) -> int:
         prev = pivot
         rank += 1
     return rank
+
+
+def _det_bareiss_int(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination.
+
+    Row swaps supply pivots; every division is exact.
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            for r in range(k + 1, n):
+                if a[r][k]:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            ri = a[i]
+            rk = a[k]
+            aik = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (pivot * ri[j] - aik * rk[j]) // prev
+            ri[k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def _all_minors_int(mat: list[list[int]]) -> dict:
+    """Determinants of every nonempty square submatrix of an integer matrix.
+
+    Returns {(rows, cols): det} with 0-based strictly increasing index
+    tuples, filled in order of size so each first-row Laplace expansion
+    reuses the size-(k-1) entries already present.
+    """
+    m = len(mat)
+    p = len(mat[0]) if m else 0
+    out: dict = {}
+    for i in range(m):
+        row = mat[i]
+        for a in range(p):
+            out[((i,), (a,))] = row[a]
+    for k in range(2, min(m, p) + 1):
+        for rows in combinations(range(m), k):
+            rest = rows[1:]
+            row0 = mat[rows[0]]
+            for cols in combinations(range(p), k):
+                acc = 0
+                sign = 1
+                for t in range(k):
+                    x = row0[cols[t]]
+                    if x:
+                        sub = out[(rest, cols[:t] + cols[t + 1:])]
+                        if sub:
+                            acc += sign * x * sub
+                    sign = -sign
+                out[(rows, cols)] = acc
+    return out

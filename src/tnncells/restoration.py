@@ -36,14 +36,6 @@ def step_sequence(m: int, p: int) -> list[Step]:
     return labels
 
 
-def step_successor(m: int, p: int, r: Step) -> Step:
-    seq = step_sequence(m, p)
-    k = seq.index(r)
-    if k + 1 == len(seq):
-        raise ValueError(f"{r} is the final label and has no successor")
-    return seq[k + 1]
-
-
 def _quot(numer, denom):
     if isinstance(numer, LaurentPoly):
         return laurent_div_exact(numer, denom)

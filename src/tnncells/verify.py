@@ -9,11 +9,10 @@ suite run.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations as iter_permutations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from .cells import (
     family_of_diagram,
@@ -64,14 +63,6 @@ class SuiteReport:
             "summary": self.summary,
             "details": self.details,
         }
-
-
-def parallel_map(fn: Callable, items: Sequence, threads: int = 1) -> list:
-    """Order-preserving map, optionally through a bounded thread pool."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- counting ---------------------------------------------------------------
@@ -212,9 +203,7 @@ def _corpus(m: int, p: int, n: int, seed: int):
         out.append((C, random_cauchon_matrix(C, rng.getrandbits(63))))
     return out
 
-def tnn_roundtrip_suite(
-    m: int, p: int, n: int = 100, seed: int = 0, threads: int = 1
-) -> SuiteReport:
+def tnn_roundtrip_suite(m: int, p: int, n: int = 100, seed: int = 0) -> SuiteReport:
     """Restored random diagram matrices are tnn with the diagram's family."""
     corpus = _corpus(m, p, n, seed)
     ids = all_minor_ids(m, p)
@@ -235,7 +224,7 @@ def tnn_roundtrip_suite(
             )
         return None
 
-    failures = [msg for msg in parallel_map(check, corpus, threads) if msg]
+    failures = [msg for msg in map(check, corpus) if msg]
     return SuiteReport(
         "tnn-roundtrip",
         not failures,
@@ -245,9 +234,7 @@ def tnn_roundtrip_suite(
     )
 
 
-def deletion_suite(
-    m: int, p: int, n: int = 100, seed: int = 0, threads: int = 1
-) -> SuiteReport:
+def deletion_suite(m: int, p: int, n: int = 100, seed: int = 0) -> SuiteReport:
     """Inverse-direction checks on the same corpus as tnn-roundtrip."""
     corpus = _corpus(m, p, n, seed)
 
@@ -272,7 +259,7 @@ def deletion_suite(
             return f"vanishing of {mid} fails to propagate at {label} for {C}"
         return None
 
-    failures = [msg for msg in parallel_map(check, corpus, threads) if msg]
+    failures = [msg for msg in map(check, corpus) if msg]
     return SuiteReport(
         "deletion",
         not failures,
@@ -306,25 +293,17 @@ def leibniz_holds(f: LaurentPoly, g: LaurentPoly, h: LaurentPoly, table) -> bool
     return not (lhs - rhs)
 
 
-def poisson_suite(
-    m: int,
-    p: int,
-    triples: int = 200,
-    seed: int = 0,
-    threads: int = 1,
-) -> SuiteReport:
+def poisson_suite(m: int, p: int, triples: int = 200, seed: int = 0) -> SuiteReport:
     """Step-bracket predictions for every diagram and step, plus Jacobi and
     Leibniz on random triples over the full-grid cell table."""
     diagrams = list(enumerate_diagrams(m, p))
 
-    def check(C):
-        return [
-            (C, rep.step, fail)
-            for rep in verify_all_step_brackets(C)
-            for fail in rep.failures
-        ]
-
-    step_failures = [f for batch in parallel_map(check, diagrams, threads) for f in batch]
+    step_failures = [
+        (C, rep.step, fail)
+        for C in diagrams
+        for rep in verify_all_step_brackets(C)
+        for fail in rep.failures
+    ]
 
     registry = VarRegistry.grid(m, p)
     table = cell_bracket_table(registry)

@@ -18,9 +18,19 @@ from tnncells import (
     random_diagram,
     w_max,
 )
-from tnncells.combinat import as_index_set, compose, longest_element
+from tnncells.combinat import as_index_set
 
 COUNTS = {(1, 1): 2, (2, 2): 14, (2, 3): 46, (3, 3): 230}
+
+
+def longest_element(n: int) -> tuple[int, ...]:
+    """One-line form of the order-reversing permutation [n, n-1, ..., 1]."""
+    return tuple(range(n, 0, -1))
+
+
+def compose(u, v) -> tuple[int, ...]:
+    """(u . v)(j) = u(v(j)), one-line forms."""
+    return tuple(u[v[j] - 1] for j in range(len(v)))
 
 
 class TestDiagrams:
@@ -209,8 +219,9 @@ class TestBlocksAndHelpers:
 
     def test_longest_and_compose(self):
         assert longest_element(4) == (4, 3, 2, 1)
-        u, v = (2, 1, 3), (3, 1, 2)
-        assert compose(u, v) == tuple(u[v[j] - 1] for j in range(3))
+        assert all(bruhat_leq(w, longest_element(4)) for w in permutations(range(1, 5)))
+        assert compose((2, 1, 3), (3, 1, 2)) == (3, 2, 1)
+        assert compose(longest_element(4), longest_element(4)) == (1, 2, 3, 4)
 
     def test_index_sets(self):
         assert as_index_set([3, 1, 2]) == (1, 2, 3)

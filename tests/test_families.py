@@ -18,7 +18,19 @@ from tnncells import (
     w_max,
     witness_matrix,
 )
-from tnncells.families import condition_flags
+from tnncells.families import _PermContext
+
+
+def condition_flags(w, mid) -> tuple[bool, bool, bool, bool]:
+    """Which of the four membership conditions hold for this minor."""
+    ctx = _PermContext(w)
+    return (
+        ctx.cond1(mid.rows, mid.cols),
+        ctx.cond2(mid.rows, mid.cols),
+        ctx.cond3(mid.cols),
+        ctx.cond4(mid.rows),
+    )
+
 
 W34 = RestrictedPermutation(3, 4, (3, 1, 4, 2, 7, 6, 5))
 W44 = RestrictedPermutation(4, 4, (1, 3, 6, 4, 5, 2, 7, 8))

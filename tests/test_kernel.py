@@ -1,30 +1,11 @@
-"""The two kernel lanes must be indistinguishable."""
+"""The arithmetic kernels behind Laurent products and rational determinants,
+checked against the Leibniz formula."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
-import pytest
-
-from tnncells import _kernel_py, kernel
-
-try:
-    from tnncells import _kernel_c
-except ImportError:
-    _kernel_c = None
-
-lanes = [_kernel_py] if _kernel_c is None else [_kernel_py, _kernel_c]
-both = pytest.mark.skipif(_kernel_c is None, reason="compiled kernel not built")
-
-
-def _rand_term_map(rng, nvars, nterms):
-    out = {}
-    for _ in range(nterms):
-        e = tuple(rng.randint(-3, 3) for _ in range(nvars))
-        out[e] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
-    return out
+from tnncells.laurent import _term_map_mul
+from tnncells.linalg import _all_minors_int, _det_bareiss_int
 
 
 def _det_leibniz(rows):
@@ -43,36 +24,33 @@ def _det_leibniz(rows):
     return total
 
 
-@pytest.mark.parametrize("lane", lanes, ids=lambda k: k.__name__.rsplit("_", 1)[-1])
 class TestLane:
-    def test_term_map_mul_identity(self, lane):
+    def test_term_map_mul_identity(self):
         one = {(0, 0): Fraction(1)}
         f = {(1, 0): Fraction(2), (0, -1): Fraction(-3, 4)}
-        assert lane.term_map_mul(f, one) == f
+        assert _term_map_mul(f, one) == f
 
-    def test_term_map_mul_cancellation(self, lane):
+    def test_term_map_mul_cancellation(self):
         f = {(1,): Fraction(1), (0,): Fraction(1)}
         g = {(1,): Fraction(1), (0,): Fraction(-1)}
-        assert lane.term_map_mul(f, g) == {(2,): Fraction(1), (0,): Fraction(-1)}
+        assert _term_map_mul(f, g) == {(2,): Fraction(1), (0,): Fraction(-1)}
 
-    def test_det_against_leibniz(self, lane, rng):
+    def test_det_against_leibniz(self, rng):
         for n in range(5):
             for _ in range(12):
                 rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-                assert lane.det_bareiss_int(rows) == _det_leibniz(rows)
+                assert _det_bareiss_int(rows) == _det_leibniz(rows)
 
-    def test_det_needs_row_swap(self, lane):
+    def test_det_needs_row_swap(self):
         rows = [[0, 1, 2], [3, 0, 1], [1, 1, 1]]
-        assert lane.det_bareiss_int(rows) == _det_leibniz(rows)
+        assert _det_bareiss_int(rows) == _det_leibniz(rows)
 
-    def test_det_zero_column(self, lane):
-        assert lane.det_bareiss_int([[0, 1], [0, 2]]) == 0
+    def test_det_zero_column(self):
+        assert _det_bareiss_int([[0, 1], [0, 2]]) == 0
 
-    def test_all_minors_table(self, lane, rng):
+    def test_all_minors_table(self, rng):
         mat = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(3)]
-        table = lane.all_minors_int(mat)
-        from itertools import combinations
-
+        table = _all_minors_int(mat)
         count = 0
         for k in range(1, 4):
             for rows in combinations(range(3), k):
@@ -81,37 +59,3 @@ class TestLane:
                     sub = [[mat[i][j] for j in cols] for i in rows]
                     assert table[(rows, cols)] == _det_leibniz(sub)
         assert len(table) == count
-
-
-@both
-class TestEquivalence:
-    def test_term_map_mul(self, rng):
-        for _ in range(40):
-            a = _rand_term_map(rng, 4, rng.randint(0, 8))
-            b = _rand_term_map(rng, 4, rng.randint(1, 8))
-            assert _kernel_py.term_map_mul(a, b) == _kernel_c.term_map_mul(a, b)
-
-    def test_det(self, rng):
-        for n in range(7):
-            for _ in range(10):
-                rows = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
-                assert _kernel_py.det_bareiss_int(rows) == _kernel_c.det_bareiss_int(rows)
-
-    def test_all_minors(self, rng):
-        for m, p in ((2, 2), (3, 4), (4, 3)):
-            mat = [[rng.randint(-99, 99) for _ in range(p)] for _ in range(m)]
-            assert _kernel_py.all_minors_int(mat) == _kernel_c.all_minors_int(mat)
-
-
-def test_pure_env_forces_fallback():
-    code = "import tnncells.kernel as k; print(k.BACKEND)"
-    env = dict(os.environ, TNNCELLS_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert out.stdout.strip() == "pure"
-
-
-def test_selected_backend_is_sane():
-    assert kernel.BACKEND in ("compiled", "pure")
-    assert kernel.term_map_mul({(0,): Fraction(1)}, {(1,): Fraction(2)}) == {(1,): Fraction(2)}

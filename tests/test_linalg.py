@@ -2,7 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from tnncells import VarRegistry, all_minors, as_matrix, det_exact, mat_mul, rank_exact, transpose
+from tnncells import (
+    VarRegistry,
+    all_minors,
+    as_matrix,
+    det_exact,
+    enumerate_diagrams,
+    mat_mul,
+    rank_exact,
+    restore,
+    symbolic_cauchon_matrix,
+    transpose,
+)
 from tnncells.linalg import is_symbolic, submatrix
 
 from conftest import rand_matrix
@@ -93,6 +104,24 @@ class TestDet:
                 term = term * M[i][perm[i]]
             acc = acc + term
         assert d == acc
+
+    @pytest.mark.parametrize("m,p", [(2, 3), (3, 3)])
+    def test_symbolic_bareiss_on_restored_cells(self, m, p):
+        # Restored generic matrices carry multi-term Laurent entries with
+        # negative exponents, so Bareiss divides by non-monomials.  Its
+        # quotients must be exact, and agree with the Laplace table.
+        multi_term_laurent = 0
+        for C in enumerate_diagrams(m, p):
+            X = restore(symbolic_cauchon_matrix(C)[1]).final
+            multi_term_laurent += sum(
+                len(x.terms) > 1 and any(e < 0 for ex in x.terms for e in ex)
+                for row in X
+                for x in row
+            )
+            for (rows, cols), d in all_minors(X).items():
+                if len(rows) >= 2:
+                    assert det_exact(submatrix(X, rows, cols)) == d
+        assert multi_term_laurent
 
 
 class TestAllMinors:

@@ -28,7 +28,7 @@ from tnncells import (
     trace_h_invariance_counterexample,
 )
 from tnncells.linalg import submatrix
-from tnncells.restoration import step_successor, zero_pattern
+from tnncells.restoration import zero_pattern
 
 N_START = (
     (1, 0, 1, 1),
@@ -46,6 +46,14 @@ N_STATES = {
     (4, 4): ((10, 6, 3, 1), (6, 4, 2, 1), (3, 2, 1, 1), (1, 1, 1, 1)),
     (4, 5): ((11, 7, 4, 1), (7, 5, 3, 1), (4, 3, 2, 1), (1, 1, 1, 1)),
 }
+
+
+def step_successor(m, p, r):
+    seq = step_sequence(m, p)
+    k = seq.index(r)
+    if k + 1 == len(seq):
+        raise ValueError(f"{r} is the final label and has no successor")
+    return seq[k + 1]
 
 
 def as_ints(M):

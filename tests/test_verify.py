@@ -12,7 +12,6 @@ from tnncells.verify import (
     counting_suite,
     deletion_suite,
     match_suite,
-    parallel_map,
     poisson_suite,
     tnn_roundtrip_suite,
 )
@@ -22,13 +21,6 @@ class TestPlumbing:
     def test_report_serializes(self):
         rep = SuiteReport("demo", True, "fine", {"k": [1, 2]})
         assert json.loads(json.dumps(rep.to_json_obj()))["details"] == {"k": [1, 2]}
-
-    def test_parallel_map_preserves_order(self):
-        items = list(range(40))
-        assert parallel_map(lambda x: x * x, items, threads=4) == [
-            x * x for x in items
-        ]
-        assert parallel_map(lambda x: -x, items, threads=1) == [-x for x in items]
 
 
 class TestCountingOracles:
@@ -56,7 +48,7 @@ class TestSuiteSmoke:
         assert rep.ok and "sampled" in rep.summary
 
     def test_tnn_roundtrip(self):
-        rep = tnn_roundtrip_suite(2, 3, n=8, seed=1, threads=2)
+        rep = tnn_roundtrip_suite(2, 3, n=8, seed=1)
         assert rep.ok and rep.details["failures"] == []
 
     def test_deletion(self):
