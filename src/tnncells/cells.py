@@ -5,8 +5,13 @@ A cell is the set of tnn matrices sharing one exact vanishing family.
 indeterminate at every white cell, zero at every black cell, restore, and
 read off which minors of the result are identically zero.  `classify`
 sends a tnn matrix to its cell by running the inverse algorithm and
-reading the zero pattern, then cross-checks the family; `match_families`
-pairs every diagram family with the equal permutation family.
+reading the zero pattern, then cross-checks the family.  With
+`find_perm`, it reads the cell's restricted permutation straight off the
+diagram's pipe dream (`combinat.perm_of_diagram`, O(mp), no search) and
+makes one self-check: the permutation's own family must equal the
+diagram's.  `match_families` pairs every diagram family with the equal
+permutation family, computing both sides independently, and so stays
+the two-sided cross-check of that construction.
 """
 
 from __future__ import annotations
@@ -15,13 +20,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from .combinat import (
     CauchonDiagram,
     RestrictedPermutation,
     enumerate_diagrams,
     enumerate_restricted_perms,
+    perm_of_diagram,
 )
 from .errors import NotTotallyNonnegativeError, SelfCheckError
 from .families import family_of_perm
@@ -110,6 +115,9 @@ def classify(Xbar: Matrix, *, find_perm: bool = False) -> CellDescriptor:
     Runs the inverse algorithm, reads the zero pattern of the resulting
     matrix as a diagram, and attaches the diagram's family - which must
     equal the matrix's own vanishing family, or the package is broken.
+    With `find_perm`, also attaches the diagram's restricted permutation,
+    read off its pipe dream; its family must equal the diagram's, or
+    `SelfCheckError` is raised.
     """
     Xbar = as_matrix(Xbar)
     verdict = is_tnn(Xbar)
@@ -131,21 +139,17 @@ def classify(Xbar: Matrix, *, find_perm: bool = False) -> CellDescriptor:
         )
     matched = None
     if find_perm:
-        matched = _perm_with_family(family)
+        matched = perm_of_diagram(diagram)
+        if family_of_perm(matched) != family:
+            raise SelfCheckError(
+                f"permutation {matched.w} of the diagram's pipe dream does not "
+                f"carry the family {sorted_text(family)}"
+            )
     return CellDescriptor(diagram, family, matched)
 
 
 def sorted_text(family: MinorFamily) -> str:
     return "{" + ", ".join(mid.text() for mid in family) + "}"
-
-
-def _perm_with_family(family: MinorFamily) -> RestrictedPermutation:
-    for w in enumerate_restricted_perms(family.m, family.p):
-        if family_of_perm(w) == family:
-            return w
-    raise SelfCheckError(
-        f"no restricted permutation carries the family {sorted_text(family)}"
-    )
 
 
 def match_families(m: int, p: int) -> list[CellDescriptor]:

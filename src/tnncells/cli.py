@@ -30,7 +30,6 @@ from .errors import (
 from .families import family_of_perm
 from .laurent import VarRegistry
 from .linalg import is_symbolic
-from .minors import MinorFamily
 from .restoration import delete_derivations, restore
 from .serialize import format_matrix_csv, format_trace, parse_matrix_csv
 

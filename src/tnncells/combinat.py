@@ -4,7 +4,8 @@ Diagrams are m x p black/white grids in which every black cell has either
 all cells strictly to its left black or all cells strictly above it
 black.  Restricted permutations are the w in S_{m+p} with
 -p <= w(i) - i <= m; there are exactly as many of them as diagrams, which
-the verification suites check by brute force.
+the verification suites check by brute force.  `perm_of_diagram` is the
+bijection itself: it reads a diagram's permutation off its pipe dream.
 """
 
 from __future__ import annotations
@@ -198,6 +199,31 @@ def enumerate_restricted_perms(m: int, p: int) -> Iterator[RestrictedPermutation
                 used[v] = False
 
     yield from extend(1)
+
+
+def perm_of_diagram(C: CauchonDiagram) -> RestrictedPermutation:
+    """The restricted permutation of a diagram, read off its pipe dream.
+
+    Pipes move only up or left.  Pipe k (1 <= k <= p) enters at the
+    bottom of column k; pipe p+j (1 <= j <= m) enters at the right end of
+    row m+1-j.  A pipe turns (up <-> left) on a white cell and goes
+    straight through a black one.  A pipe leaving through the top of
+    column a takes the value m+a, one leaving through the left end of row
+    i takes m+1-i; w lists the values of pipes 1..m+p.  O(mp), no search.
+    """
+    m, p = C.m, C.p
+    up = list(range(1, p + 1))  # up[a-1]: the pipe moving up in column a
+    left = [m + p + 1 - i for i in range(1, m + 1)]  # left[i-1]: moving left in row i
+    for i in range(m, 0, -1):
+        for a in range(p, 0, -1):
+            if not C.mask >> ((i - 1) * p + (a - 1)) & 1:
+                up[a - 1], left[i - 1] = left[i - 1], up[a - 1]
+    w = [0] * (m + p)
+    for a in range(1, p + 1):
+        w[up[a - 1] - 1] = m + a
+    for i in range(1, m + 1):
+        w[left[i - 1] - 1] = m + 1 - i
+    return RestrictedPermutation(m, p, tuple(w))
 
 
 def _one_line(w) -> tuple[int, ...]:

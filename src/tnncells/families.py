@@ -14,6 +14,7 @@ they exist as independent cross-checking oracles for the test suites.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -249,13 +250,19 @@ def stripe_row_sets(w: RestrictedPermutation) -> list[tuple[int, ...]]:
 
 
 def family_of_perm(w: RestrictedPermutation) -> MinorFamily:
-    """All minors satisfying at least one of the four conditions."""
+    """All minors satisfying at least one of the four conditions.
+
+    Conditions 3 and 4 see only the column set, respectively the row set,
+    so each is evaluated once per set and reused by every minor sharing it.
+    """
     ctx = _PermContext(w)
+    cond3 = cache(ctx.cond3)
+    cond4 = cache(ctx.cond4)
     members = []
     for mid in all_minor_ids(w.m, w.p):
         if (
-            ctx.cond3(mid.cols)
-            or ctx.cond4(mid.rows)
+            cond3(mid.cols)
+            or cond4(mid.rows)
             or ctx.cond1(mid.rows, mid.cols)
             or ctx.cond2(mid.rows, mid.cols)
         ):

@@ -11,8 +11,7 @@ silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .combinat import CauchonDiagram, is_cauchon
 from .laurent import LaurentPoly, laurent_div_exact

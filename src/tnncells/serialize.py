@@ -13,7 +13,7 @@ import io
 import re
 from fractions import Fraction
 
-from .laurent import LaurentPoly, VarRegistry, parse_laurent
+from .laurent import VarRegistry, parse_laurent
 from .linalg import Matrix, as_matrix
 
 _RATIONAL_RE = re.compile(r"-?\d+(/\d+)?$")

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from tnncells import cells
 from tnncells import (
     CauchonDiagram,
     NotTotallyNonnegativeError,
     RestrictedPermutation,
+    SelfCheckError,
     classify,
     enumerate_diagrams,
     family_of_diagram,
@@ -16,10 +18,12 @@ from tnncells import (
     match_families,
     minor,
     parse_minor,
+    perm_of_diagram,
     random_cauchon_matrix,
     restore,
     symbolic_cauchon_matrix,
     vanishing_family,
+    w_max,
 )
 
 NBAR = ((11, 7, 4, 1), (7, 5, 3, 1), (4, 3, 2, 1), (1, 1, 1, 1))
@@ -180,3 +184,45 @@ class TestMatchFamilies:
         descs = match_families(2, 2)
         seen = {d.diagram for d in descs}
         assert seen == set(enumerate_diagrams(2, 2))
+
+
+# Every grid with at most 9 cells, plus (3,4): the pipe-dream permutation
+# must be the one match_families finds by comparing both families.
+PIPE_DREAM_GRIDS = [
+    (m, p) for m in range(1, 10) for p in range(1, 10) if m * p <= 9
+] + [(3, 4)]
+
+
+class TestPermOfDiagram:
+    @pytest.mark.parametrize("m,p", PIPE_DREAM_GRIDS)
+    def test_equals_match_families(self, m, p):
+        descs = match_families(m, p)
+        perms = [perm_of_diagram(d.diagram) for d in descs]
+        assert perms == [d.matched_perm for d in descs]
+        assert len(set(perms)) == len(perms)  # injective
+
+    def test_worked_pipe_dreams(self):
+        m, p = 3, 4
+        all_white = CauchonDiagram.from_black(m, p, ())
+        all_black = CauchonDiagram.from_black(
+            m, p, [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
+        )
+        # every pipe turns at its first cell: the identity, with no minor vanishing
+        assert perm_of_diagram(all_white).w == tuple(range(1, m + p + 1))
+        assert len(family_of_diagram(all_white).members) == 0
+        # every pipe runs straight through: w_max, the zero matrix's cell
+        assert perm_of_diagram(all_black) == w_max(m, p)
+
+    def test_classify_returns_the_matched_perm(self):
+        for d in match_families(2, 3):
+            X = restore(random_cauchon_matrix(d.diagram, seed=d.diagram.mask)).final
+            assert classify(X, find_perm=True).matched_perm == d.matched_perm
+
+    def test_mismatch_raises(self, monkeypatch):
+        other = CauchonDiagram.from_black(3, 3, ())
+        assert family_of_diagram(other) != family_of_diagram(FIG_DIAGRAM)
+        monkeypatch.setattr(cells, "perm_of_diagram", lambda C: perm_of_diagram(other))
+        X = restore(random_cauchon_matrix(FIG_DIAGRAM, seed=1)).final
+        assert classify(X).diagram == FIG_DIAGRAM
+        with pytest.raises(SelfCheckError, match="does not carry"):
+            classify(X, find_perm=True)
