@@ -306,6 +306,8 @@ def _run_one_suite(name: str, args) -> verify_mod.SuiteReport | str:
 def _cmd_verify(args) -> int:
     if (args.m is None) != (args.p is None):
         return _fail("verify needs both sizes or neither", 2)
+    if args.n < 0:
+        return _fail(f"--n must be nonnegative, got {args.n}", 2)
     names: list[str]
     if args.suite == "all":
         names = ["counting", "match", "bruhat-monotone", "tnn-roundtrip", "deletion", "bruhat-cell"]

@@ -198,17 +198,17 @@ class _PermContext:
         m, p, line = self.m, self.p, self.line
         for r in range(1, p + 1):
             inside = 0
-            free = 0
+            # positions a in [r, s] with m+r <= line[a-1] <= m+s.  Widening
+            # the window to s can add position s only: line[a-1] <= a+m for a
+            # restricted permutation, so no earlier position had a value
+            # above the old bound m+s-1.
+            held = 0
             for s in range(r, p + 1):
                 if s in cols:
                     inside += 1
-                # recompute the escape count for the widened window [r, s]
-                free = sum(
-                    1
-                    for a in range(r, s + 1)
-                    if not (m + r <= line[a - 1] <= m + s)
-                )
-                if inside > free:
+                if m + r <= line[s - 1] <= m + s:
+                    held += 1
+                if inside > s + 1 - r - held:
                     return True
         return False
 

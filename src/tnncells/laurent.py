@@ -6,6 +6,14 @@ from different grids can never be mixed silently.  Exponents may be
 negative.  The term map of every polynomial is kept normalized (no zero
 coefficients), which makes equality structural.
 
+A coefficient is an ``int`` whenever its value is integral and a
+``Fraction`` only when it is not.  Generic matrices, bracket tables and
+restoration by monomial pivots stay in the integers, so most arithmetic
+runs on plain ints; an operation checks for integral Fractions to demote
+only when one of its operands carries a Fraction.  Equal ints and
+Fractions compare and hash alike and print alike, so the rule changes no
+equality and no text form.
+
 Canonical text form: terms in descending lexicographic exponent order,
 each printed as ``coeff * t[i,a]^e * ...`` with the coefficient always
 present and zero exponents omitted, e.g.
@@ -24,14 +32,38 @@ from .errors import InexactDivisionError, RegistryMismatchError
 Exponents = tuple[int, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+
+def _canonical(c: Fraction) -> "int | Fraction":
+    """The coefficient form of a rational: int when integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _has_fraction(terms: dict) -> bool:
+    return Fraction in map(type, terms.values())
+
+
+def _demote(terms: dict) -> None:
+    """Turn integral Fraction coefficients into ints, in place."""
+    for e, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[e] = c.numerator
+
+
+def _quotient(x, y) -> "int | Fraction":
+    """x / y in coefficient form: an int quotient when it is exact."""
+    if type(x) is int and type(y) is int:
+        q, r = divmod(x, y)
+        return Fraction(x, y) if r else q
+    return _canonical(x / y)
 
 
 def _term_map_mul(a: dict, b: dict) -> dict:
     """Product of two sparse exponent-vector -> coefficient maps.
 
     Keys are equal-length tuples of ints; zero coefficients are dropped so
-    the result is normalized whenever the inputs are.
+    the result is normalized whenever the inputs are, and its coefficients
+    are in int-while-integral form whenever the inputs' are.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -48,6 +80,8 @@ def _term_map_mul(a: dict, b: dict) -> dict:
                     out[e] = c
                 else:
                     del out[e]
+    if _has_fraction(a) or _has_fraction(b):
+        _demote(out)
     return out
 
 
@@ -109,7 +143,7 @@ class VarRegistry:
         return self.const(1)
 
     def const(self, value) -> "LaurentPoly":
-        c = Fraction(value)
+        c = _canonical(Fraction(value))
         if not c:
             return LaurentPoly._raw(self, {})
         return LaurentPoly._raw(self, {(0,) * len(self.positions): c})
@@ -117,7 +151,7 @@ class VarRegistry:
     def gen(self, k: int) -> "LaurentPoly":
         e = [0] * len(self.positions)
         e[k] = 1
-        return LaurentPoly._raw(self, {tuple(e): _ONE})
+        return LaurentPoly._raw(self, {tuple(e): 1})
 
     def var(self, i: int, a: int) -> "LaurentPoly":
         return self.gen(self.index(i, a))
@@ -133,18 +167,18 @@ class LaurentPoly:
 
     def __init__(self, registry: VarRegistry, terms: Mapping[Exponents, object]):
         n = len(registry)
-        normalized: dict[Exponents, Fraction] = {}
+        normalized: dict[Exponents, int | Fraction] = {}
         for e, c in terms.items():
             e = tuple(int(x) for x in e)
             if len(e) != n:
                 raise ValueError(f"exponent vector {e} has length {len(e)}, expected {n}")
-            c = Fraction(c)
+            c = _canonical(Fraction(c))
             if c:
                 acc = normalized.get(e)
                 if acc is None:
                     normalized[e] = c
                 else:
-                    acc = acc + c
+                    acc = _canonical(Fraction(acc + c))
                     if acc:
                         normalized[e] = acc
                     else:
@@ -182,7 +216,7 @@ class LaurentPoly:
         ((e, c),) = self.terms.items()
         if any(e):
             raise ValueError(f"not a constant: {self}")
-        return c
+        return Fraction(c)
 
     def variables(self) -> frozenset[int]:
         """Indices of variables appearing with a nonzero exponent."""
@@ -197,7 +231,7 @@ class LaurentPoly:
 
     def _coerce(self, other) -> "LaurentPoly | None":
         if isinstance(other, LaurentPoly):
-            if other.registry != self.registry:
+            if other.registry is not self.registry and other.registry != self.registry:
                 raise RegistryMismatchError(
                     "operands belong to different variable registries"
                 )
@@ -229,6 +263,8 @@ class LaurentPoly:
                     out[e] = acc
                 else:
                     del out[e]
+        if _has_fraction(self.terms) or _has_fraction(o.terms):
+            _demote(out)
         return LaurentPoly._raw(self.registry, out)
 
     __radd__ = __add__
@@ -277,7 +313,7 @@ class LaurentPoly:
         if len(self.terms) != 1:
             raise InexactDivisionError(f"not a unit in the Laurent ring: {self}")
         ((e, c),) = self.terms.items()
-        return LaurentPoly._raw(self.registry, {tuple(-x for x in e): 1 / c})
+        return LaurentPoly._raw(self.registry, {tuple(-x for x in e): _quotient(1, c)})
 
     def div_exact(self, other) -> "LaurentPoly":
         o = self._coerce(other)
@@ -292,7 +328,7 @@ class LaurentPoly:
 
         Valid for negative exponents too: d(t^e)/dt = e * t^(e-1).
         """
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, int | Fraction] = {}
         for e, c in self.terms.items():
             x = e[k]
             if x:
@@ -303,6 +339,8 @@ class LaurentPoly:
                     out[e2] = nc
                 else:
                     out.pop(e2, None)
+        if _has_fraction(self.terms):
+            _demote(out)
         return LaurentPoly._raw(self.registry, out)
 
     def evaluate(self, values: Sequence) -> Fraction:
@@ -325,7 +363,7 @@ class LaurentPoly:
 
     # -- text form -------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponents, int | Fraction]]:
         """Terms in canonical (descending lexicographic) order."""
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
@@ -351,7 +389,7 @@ def laurent_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     Raises :class:`InexactDivisionError` when no Laurent polynomial q with
     q*b = a exists, and ZeroDivisionError when b = 0.
     """
-    if a.registry != b.registry:
+    if a.registry is not b.registry and a.registry != b.registry:
         raise RegistryMismatchError("operands belong to different variable registries")
     if b.is_zero:
         raise ZeroDivisionError("Laurent division by zero")
@@ -362,7 +400,7 @@ def laurent_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         ((be, bc),) = b.terms.items()
         return LaurentPoly._raw(
             reg,
-            {tuple(x - y for x, y in zip(e, be)): c / bc for e, c in a.terms.items()},
+            {tuple(x - y for x, y in zip(e, be)): _quotient(c, bc) for e, c in a.terms.items()},
         )
     # Shift both operands into the polynomial cone.  Componentwise minimal
     # exponents are additive under multiplication (the coefficient ring is
@@ -374,17 +412,17 @@ def laurent_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     bpoly = {tuple(x - y for x, y in zip(e, sb)): c for e, c in b.terms.items()}
     blead = max(bpoly)
     bleadc = bpoly[blead]
-    quo: dict[Exponents, Fraction] = {}
+    quo: dict[Exponents, int | Fraction] = {}
     while rem:
         rlead = max(rem)
         diff = tuple(x - y for x, y in zip(rlead, blead))
         if any(d < 0 for d in diff):
             raise InexactDivisionError(f"({a}) is not divisible by ({b})")
-        qc = rem[rlead] / bleadc
+        qc = _quotient(rem[rlead], bleadc)
         quo[diff] = qc
         for e, c in bpoly.items():
             e2 = tuple(x + y for x, y in zip(e, diff))
-            acc = rem.get(e2, _ZERO) - qc * c
+            acc = rem.get(e2, 0) - qc * c
             if acc:
                 rem[e2] = acc
             else:
@@ -395,7 +433,7 @@ def laurent_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     )
 
 
-def _componentwise_min(terms: Mapping[Exponents, Fraction]) -> Exponents:
+def _componentwise_min(terms: Mapping[Exponents, int | Fraction]) -> Exponents:
     it: Iterator[Exponents] = iter(terms)
     lo = list(next(it))
     for e in it:
@@ -422,9 +460,9 @@ def parse_laurent(text: str, registry: VarRegistry) -> LaurentPoly:
     if not prepared:
         raise ValueError("empty polynomial text")
     n = len(registry)
-    terms: dict[Exponents, Fraction] = {}
+    terms: dict[Exponents, int | Fraction] = {}
     for term in prepared.split(" + "):
-        coeff = _ONE
+        coeff = Fraction(1)
         e = [0] * n
         factors = [f.strip() for f in term.split("*")]
         if factors and factors[0] == "-":
@@ -449,7 +487,7 @@ def parse_laurent(text: str, registry: VarRegistry) -> LaurentPoly:
             else:
                 raise ValueError(f"unrecognized factor {factor!r} in {text!r}")
         key = tuple(e)
-        acc = terms.get(key, _ZERO) + coeff
+        acc = _canonical(terms.get(key, _ZERO) + coeff)
         if acc:
             terms[key] = acc
         else:

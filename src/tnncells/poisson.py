@@ -6,7 +6,11 @@ biderivation through formal partial derivatives:
     {f, g} = sum over v < w of b[v,w] * (df/dv * dg/dw - df/dw * dg/dv)
 
 which is automatically bilinear, antisymmetric, and Leibniz in each
-argument.  Two generator tables are provided: the cell table (same-row or
+argument.  Each operand's partials are computed once, as one gradient per
+operand, and the step-bracket check reuses each entry's gradient across
+all of its pairs.
+
+Two generator tables are provided: the cell table (same-row or
 same-column ordered pairs bracket to the product, all other pairs to
 zero) and the matrix table (which adds the crossed 2 * t[i,g] * t[k,a]
 term for northwest-southeast pairs).
@@ -87,19 +91,32 @@ def bracket(f: LaurentPoly, g: LaurentPoly, table: BracketTable) -> LaurentPoly:
     registry = table.registry
     if f.registry != registry or g.registry != registry:
         raise RegistryMismatchError("operands do not match the table's registry")
-    sf = f.variables()
-    sg = g.variables()
-    result = registry.zero()
+    return _bracket_of_gradients(_gradient(f), _gradient(g), table)
+
+
+def _gradient(f: LaurentPoly) -> dict[int, LaurentPoly]:
+    """The nonzero first partials of f, keyed by variable index."""
+    return {v: f.partial(v) for v in f.variables()}
+
+
+def _bracket_of_gradients(
+    df: dict[int, LaurentPoly], dg: dict[int, LaurentPoly], table: BracketTable
+) -> LaurentPoly:
+    """{f, g} from the gradients of f and g: each partial is computed once
+    per operand rather than once per variable pair."""
+    registry = table.registry
+    zero = registry.zero()
+    result = zero
     pairs = set()
-    for v in sf:
-        for w in sg:
+    for v in df:
+        for w in dg:
             if v != w:
                 pairs.add((v, w) if v < w else (w, v))
     for v, w in sorted(pairs):
         coeff = table.pair(v, w)
         if not coeff:
             continue
-        term = f.partial(v) * g.partial(w) - f.partial(w) * g.partial(v)
+        term = df.get(v, zero) * dg.get(w, zero) - df.get(w, zero) * dg.get(v, zero)
         if term:
             result = result + coeff * term
     return result
@@ -205,10 +222,11 @@ def verify_step_brackets(C: CauchonDiagram, r: Step) -> StepBracketReport:
     Y = trace[r]
     checks = []
     grid = [(i, a) for i in range(1, C.m + 1) for a in range(1, C.p + 1)]
+    gradients = [_gradient(Y[i - 1][a - 1]) for i, a in grid]
     for x in range(len(grid)):
         for y in range(x + 1, len(grid)):
             pos1, pos2 = grid[x], grid[y]
-            lhs = bracket(Y[pos1[0] - 1][pos1[1] - 1], Y[pos2[0] - 1][pos2[1] - 1], table)
+            lhs = _bracket_of_gradients(gradients[x], gradients[y], table)
             rhs = expected_step_bracket(Y, r, pos1, pos2, registry)
             diff = lhs - rhs
             checks.append(

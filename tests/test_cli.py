@@ -199,6 +199,23 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "poisson", "4", "3")
         assert code == 2 and "--force" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("poisson", "2", "3", "--n", "-1"),
+            ("tnn-roundtrip", "2", "2", "--n", "-5"),
+            ("deletion", "2", "2", "--n", "-5"),
+            ("all", "2", "2", "--n", "-1"),
+        ],
+    )
+    def test_negative_n_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "") and "--n must be nonnegative" in err
+
+    def test_zero_n_runs(self, capsys):
+        code, obj, _ = run_json(capsys, "verify", "deletion", "2", "2", "--n", "0")
+        assert code == 0 and obj["ok"] is True
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self):

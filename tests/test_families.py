@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -122,6 +123,31 @@ class TestWorked44Example:
             mid for mid in all_minor_ids(4, 4) if mid.cols in cols or mid.rows in rows
         }
         assert set(family_of_perm(W44).members) == expected
+
+
+def cond3_by_recount(w, cols) -> bool:
+    """Condition 3 with the escape count of every window [r, s] recounted
+    from scratch."""
+    m, p, line = w.m, w.p, w.w
+    for r in range(1, p + 1):
+        inside = 0
+        for s in range(r, p + 1):
+            if s in cols:
+                inside += 1
+            free = sum(1 for a in range(r, s + 1) if not (m + r <= line[a - 1] <= m + s))
+            if inside > free:
+                return True
+    return False
+
+
+class TestStripeCondition:
+    @pytest.mark.parametrize("m,p", [(2, 3), (3, 4), (4, 3), (2, 5)])
+    def test_cond3_matches_the_recount(self, m, p):
+        for w in enumerate_restricted_perms(m, p):
+            ctx = _PermContext(w)
+            for k in range(1, p + 1):
+                for cols in combinations(range(1, p + 1), k):
+                    assert ctx.cond3(cols) == cond3_by_recount(w, cols), (w.w, cols)
 
 
 class TestFamilyEdges:

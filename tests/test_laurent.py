@@ -210,3 +210,98 @@ class TestEvaluateAndText:
     def test_monomial_flag(self, f):
         assert f.is_monomial()
         assert not (f + 1 + T11 + T12).is_zero
+
+
+def assert_int_while_integral(f: LaurentPoly) -> None:
+    """Every coefficient is an int exactly when its value is integral."""
+    for c in f.terms.values():
+        assert type(c) in (int, Fraction), f
+        assert (type(c) is int) == (Fraction(c).denominator == 1), f
+
+
+HALF = Fraction(1, 2)
+
+
+class TestCoefficientForm:
+    def test_fraction_becomes_integral_under_mul(self):
+        for f in (HALF * (2 * T11), R.const(HALF) * (2 * T11), (2 * T11) * HALF):
+            assert f.terms == {(1, 0, 0, 0): 1}
+            assert_int_while_integral(f)
+        assert_int_while_integral((HALF * T11 + T12) * (HALF * T11 - T12))
+
+    def test_add_and_sub(self):
+        for f in (
+            HALF * T11 + HALF * T11,
+            Fraction(3, 2) * T11 - HALF * T11,
+            (HALF * T11 + T12) + (HALF * T11 - T12),
+            1 + (HALF * T11 + HALF) + HALF,
+        ):
+            assert_int_while_integral(f)
+        assert (HALF * T11 + HALF * T11).terms == {(1, 0, 0, 0): 1}
+        assert_int_while_integral(HALF * T11 + T12)
+
+    def test_partial(self):
+        k = R.index(1, 1)
+        f = (HALF * T11**2 + Fraction(1, 3) * T11**3 * T12).partial(k)
+        assert f == T11 + T11**2 * T12
+        assert_int_while_integral(f)
+        assert_int_while_integral((Fraction(1, 3) * T11**2).partial(k))
+
+    def test_pow_and_inverse(self):
+        assert (HALF * T11).inverse().terms == {(-1, 0, 0, 0): 2}
+        assert (-T11).inverse().terms == {(-1, 0, 0, 0): -1}
+        assert (2 * T11).inverse().terms == {(-1, 0, 0, 0): HALF}
+        for f in (
+            (HALF * T11) ** -1,
+            (2 * T11) ** -2,
+            (HALF * T11 + HALF * T12) ** 2,
+            (2 * T11 * T22**-1) ** 3,
+        ):
+            assert_int_while_integral(f)
+
+    def test_exact_division(self):
+        cases = [
+            (6 * T11 * T12, 3 * T11, 2 * T12),
+            (T11, 2 * T12, HALF * T11 * T12**-1),
+            (HALF * T11 + HALF * T12, T11 + T12, R.const(HALF)),
+            (2 * T11 + 2 * T12, HALF * T11 + HALF * T12, R.const(4)),
+            ((2 * T11 + 2 * T12) * (T11 - T22), Fraction(2, 3) * (T11 + T12), 3 * (T11 - T22)),
+            ((T11 + 3 * T12) * (T21 - T22), 2 * T21 - 2 * T22, HALF * T11 + Fraction(3, 2) * T12),
+        ]
+        for a, b, q in cases:
+            got = laurent_div_exact(a, b)
+            assert got == q
+            assert_int_while_integral(got)
+
+    def test_entry_points(self):
+        e = (0, 0, 0, 0)
+        assert R.const(Fraction(4, 2)).terms == {e: 2}
+        assert type(R.const(Fraction(4, 2)).terms[e]) is int
+        assert type(R.const(Fraction(1, 3)).terms[e]) is Fraction
+        assert type(T11.terms[(1, 0, 0, 0)]) is int
+        assert LaurentPoly(R, {e: Fraction(6, 3), (1, 0, 0, 0): "3/4"}).terms == {
+            e: 2,
+            (1, 0, 0, 0): Fraction(3, 4),
+        }
+        assert_int_while_integral(LaurentPoly(R, {e: Fraction(6, 3), (1, 0, 0, 0): "3/4"}))
+        for text in ("2/2 * t[1,1]", "1/2 * t[1,1] + 1/2 * t[1,1]", "1/3 * t[1,1] - 4/2", "-6/3"):
+            assert_int_while_integral(parse_laurent(text, R))
+        assert parse_laurent("1/2 * t[1,1] + 1/2 * t[1,1]", R).terms == {(1, 0, 0, 0): 1}
+
+    def test_rational_results_and_text_are_unchanged(self):
+        assert type(R.const(3).constant_value()) is Fraction
+        assert type(R.zero().constant_value()) is Fraction
+        assert type(R.const(2).evaluate([1, 1, 1, 1])) is Fraction
+        assert type((T11 * T12).evaluate([2, 3, 1, 1])) is Fraction
+        assert str(R.const(Fraction(3))) == str(R.const(3)) == "3"
+        assert (3 * T11).terms == {(1, 0, 0, 0): Fraction(3)}
+        assert hash(Fraction(3)) == hash(3)
+
+    @given(polys, nonzero_polys)
+    def test_every_operation_keeps_the_form(self, a, b):
+        results = [a * b, a + b, a - b, -a, a * HALF, laurent_div_exact(a * b, b)]
+        results += [a.partial(k) for k in range(4)]
+        if b.is_monomial():
+            results += [b.inverse(), b**-2]
+        for f in results:
+            assert_int_while_integral(f)

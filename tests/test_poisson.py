@@ -33,6 +33,19 @@ def rand_poly(reg, rng, terms=3):
     return out
 
 
+def per_pair_bracket(f, g, table):
+    """The biderivation formula summed over every pair v < w, with fresh
+    partials for each pair."""
+    reg = table.registry
+    total = reg.zero()
+    for v in range(len(reg)):
+        for w in range(v + 1, len(reg)):
+            total = total + table.pair(v, w) * (
+                f.partial(v) * g.partial(w) - f.partial(w) * g.partial(v)
+            )
+    return total
+
+
 class TestGeneratorTables:
     def test_cell_values(self, reg22):
         t11, t12, t21, t22 = reg22.gens()
@@ -86,6 +99,15 @@ class TestBracketLaws:
             assert bracket(f + c * g, h, table) == bracket(f, h, table) + c * bracket(
                 g, h, table
             )
+
+    def test_equals_per_pair_reference(self, table, reg22, rng):
+        gens = reg22.gens()
+        sample = [rand_poly(reg22, rng) for _ in range(12)]
+        sample += [Fraction(1, 3) * gens[0] ** 2, gens[3], reg22.const(Fraction(5, 2))]
+        sample += [Fraction(3, 2) * gens[1] * gens[2] ** -1 + gens[0]]
+        for f in sample:
+            for g in sample:
+                assert bracket(f, g, table) == per_pair_bracket(f, g, table)
 
     def test_leibniz(self, table, reg22, rng):
         for _ in range(10):
