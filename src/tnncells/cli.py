@@ -16,6 +16,7 @@ from pathlib import Path
 from . import verify as verify_mod
 from .cells import classify, family_of_diagram, is_tnn, match_families
 from .combinat import (
+    MAX_GRID_CELLS,
     CauchonDiagram,
     RestrictedPermutation,
     count_diagrams,
@@ -33,7 +34,6 @@ from .linalg import is_symbolic
 from .restoration import delete_derivations, restore
 from .serialize import format_matrix_csv, format_trace, parse_matrix_csv
 
-HARD_CELL_CAP = 64        # bitmask width
 SYMBOLIC_CELL_CAP = 12    # full-grid symbolic restoration
 CORPUS_CELL_CAP = 16      # numeric corpora + per-diagram symbolic families
 POISSON_CELL_CAP = 9      # symbolic brackets over every diagram
@@ -62,8 +62,8 @@ def _fail(message: str, code: int) -> int:
 def _check_cells(m: int, p: int, cap: int | None, force: bool) -> str | None:
     if m < 1 or p < 1:
         return f"grid sizes must be positive, got ({m},{p})"
-    if m * p > HARD_CELL_CAP:
-        return f"({m},{p}) exceeds the {HARD_CELL_CAP}-cell bitmask limit"
+    if m * p > MAX_GRID_CELLS:
+        return f"({m},{p}) exceeds the {MAX_GRID_CELLS}-cell bitmask limit"
     if cap is not None and m * p > cap and not force:
         return (
             f"({m},{p}) exceeds the {cap}-cell symbolic cap; "
@@ -308,6 +308,8 @@ def _cmd_verify(args) -> int:
         return _fail("verify needs both sizes or neither", 2)
     if args.n < 0:
         return _fail(f"--n must be nonnegative, got {args.n}", 2)
+    if args.samples < 0:
+        return _fail(f"--samples must be nonnegative, got {args.samples}", 2)
     names: list[str]
     if args.suite == "all":
         names = ["counting", "match", "bruhat-monotone", "tnn-roundtrip", "deletion", "bruhat-cell"]

@@ -4,7 +4,9 @@ Variables live at 1-based positions of an m x p grid; a registry fixes
 which positions carry a variable and numbers them row-major, so values
 from different grids can never be mixed silently.  Exponents may be
 negative.  The term map of every polynomial is kept normalized (no zero
-coefficients), which makes equality structural.
+coefficients), which makes equality structural.  Division ``a / b`` is
+exact: it returns the Laurent polynomial q with q*b = a and raises
+:class:`InexactDivisionError` when there is none.
 
 A coefficient is an ``int`` whenever its value is integral and a
 ``Fraction`` only when it is not.  Generic matrices, bracket tables and
@@ -315,10 +317,11 @@ class LaurentPoly:
         ((e, c),) = self.terms.items()
         return LaurentPoly._raw(self.registry, {tuple(-x for x in e): _quotient(1, c)})
 
-    def div_exact(self, other) -> "LaurentPoly":
+    def __truediv__(self, other) -> "LaurentPoly":
+        """Exact quotient; see :func:`laurent_div_exact`."""
         o = self._coerce(other)
         if o is None:
-            raise TypeError(f"cannot divide by {other!r}")
+            return NotImplemented
         return laurent_div_exact(self, o)
 
     # -- calculus --------------------------------------------------------

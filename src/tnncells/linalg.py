@@ -3,14 +3,16 @@
 Matrices are immutable tuples of row tuples with 1-based public indexing
 handled by callers; everything here is 0-based.  Entries are either all
 rational (int/Fraction) or all :class:`~tnncells.laurent.LaurentPoly`
-over one registry.  Rational work is routed through the integer kernel
-after clearing denominators row by row, which keeps the big-int fast path
-in one place.
+over one registry.  Both are integral domains, so one Bareiss kernel and
+one Laplace all-minors kernel serve both: rational matrices enter them as
+integer rows after clearing denominators row by row, and Laurent matrices
+enter as they are, with exact Laurent division for the Bareiss quotients.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -100,73 +102,20 @@ def det_exact(M: Matrix):
     if n != w:
         raise ValueError(f"matrix is {n}x{w}, not square")
     if is_symbolic(M):
-        return _det_bareiss_symbolic(M)
+        return _det_bareiss(M, M[0][0].registry.zero(), laurent_div_exact)
     ints, scales = _scaled_int_rows(M)
-    return Fraction(_det_bareiss_int(ints), math.prod(scales))
-
-
-def _det_bareiss_symbolic(M: Matrix) -> LaurentPoly:
-    # Every Bareiss quotient exists because the Laurent ring is an integral
-    # domain, and laurent_div_exact finds any quotient that exists.
-    a = [list(r) for r in M]
-    n = len(a)
-    zero = M[0][0].registry.zero()
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not a[k][k]:
-            for r in range(k + 1, n):
-                if a[r][k]:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = pivot * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num if prev is None else laurent_div_exact(num, prev)
-            a[i][k] = zero
-        prev = pivot
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
+    return Fraction(_det_bareiss(ints, 0, operator.floordiv), math.prod(scales))
 
 
 def all_minors(M: Matrix) -> dict[tuple[tuple[int, ...], tuple[int, ...]], object]:
     """Every nonempty square-submatrix determinant, keyed 0-based."""
     if is_symbolic(M):
-        return _all_minors_symbolic(M)
+        return _all_minors(M, M[0][0].registry.zero())
     ints, scales = _scaled_int_rows(M)
-    raw = _all_minors_int(ints)
-    out = {}
-    for (rows, cols), d in raw.items():
-        denom = math.prod(scales[i] for i in rows)
-        out[(rows, cols)] = Fraction(d, denom)
-    return out
-
-
-def _all_minors_symbolic(M: Matrix) -> dict:
-    m, p = dims(M)
-    out: dict = {}
-    for i in range(m):
-        for a in range(p):
-            out[((i,), (a,))] = M[i][a]
-    for k in range(2, min(m, p) + 1):
-        for rows in combinations(range(m), k):
-            rest = rows[1:]
-            row0 = M[rows[0]]
-            for cols in combinations(range(p), k):
-                total = None
-                for t in range(k):
-                    x = row0[cols[t]]
-                    if x:
-                        term = x * out[(rest, cols[:t] + cols[t + 1:])]
-                        if t % 2:
-                            term = -term
-                        total = term if total is None else total + term
-                out[(rows, cols)] = total if total is not None else M[0][0].registry.zero()
-    return out
+    return {
+        (rows, cols): Fraction(d, math.prod(scales[i] for i in rows))
+        for (rows, cols), d in _all_minors(ints, 0).items()
+    }
 
 
 def rank_exact(M: Matrix) -> int:
@@ -211,17 +160,19 @@ def _rank_int(rows: list[list[int]]) -> int:
     return rank
 
 
-def _det_bareiss_int(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination.
+def _det_bareiss(rows: Sequence[Sequence], zero, div):
+    """Determinant of a square matrix by fraction-free elimination.
 
-    Row swaps supply pivots; every division is exact.
+    `zero` is the zero of the entries' integral domain and `div` its exact
+    division.  Row swaps supply pivots; every Bareiss quotient exists in an
+    integral domain, so every division is exact.
     """
     a = [list(r) for r in rows]
     n = len(a)
     if n == 0:
-        return 1
+        return zero + 1
     sign = 1
-    prev = 1
+    prev = None
     for k in range(n - 1):
         if not a[k][k]:
             for r in range(k + 1, n):
@@ -230,25 +181,27 @@ def _det_bareiss_int(rows: list[list[int]]) -> int:
                     sign = -sign
                     break
             else:
-                return 0
-        pivot = a[k][k]
+                return zero
+        rk = a[k]
+        pivot = rk[k]
         for i in range(k + 1, n):
             ri = a[i]
-            rk = a[k]
             aik = ri[k]
             for j in range(k + 1, n):
-                ri[j] = (pivot * ri[j] - aik * rk[j]) // prev
-            ri[k] = 0
+                num = pivot * ri[j] - aik * rk[j]
+                ri[j] = num if prev is None else div(num, prev)
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    d = a[n - 1][n - 1]
+    return -d if sign < 0 else d
 
 
-def _all_minors_int(mat: list[list[int]]) -> dict:
-    """Determinants of every nonempty square submatrix of an integer matrix.
+def _all_minors(mat: Sequence[Sequence], zero) -> dict:
+    """Determinants of every nonempty square submatrix.
 
     Returns {(rows, cols): det} with 0-based strictly increasing index
     tuples, filled in order of size so each first-row Laplace expansion
-    reuses the size-(k-1) entries already present.
+    reuses the size-(k-1) entries already present.  A zero entry or a zero
+    sub-minor contributes no term; `zero` is the entries' zero.
     """
     m = len(mat)
     p = len(mat[0]) if m else 0
@@ -262,14 +215,12 @@ def _all_minors_int(mat: list[list[int]]) -> dict:
             rest = rows[1:]
             row0 = mat[rows[0]]
             for cols in combinations(range(p), k):
-                acc = 0
-                sign = 1
+                acc = zero
                 for t in range(k):
                     x = row0[cols[t]]
                     if x:
                         sub = out[(rest, cols[:t] + cols[t + 1:])]
                         if sub:
-                            acc += sign * x * sub
-                    sign = -sign
+                            acc = acc - x * sub if t % 2 else acc + x * sub
                 out[(rows, cols)] = acc
     return out

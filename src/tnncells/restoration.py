@@ -3,9 +3,12 @@
 Steps are indexed by grid positions (j, b) running lexicographically from
 (1,2) to (m,p), plus a final label (m, p+1); the matrix stored at a label
 is the state *before* that step runs.  One step engine serves both
-directions - they differ in a sign and in traversal order - and divisions
-go through exact division, so a non-exact pivot division can never pass
-silently.
+directions - they differ in a sign and in traversal order - and both entry
+domains: the correction is ``X[i][b] * X[j][a] / pivot``, where ``/`` is
+exact on rationals and exact Laurent division on Laurent polynomials, so a
+non-exact pivot division can never pass silently.  The public entry points
+validate their matrix once with :func:`~tnncells.linalg.as_matrix`; the
+steps of a run work on the validated matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .combinat import CauchonDiagram, is_cauchon
-from .laurent import LaurentPoly, laurent_div_exact
 from .linalg import Matrix, as_matrix, dims
 from .minors import MinorId, all_minor_ids, all_minors_table
 
@@ -35,14 +37,8 @@ def step_sequence(m: int, p: int) -> list[Step]:
     return labels
 
 
-def _quot(numer, denom):
-    if isinstance(numer, LaurentPoly):
-        return laurent_div_exact(numer, denom)
-    return numer / denom
-
-
 def _apply_step(X: Matrix, r: Step, direction: int) -> Matrix:
-    X = as_matrix(X)
+    """One step on a matrix already validated by :func:`as_matrix`."""
     m, p = dims(X)
     j, b = r
     if not (1 <= j <= m and 1 <= b <= p) or r == (1, 1):
@@ -50,29 +46,28 @@ def _apply_step(X: Matrix, r: Step, direction: int) -> Matrix:
     pivot = X[j - 1][b - 1]
     if not pivot:
         return X
-    rows = []
-    for i in range(1, m + 1):
-        if i >= j:
-            rows.append(X[i - 1])
-            continue
-        row = list(X[i - 1])
-        for a in range(1, b):
-            correction = _quot(X[i - 1][b - 1] * X[j - 1][a - 1], pivot)
-            row[a - 1] = row[a - 1] + correction if direction > 0 else row[a - 1] - correction
-        rows.append(tuple(row))
+    pivot_row = X[j - 1]
+    rows = list(X)
+    for i in range(j - 1):
+        row = list(X[i])
+        xib = row[b - 1]
+        for a in range(b - 1):
+            correction = xib * pivot_row[a] / pivot
+            row[a] = row[a] + correction if direction > 0 else row[a] - correction
+        rows[i] = tuple(row)
     return tuple(rows)
 
 
 def restore_step(X: Matrix, r: Step) -> Matrix:
     """One forward step: entries above-left of the pivot gain the
     pivot-scaled rank-one correction; a zero pivot leaves X unchanged."""
-    return _apply_step(X, r, +1)
+    return _apply_step(as_matrix(X), r, +1)
 
 
 def delete_step(X: Matrix, r: Step) -> Matrix:
     """The inverse step (subtraction form), keyed on the same pivot
     position read from its own input."""
-    return _apply_step(X, r, -1)
+    return _apply_step(as_matrix(X), r, -1)
 
 
 @dataclass(frozen=True)
@@ -109,7 +104,7 @@ def restore(X: Matrix) -> MatrixTrace:
     labels = step_sequence(m, p)
     mats = [X]
     for r in labels[:-1]:
-        mats.append(restore_step(mats[-1], r))
+        mats.append(_apply_step(mats[-1], r, +1))
     return MatrixTrace(m, p, tuple(labels), tuple(mats))
 
 
@@ -120,7 +115,7 @@ def delete_derivations(Xbar: Matrix) -> MatrixTrace:
     labels = step_sequence(m, p)
     mats = [Xbar]
     for r in reversed(labels[:-1]):
-        mats.append(delete_step(mats[-1], r))
+        mats.append(_apply_step(mats[-1], r, -1))
     mats.reverse()
     return MatrixTrace(m, p, tuple(labels), tuple(mats))
 

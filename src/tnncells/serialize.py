@@ -26,10 +26,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(s)
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def parse_matrix_csv(text: str, registry: VarRegistry | None = None) -> Matrix:
     """Parse a matrix from CSV.
 

@@ -212,6 +212,16 @@ class TestVerify:
         code, out, err = run(capsys, "verify", *argv)
         assert (code, out) == (2, "") and "--n must be nonnegative" in err
 
+    @pytest.mark.parametrize("suite", ["bruhat-cell", "all"])
+    def test_negative_samples_is_a_usage_error(self, capsys, suite):
+        code, out, err = run(capsys, "verify", suite, "2", "2", "--samples", "-3")
+        assert (code, out) == (2, "")
+        assert err.strip() == "--samples must be nonnegative, got -3"
+
+    def test_zero_samples_runs(self, capsys):
+        code, obj, _ = run_json(capsys, "verify", "bruhat-cell", "2", "2", "--samples", "0")
+        assert code == 0 and obj["ok"] is True
+
     def test_zero_n_runs(self, capsys):
         code, obj, _ = run_json(capsys, "verify", "deletion", "2", "2", "--n", "0")
         assert code == 0 and obj["ok"] is True

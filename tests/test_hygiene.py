@@ -1,8 +1,12 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module, and
+every module-level private function or class is used somewhere in the
+package outside its own definition.
 
-Stdlib only (`ast`), so it runs wherever the suite does.  `__init__.py`
-is exempt (its imports are the package's re-exports), and so are
-`from __future__` imports.
+Stdlib only (`ast`), so it runs wherever the suite does.  For imports,
+`__init__.py` is exempt (its imports are the package's re-exports), and so
+are `from __future__` imports.  For private definitions, references from
+the tests do not count: a helper that only a test calls belongs in the
+test.
 """
 
 import ast
@@ -11,7 +15,19 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tnncells"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _walk_outside(tree: ast.AST, skip: ast.AST | None):
+    """`ast.walk` over `tree`, leaving out the subtree rooted at `skip`."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if node is not skip:
+            yield node
+            todo.extend(ast.iter_child_nodes(node))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -27,11 +43,11 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
     return out
 
 
-def referenced_names(tree: ast.Module) -> set[str]:
-    """Every bare name the module loads, including inside quoted
-    annotations."""
+def referenced_names(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
+    """Every bare name the module loads outside `skip`, including inside
+    quoted annotations."""
     names = set()
-    for node in ast.walk(tree):
+    for node in _walk_outside(tree, skip):
         if isinstance(node, ast.Name):
             names.add(node.id)
         annotations = []
@@ -46,6 +62,37 @@ def referenced_names(tree: ast.Module) -> set[str]:
                 if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
                     names |= referenced_names(ast.parse(sub.value, mode="eval"))
     return names
+
+
+def mentioned_names(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
+    """Names the module uses outside `skip`: loaded names, attribute names
+    and imported names."""
+    names = referenced_names(tree, skip)
+    for node in _walk_outside(tree, skip):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def dead_private_definitions(trees: dict[str, ast.Module]) -> dict[str, list[str]]:
+    """Module -> its module-level private functions and classes that no
+    module mentions outside the definition itself."""
+    everywhere = {name: mentioned_names(tree) for name, tree in trees.items()}
+    dead = {}
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, DEFINITIONS):
+                continue
+            if not node.name.startswith("_") or node.name.endswith("__"):
+                continue
+            used = node.name in mentioned_names(tree, skip=node) or any(
+                node.name in names for other, names in everywhere.items() if other != name
+            )
+            if not used:
+                dead.setdefault(name, []).append(node.name)
+    return dead
 
 
 def test_modules_found():
@@ -67,3 +114,23 @@ def test_detector_flags_an_unused_import():
     assert set(imported_names(tree)) == {"Sequence", "os"}
     assert "Sequence" not in referenced_names(tree)
     assert {"os", "Iterable"} <= referenced_names(tree)
+
+
+def test_no_dead_private_definitions():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    assert dead_private_definitions(trees) == {}
+
+
+def test_detector_flags_a_dead_private_helper():
+    trees = {
+        "a.py": ast.parse(
+            "def _dead():\n    return _dead()\n\n"
+            "def _imported():\n    pass\n\n"
+            "class _Annotated:\n    pass\n\n"
+            "def _called():\n    pass\n\n"
+            "def public():\n    return _called()\n\n"
+            "def __getattr__(name):\n    pass\n"
+        ),
+        "b.py": ast.parse("from .a import _imported\nx: '_Annotated | None' = None\n"),
+    }
+    assert dead_private_definitions(trees) == {"a.py": ["_dead"]}

@@ -146,9 +146,6 @@ class TestDivision:
     def test_zero_dividend(self):
         assert laurent_div_exact(R.zero(), T11 + T12) == R.zero()
 
-    def test_div_exact_method(self):
-        assert (T11 * T22).div_exact(T22) == T11
-
 
 class TestPartials:
     def test_generator_partial(self):
@@ -220,6 +217,76 @@ def assert_int_while_integral(f: LaurentPoly) -> None:
 
 
 HALF = Fraction(1, 2)
+
+
+class TestTrueDivision:
+    """`/` is exact division in the Laurent ring."""
+
+    def test_matches_laurent_div_exact(self):
+        assert (T11 * T22) / T22 == T11
+        a = (T11 + T12) * (T21 - T22)
+        assert a / (T21 - T22) == laurent_div_exact(a, T21 - T22)
+
+    def test_monomial_divisor(self):
+        q = T12 / T11
+        assert q == T11**-1 * T12
+        assert str(q) == "1 * t[1,1]^-1 * t[1,2]^1"
+        assert_int_while_integral(q)
+        assert (6 * T11 * T12) / (3 * T11) == 2 * T12
+        assert ((6 * T11 * T12) / (3 * T11)).terms == {(0, 1, 0, 0): 2}
+        assert (T11 / (2 * T12)).terms == {(1, -1, 0, 0): HALF}
+
+    def test_multi_term_divisor(self):
+        b = T21 + HALF * T22
+        for a in ((T11 + T12) * T11**-3, 2 * T12 - T11 * T22**-1, R.one()):
+            q = (a * b) / b
+            assert q == a
+            assert_int_while_integral(q)
+        q = (T11 + T12) / (2 * T11 + 2 * T12)
+        assert q == R.const(HALF)
+        assert_int_while_integral(q)
+        q = (2 * T11 + 2 * T12) / (HALF * T11 + HALF * T12)
+        assert q.terms == {(0, 0, 0, 0): 4}
+
+    def test_int_and_fraction_divisors(self):
+        q = (2 * T11 + 4) / 2
+        assert q == T11 + 2
+        assert all(type(c) is int for c in q.terms.values())
+        q = T11 / 2
+        assert q.terms == {(1, 0, 0, 0): HALF}
+        q = (HALF * T11) / Fraction(1, 6)
+        assert q.terms == {(1, 0, 0, 0): 3}
+        assert type(q.terms[(1, 0, 0, 0)]) is int
+        assert R.zero() / 5 == R.zero()
+
+    @given(polys, nonzero_polys)
+    def test_roundtrip(self, a, b):
+        q = (a * b) / b
+        assert q == a
+        assert_int_while_integral(q)
+
+    def test_inexact_raises(self):
+        with pytest.raises(InexactDivisionError):
+            (T11 + 1) / (T12 + 1)
+        with pytest.raises(InexactDivisionError):
+            T11 / (T11 + T12)
+
+    def test_zero_divisor_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            T11 / R.zero()
+        with pytest.raises(ZeroDivisionError):
+            T11 / 0
+
+    def test_cross_registry_raises(self):
+        other = VarRegistry.grid(2, 2, skip=[(2, 2)])
+        with pytest.raises(RegistryMismatchError):
+            T11 / other.var(1, 1)
+
+    def test_unsupported_divisor(self):
+        with pytest.raises(TypeError):
+            T11 / "t[1,1]"
+        with pytest.raises(TypeError):
+            T11 / 1.5
 
 
 class TestCoefficientForm:

@@ -11,6 +11,7 @@ from tnncells import (
     InexactDivisionError,
     all_minor_ids,
     all_minors_table,
+    as_matrix,
     delete_derivations,
     delete_step,
     diagram_of_matrix,
@@ -118,6 +119,64 @@ class TestGoldenTrace:
             restore_step(N_START, (1, 1))
         with pytest.raises(ValueError):
             delete_step(N_START, (5, 2))
+
+
+class TestStepEntryPoints:
+    """The public single steps validate their input; a full run validates
+    once and must agree with stepping through them."""
+
+    def test_steps_reject_ragged_input(self):
+        for step in (restore_step, delete_step):
+            with pytest.raises(ValueError):
+                step(((1, 2), (3,)), (2, 2))
+            with pytest.raises(ValueError):
+                step((), (1, 2))
+        for run in (restore, delete_derivations):
+            with pytest.raises(ValueError):
+                run([[1, 2], [3]])
+
+    def test_steps_coerce_int_entries(self):
+        X = ((1, 2), (3, 4))
+        assert restore_step(X, (2, 2)) == ((Fraction(5, 2), 2), (3, 4))
+        assert delete_step(X, (2, 2)) == ((Fraction(-1, 2), 2), (3, 4))
+        for out in (
+            restore_step(X, (2, 2)),
+            delete_step(X, (2, 2)),
+            restore_step(((1, 2), (3, 0)), (2, 2)),  # zero pivot
+            restore_step(X, (1, 2)),  # nothing above-left of the pivot
+        ):
+            assert all(type(x) is Fraction for row in out for x in row)
+
+    def test_steps_lift_scalars_into_the_registry(self):
+        reg, M = symbolic_cauchon_matrix(CauchonDiagram.from_black(2, 2, ()))
+        t11, t12, t21, t22 = reg.gens()
+        out = restore_step(((t11, 2), (t21, t22)), (2, 2))
+        assert all(x.registry is reg for row in out for x in row)
+        assert out[0][0] == t11 + 2 * t21 * t22**-1
+
+    @staticmethod
+    def _stepped(X, forward):
+        m, p = len(X), len(X[0])
+        labels = step_sequence(m, p)[:-1]
+        mats = [as_matrix(X)]
+        for r in labels if forward else reversed(labels):
+            mats.append((restore_step if forward else delete_step)(mats[-1], r))
+        return tuple(mats if forward else reversed(mats))
+
+    def test_runs_equal_public_steps(self, rng):
+        inputs = [N_START]
+        for _ in range(10):
+            m, p = rng.randint(1, 4), rng.randint(1, 4)
+            X = [row[:] for row in rand_matrix(rng, m, p, span=9)]
+            for _ in range(rng.randint(0, m * p // 2)):
+                X[rng.randrange(m)][rng.randrange(p)] = 0
+            inputs.append(X)
+        for C in (CauchonDiagram.from_black(2, 3, ((1, 2),)), CauchonDiagram.from_black(3, 3, ())):
+            inputs.append(symbolic_cauchon_matrix(C)[1])
+        for X in inputs:
+            tr = restore(X)
+            assert tr.matrices == self._stepped(X, forward=True)
+            assert delete_derivations(tr.final).matrices == self._stepped(tr.final, forward=False)
 
 
 class TestSymbolic:
