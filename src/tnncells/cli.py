@@ -268,6 +268,10 @@ _SUITES = (
 )
 
 
+def _cap(args, default: int) -> int:
+    return default if args.cap is None else args.cap
+
+
 def _run_one_suite(name: str, args) -> verify_mod.SuiteReport | str:
     """Returns the report, or an error string for a usage problem."""
     m, p = args.m, args.p
@@ -278,7 +282,7 @@ def _run_one_suite(name: str, args) -> verify_mod.SuiteReport | str:
     if m is None:
         return f"suite {name} needs explicit sizes: verify {name} M P"
     if name == "match":
-        err = _check_cells(m, p, args.cap or SYMBOLIC_CELL_CAP, args.force)
+        err = _check_cells(m, p, _cap(args, SYMBOLIC_CELL_CAP), args.force)
         return err or verify_mod.match_suite(m, p)
     if name == "bruhat-monotone":
         err = _check_cells(m, p, None, False)
@@ -289,13 +293,13 @@ def _run_one_suite(name: str, args) -> verify_mod.SuiteReport | str:
             sample = None if m + p <= 5 else 500
         return verify_mod.bruhat_monotone_suite(m, p, sample, args.seed)
     if name == "tnn-roundtrip":
-        err = _check_cells(m, p, args.cap or CORPUS_CELL_CAP, args.force)
+        err = _check_cells(m, p, _cap(args, CORPUS_CELL_CAP), args.force)
         return err or verify_mod.tnn_roundtrip_suite(m, p, args.n, args.seed)
     if name == "deletion":
-        err = _check_cells(m, p, args.cap or CORPUS_CELL_CAP, args.force)
+        err = _check_cells(m, p, _cap(args, CORPUS_CELL_CAP), args.force)
         return err or verify_mod.deletion_suite(m, p, args.n, args.seed)
     if name == "poisson":
-        err = _check_cells(m, p, args.cap or POISSON_CELL_CAP, args.force)
+        err = _check_cells(m, p, _cap(args, POISSON_CELL_CAP), args.force)
         return err or verify_mod.poisson_suite(m, p, args.n, args.seed)
     if name == "bruhat-cell":
         err = _check_cells(m, p, None, False)
@@ -310,10 +314,12 @@ def _cmd_verify(args) -> int:
         return _fail(f"--n must be nonnegative, got {args.n}", 2)
     if args.samples < 0:
         return _fail(f"--samples must be nonnegative, got {args.samples}", 2)
+    if args.cap is not None and args.cap < 1:
+        return _fail(f"--cap must be positive, got {args.cap}", 2)
     names: list[str]
     if args.suite == "all":
         names = ["counting", "match", "bruhat-monotone", "tnn-roundtrip", "deletion", "bruhat-cell"]
-        if args.m is not None and args.m * args.p <= (args.cap or POISSON_CELL_CAP):
+        if args.m is not None and args.m * args.p <= _cap(args, POISSON_CELL_CAP):
             names.append("poisson")
     else:
         names = [args.suite]

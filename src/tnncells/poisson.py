@@ -6,35 +6,58 @@ biderivation through formal partial derivatives:
     {f, g} = sum over v < w of b[v,w] * (df/dv * dg/dw - df/dw * dg/dv)
 
 which is automatically bilinear, antisymmetric, and Leibniz in each
-argument.  Each operand's partials are computed once, as one gradient per
-operand, and the step-bracket check reuses each entry's gradient across
-all of its pairs.
+argument.
 
 Two generator tables are provided: the cell table (same-row or
 same-column ordered pairs bracket to the product, all other pairs to
 zero) and the matrix table (which adds the crossed 2 * t[i,g] * t[k,a]
 term for northwest-southeast pairs).
+
+`bracket` takes one of two routes, chosen by the table:
+
+* Log-canonical tables, where every value is b[v,w] = c * t_v * t_w for a
+  constant c, record the skew matrix Lambda of those constants.  A
+  bracket of monomials is then one monomial,
+  {x^alpha, x^beta} = (alpha^T Lambda beta) * x^(alpha + beta), so {f, g}
+  is one pass over the term pairs of f and g, with Lambda beta computed
+  once per term of g.  The cell table takes this route, on any registry.
+* Every other table takes the gradient route: each operand's partials
+  are computed once, as one gradient per operand, and summed over the
+  variable pairs with a nonzero table value.  The matrix table takes this
+  route, since its crossed values 2 * t[i,g] * t[k,a] are not multiples
+  of t_v * t_w.
+
+The step-bracket check runs on the cell table and computes Lambda beta
+once per step-matrix entry, for all of that entry's pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add, mul
 from typing import Iterable, Mapping
 
 from .cells import symbolic_cauchon_matrix
 from .combinat import CauchonDiagram
 from .errors import RegistryMismatchError
-from .laurent import LaurentPoly, VarRegistry
+from .laurent import LaurentPoly, VarRegistry, _demote, _has_fraction
 from .restoration import Step, restore, step_sequence
 
 
 @dataclass(frozen=True)
 class BracketTable:
-    """Bracket values on generator pairs v < w (registry index order)."""
+    """Bracket values on generator pairs v < w (registry index order).
+
+    `skew` is the table's Lambda when the table is log-canonical (every
+    value is a constant times t_v * t_w): row v holds Lambda[v][w], with
+    Lambda[w][v] = -Lambda[v][w] and a zero diagonal.  It is None for any
+    other table.
+    """
 
     registry: VarRegistry
     entries: Mapping[tuple[int, int], LaurentPoly]
+    skew: tuple[tuple, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for (v, w), value in self.entries.items():
@@ -42,6 +65,23 @@ class BracketTable:
                 raise ValueError(f"pair {(v, w)} is not ordered or out of range")
             if value.registry != self.registry:
                 raise RegistryMismatchError("table value from a foreign registry")
+        object.__setattr__(self, "skew", self._log_canonical_skew())
+
+    def _log_canonical_skew(self) -> tuple[tuple, ...] | None:
+        """Lambda if every value is c * t_v * t_w for a constant c, else None."""
+        n = len(self.registry)
+        skew = [[0] * n for _ in range(n)]
+        for (v, w), value in self.entries.items():
+            if not value:
+                continue
+            if len(value.terms) != 1:
+                return None
+            ((e, c),) = value.terms.items()
+            if e[v] != 1 or e[w] != 1 or sum(map(abs, e)) != 2:
+                return None
+            skew[v][w] = c
+            skew[w][v] = -c
+        return tuple(map(tuple, skew))
 
     def pair(self, v: int, w: int) -> LaurentPoly:
         """{t_v, t_w} for any v, w (antisymmetry fills the lower half)."""
@@ -91,7 +131,41 @@ def bracket(f: LaurentPoly, g: LaurentPoly, table: BracketTable) -> LaurentPoly:
     registry = table.registry
     if f.registry != registry or g.registry != registry:
         raise RegistryMismatchError("operands do not match the table's registry")
-    return _bracket_of_gradients(_gradient(f), _gradient(g), table)
+    if table.skew is None:
+        return _bracket_of_gradients(_gradient(f), _gradient(g), table)
+    terms = _monomial_bracket(f.terms, _weighted_terms(g.terms, table.skew))
+    return LaurentPoly._raw(registry, terms)
+
+
+def _weighted_terms(terms: dict, skew: tuple[tuple, ...]) -> list[tuple]:
+    """Each term (beta, c) of a term map as (beta, c, Lambda beta)."""
+    return [
+        (e, c, tuple(sum(map(mul, row, e)) for row in skew)) for e, c in terms.items()
+    ]
+
+
+def _monomial_bracket(f_terms: dict, g_weighted: list[tuple]) -> dict:
+    """The term map of {f, g} on a log-canonical table: one pass over the
+    term pairs, each pair weighted by alpha^T (Lambda beta)."""
+    out: dict = {}
+    for ea, ca in f_terms.items():
+        for eb, cb, lb in g_weighted:
+            weight = sum(map(mul, ea, lb))
+            if not weight:
+                continue
+            e = tuple(map(add, ea, eb))
+            c = out.get(e)
+            if c is None:
+                out[e] = weight * ca * cb
+            else:
+                c = c + weight * ca * cb
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
+    if _has_fraction(out):
+        _demote(out)
+    return out
 
 
 def _gradient(f: LaurentPoly) -> dict[int, LaurentPoly]:
@@ -102,8 +176,9 @@ def _gradient(f: LaurentPoly) -> dict[int, LaurentPoly]:
 def _bracket_of_gradients(
     df: dict[int, LaurentPoly], dg: dict[int, LaurentPoly], table: BracketTable
 ) -> LaurentPoly:
-    """{f, g} from the gradients of f and g: each partial is computed once
-    per operand rather than once per variable pair."""
+    """{f, g} from the gradients of f and g, the route for tables without
+    a skew: each partial is computed once per operand rather than once per
+    variable pair."""
     registry = table.registry
     zero = registry.zero()
     result = zero
@@ -217,21 +292,26 @@ def _generic_trace(C: CauchonDiagram):
 
 def verify_step_brackets(C: CauchonDiagram, r: Step) -> StepBracketReport:
     """Check every ordered pair of entries of the step-r matrix against
-    the five-case prediction, using the cell table on the base entries."""
+    the five-case prediction, using the cell table on the base entries.
+
+    Lambda beta is computed once per entry for all of its pairs, and a
+    difference is built only for a pair whose bracket misses."""
     registry, table, trace = _generic_trace(C)
     Y = trace[r]
     checks = []
     grid = [(i, a) for i in range(1, C.m + 1) for a in range(1, C.p + 1)]
-    gradients = [_gradient(Y[i - 1][a - 1]) for i, a in grid]
+    entries = [Y[i - 1][a - 1].terms for i, a in grid]
+    weighted = [_weighted_terms(terms, table.skew) for terms in entries]
     for x in range(len(grid)):
         for y in range(x + 1, len(grid)):
             pos1, pos2 = grid[x], grid[y]
-            lhs = _bracket_of_gradients(gradients[x], gradients[y], table)
+            lhs = _monomial_bracket(entries[x], weighted[y])
             rhs = expected_step_bracket(Y, r, pos1, pos2, registry)
-            diff = lhs - rhs
-            checks.append(
-                PairCheck(pos1, pos2, not diff, None if not diff else diff)
-            )
+            if lhs == rhs.terms:
+                checks.append(PairCheck(pos1, pos2, True))
+            else:
+                diff = LaurentPoly._raw(registry, lhs) - rhs
+                checks.append(PairCheck(pos1, pos2, False, diff))
     return StepBracketReport(C, r, tuple(checks))
 
 

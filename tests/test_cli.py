@@ -218,6 +218,24 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.strip() == "--samples must be nonnegative, got -3"
 
+    @pytest.mark.parametrize(
+        "argv, cap",
+        [
+            (("match", "3", "3"), "0"),
+            (("match", "2", "2"), "-3"),
+            (("poisson", "2", "2"), "0"),
+            (("all", "2", "2"), "-1"),
+        ],
+    )
+    def test_nonpositive_cap_is_a_usage_error(self, capsys, argv, cap):
+        code, out, err = run(capsys, "verify", *argv, "--cap", cap)
+        assert (code, out) == (2, "")
+        assert err.strip() == f"--cap must be positive, got {cap}"
+
+    def test_small_positive_cap_is_honoured(self, capsys):
+        code, out, err = run(capsys, "verify", "match", "2", "2", "--cap", "1")
+        assert (code, out) == (2, "") and "exceeds the 1-cell symbolic cap" in err
+
     def test_zero_samples_runs(self, capsys):
         code, obj, _ = run_json(capsys, "verify", "bruhat-cell", "2", "2", "--samples", "0")
         assert code == 0 and obj["ok"] is True

@@ -1,6 +1,7 @@
-"""Source hygiene: every name a module imports is used in that module, and
+"""Source hygiene: every name a module imports is used in that module,
 every module-level private function or class is used somewhere in the
-package outside its own definition.
+package outside its own definition, and no module-level function or
+method is wrapped in a cache that grows for the life of the process.
 
 Stdlib only (`ast`), so it runs wherever the suite does.  For imports,
 `__init__.py` is exempt (its imports are the package's re-exports), and so
@@ -95,6 +96,40 @@ def dead_private_definitions(trees: dict[str, ast.Module]) -> dict[str, list[str
     return dead
 
 
+def _is_unbounded_cache(decorator: ast.expr) -> bool:
+    """`cache`, or `lru_cache` with `maxsize=None`, under any import form."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    target = call.func if call else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    if name == "cache":
+        return call is None
+    if name != "lru_cache" or call is None:
+        return False
+    maxsize = call.args[0] if call.args else None
+    for kw in call.keywords:
+        if kw.arg == "maxsize":
+            maxsize = kw.value
+    return isinstance(maxsize, ast.Constant) and maxsize.value is None
+
+
+def unbounded_caches(tree: ast.Module) -> list[str]:
+    """Module-level functions and methods of module-level classes whose
+    decorators include an unbounded cache.  A cache built inside a function
+    body lives only as long as that call and is not flagged."""
+    functions = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            functions += [(f"{node.name}.", sub) for sub in node.body]
+        else:
+            functions.append(("", node))
+    return [
+        prefix + node.name
+        for prefix, node in functions
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_is_unbounded_cache(d) for d in node.decorator_list)
+    ]
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"cells.py", "combinat.py", "families.py"}
 
@@ -134,3 +169,30 @@ def test_detector_flags_a_dead_private_helper():
         "b.py": ast.parse("from .a import _imported\nx: '_Annotated | None' = None\n"),
     }
     assert dead_private_definitions(trees) == {"a.py": ["_dead"]}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unbounded_caches(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert unbounded_caches(tree) == [], f"{path.name}: unbounded caches"
+
+
+def test_detector_flags_an_unbounded_cache():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import cache, lru_cache\n\n"
+        "@cache\ndef a(x): pass\n\n"
+        "@functools.cache\ndef b(x): pass\n\n"
+        "@lru_cache(maxsize=None)\ndef c(x): pass\n\n"
+        "@functools.lru_cache(None)\ndef d(x): pass\n\n"
+        "@lru_cache(maxsize=32)\ndef bounded(x): pass\n\n"
+        "@lru_cache\ndef default_bound(x): pass\n\n"
+        "@functools.lru_cache()\ndef default_call(x): pass\n\n"
+        "class K:\n"
+        "    @cache\n    def e(self): pass\n\n"
+        "    @property\n    def plain(self): pass\n\n"
+        "def per_call(ctx):\n"
+        "    @cache\n    def inner(x): pass\n"
+        "    return cache(ctx.cond)\n"
+    )
+    assert unbounded_caches(tree) == ["a", "b", "c", "d", "K.e"]

@@ -1,6 +1,7 @@
 """Bracket tables, the biderivation extension, and step-bracket checks."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -14,12 +15,14 @@ from tnncells import (
     enumerate_diagrams,
     matrix_bracket_table,
     multidegree,
+    poisson,
     restore,
     symbolic_cauchon_matrix,
     verify_all_step_brackets,
     verify_jacobi,
     verify_step_brackets,
 )
+from tnncells.poisson import _bracket_of_gradients, _gradient
 
 
 def rand_poly(reg, rng, terms=3):
@@ -44,6 +47,37 @@ def per_pair_bracket(f, g, table):
                 f.partial(v) * g.partial(w) - f.partial(w) * g.partial(v)
             )
     return total
+
+
+def gradient_bracket(f, g, table):
+    """The gradient route on any table: the oracle for the monomial route."""
+    return _bracket_of_gradients(_gradient(f), _gradient(g), table)
+
+
+def cell_skew(reg):
+    """The cell table's Lambda from its definition: +1 above the diagonal
+    and -1 below it for same-row or same-column pairs, 0 elsewhere."""
+    n = len(reg)
+    skew = [[0] * n for _ in range(n)]
+    for v, w in combinations(range(n), 2):
+        (i, a), (k, g) = reg.positions[v], reg.positions[w]
+        if i == k or a == g:
+            skew[v][w], skew[w][v] = 1, -1
+    return tuple(map(tuple, skew))
+
+
+def white_cell_registries():
+    """The registries of a few diagrams with black cells."""
+    diagrams = [
+        CauchonDiagram.from_black(2, 2, ((1, 1),)),
+        CauchonDiagram.from_black(3, 3, ((1, 1), (1, 2))),
+        CauchonDiagram.from_black(3, 3, ((2, 1), (3, 1), (3, 2))),
+        CauchonDiagram.from_black(3, 3, ((1, 3), (2, 3), (3, 3))),
+    ]
+    return [symbolic_cauchon_matrix(C)[0] for C in diagrams]
+
+
+REGISTRIES = [VarRegistry.grid(2, 2), VarRegistry.grid(3, 3), *white_cell_registries()]
 
 
 class TestGeneratorTables:
@@ -85,6 +119,87 @@ class TestGeneratorTables:
             BracketTable(reg22, {(0, 1): other.gens()[0]})
 
 
+class TestLogCanonicalSkew:
+    @pytest.mark.parametrize("reg", REGISTRIES, ids=lambda r: f"{r.m}x{r.p}-{len(r)}vars")
+    def test_cell_table_records_its_skew(self, reg):
+        assert cell_bracket_table(reg).skew == cell_skew(reg)
+
+    @pytest.mark.parametrize("m, p", [(2, 2), (2, 3), (3, 3)])
+    def test_matrix_table_takes_the_gradient_route(self, m, p):
+        assert matrix_bracket_table(VarRegistry.grid(m, p)).skew is None
+
+    def test_constant_multiple_of_the_product(self, reg22):
+        t11, t12, t21, t22 = reg22.gens()
+        table = BracketTable(
+            reg22, {(0, 1): Fraction(3, 2) * t11 * t12, (1, 3): -t12 * t22, (0, 3): reg22.zero()}
+        )
+        want = [[0] * 4 for _ in range(4)]
+        want[0][1], want[1][0] = Fraction(3, 2), Fraction(-3, 2)
+        want[1][3], want[3][1] = -1, 1
+        assert table.skew == tuple(map(tuple, want))
+
+    def test_fractional_skew_keeps_integral_coefficients_int(self, reg22):
+        t11, t12, _, _ = reg22.gens()
+        table = BracketTable(reg22, {(0, 1): Fraction(3, 2) * t11 * t12})
+        result = bracket(t11**2, t12, table)
+        assert result == 3 * t11**2 * t12
+        assert [type(c) for c in result.terms.values()] == [int]
+        assert bracket(t11, t12, table) == gradient_bracket(t11, t12, table)
+
+    def test_other_values_are_not_log_canonical(self, reg22):
+        t11, t12, t21, t22 = reg22.gens()
+        for value in (
+            t11 * t11,
+            t11 * t12 * t21,
+            t21 * t22,
+            t11 * t12 + t21 * t22,
+            t11 * t12 * t21 * t22**-1,
+            2 * t12 * t21,
+            reg22.const(5),
+        ):
+            assert BracketTable(reg22, {(0, 1): value}).skew is None, value
+
+
+class TestMonomialRoute:
+    """The monomial route against the gradient route on cell tables."""
+
+    @pytest.mark.parametrize("reg", REGISTRIES, ids=lambda r: f"{r.m}x{r.p}-{len(r)}vars")
+    def test_equals_gradient_route_on_random_pairs(self, reg, rng):
+        table = cell_bracket_table(reg)
+        assert table.skew is not None
+        sample = [rand_poly(reg, rng) for _ in range(8)]
+        sample += [reg.gens()[-1] ** -2, reg.const(Fraction(7, 3)), reg.zero()]
+        for f in sample:
+            for g in sample:
+                assert bracket(f, g, table) == gradient_bracket(f, g, table)
+
+    def test_equals_gradient_route_on_every_2x3_step_entry_pair(self):
+        for C in enumerate_diagrams(2, 3):
+            reg, M = symbolic_cauchon_matrix(C)
+            table = cell_bracket_table(reg)
+            for _, Y in restore(M).items():
+                entries = [x for row in Y for x in row]
+                for x, y in combinations(entries, 2):
+                    assert bracket(x, y, table) == gradient_bracket(x, y, table)
+
+    def test_step_check_compares_the_monomial_bracket(self, monkeypatch):
+        # predict zero everywhere: every failure must carry the full bracket
+        C = CauchonDiagram.from_black(2, 3, ((1, 2),))
+        reg, M = symbolic_cauchon_matrix(C)
+        Y = restore(M)[(2, 3)]
+        table = cell_bracket_table(reg)
+        monkeypatch.setattr(
+            poisson, "expected_step_bracket", lambda Y, r, pos1, pos2, registry: registry.zero()
+        )
+        report = verify_step_brackets(C, (2, 3))
+        assert len(report.checks) == 15 and report.failures
+        for check in report.checks:
+            (i, a), (k, g) = check.first, check.second
+            want = gradient_bracket(Y[i - 1][a - 1], Y[k - 1][g - 1], table)
+            assert check.ok == (not want)
+            assert check.difference == (None if check.ok else want)
+
+
 class TestBracketLaws:
     @pytest.fixture(params=["cell", "matrix"])
     def table(self, request, reg22):
@@ -119,6 +234,16 @@ class TestBracketLaws:
     def test_jacobi(self, table, reg22, rng):
         polys = [rand_poly(reg22, rng) for _ in range(12)]
         assert verify_jacobi(table, polys)
+
+    @pytest.mark.parametrize("m, p, count", [(2, 3, 20), (3, 3, 84), (3, 4, 220)])
+    def test_jacobi_on_every_generator_triple(self, m, p, count):
+        # the Jacobiator of a biderivation is a triderivation, so it
+        # vanishes everywhere once it vanishes on generator triples
+        reg = VarRegistry.grid(m, p)
+        triples = list(combinations(reg.gens(), 3))
+        assert len(triples) == count
+        table = matrix_bracket_table(reg)
+        assert verify_jacobi(table, [x for triple in triples for x in triple])
 
     def test_jacobi_spots_a_broken_table(self, reg22):
         t11, t12, t21, t22 = reg22.gens()
