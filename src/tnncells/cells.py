@@ -54,6 +54,16 @@ class CellDescriptor:
     family: MinorFamily
     matched_perm: RestrictedPermutation | None = None
 
+    def to_json_obj(self) -> dict:
+        """The cell as one matched (permutation, diagram) pair; "perm" is
+        None when no permutation was requested."""
+        return {
+            "perm": None if self.matched_perm is None else self.matched_perm.to_json_obj(),
+            "diagram": self.diagram.to_json_obj(),
+            "family": self.family.to_json_obj(),
+            "family_size": len(self.family),
+        }
+
 
 def is_tnn(X: Matrix) -> TnnVerdict:
     """Check every minor exactly; report the first negative one in

@@ -152,18 +152,7 @@ def _cmd_match(args) -> int:
         pairs = match_families(args.m, args.p)
     except SelfCheckError as exc:
         return _fail(f"match failed: {exc}", 1)
-    _emit(
-        [
-            {
-                "perm": d.matched_perm.to_json_obj(),
-                "diagram": d.diagram.to_json_obj(),
-                "family": d.family.to_json_obj(),
-                "family_size": len(d.family),
-            }
-            for d in pairs
-        ],
-        args.format,
-    )
+    _emit([d.to_json_obj() for d in pairs], args.format)
     return 0
 
 
@@ -278,7 +267,7 @@ def _run_one_suite(name: str, args) -> verify_mod.SuiteReport | str:
     if name == "counting":
         if m is None:
             return verify_mod.counting_suite()
-        return verify_mod.counting_suite(((m, p),))
+        return _check_cells(m, p, None, False) or verify_mod.counting_suite(((m, p),))
     if m is None:
         return f"suite {name} needs explicit sizes: verify {name} M P"
     if name == "match":

@@ -220,15 +220,6 @@ class LaurentPoly:
             raise ValueError(f"not a constant: {self}")
         return Fraction(c)
 
-    def variables(self) -> frozenset[int]:
-        """Indices of variables appearing with a nonzero exponent."""
-        support = set()
-        for e in self.terms:
-            for k, x in enumerate(e):
-                if x:
-                    support.add(k)
-        return frozenset(support)
-
     # -- ring operations -------------------------------------------------
 
     def _coerce(self, other) -> "LaurentPoly | None":

@@ -13,19 +13,18 @@ same-column ordered pairs bracket to the product, all other pairs to
 zero) and the matrix table (which adds the crossed 2 * t[i,g] * t[k,a]
 term for northwest-southeast pairs).
 
-`bracket` takes one of two routes, chosen by the table:
+`bracket` takes one route on every table.  Each value is a Laurent
+polynomial, so it splits by shift: b[v,w] = t_v * t_w * sum over s of
+Lambda_s[v][w] * x^s, where each term c * x^e of b[v,w] has shift
+s = e - e_v - e_w and puts c into the skew matrix Lambda_s.  A bracket of
+monomials is then
 
-* Log-canonical tables, where every value is b[v,w] = c * t_v * t_w for a
-  constant c, record the skew matrix Lambda of those constants.  A
-  bracket of monomials is then one monomial,
-  {x^alpha, x^beta} = (alpha^T Lambda beta) * x^(alpha + beta), so {f, g}
-  is one pass over the term pairs of f and g, with Lambda beta computed
-  once per term of g.  The cell table takes this route, on any registry.
-* Every other table takes the gradient route: each operand's partials
-  are computed once, as one gradient per operand, and summed over the
-  variable pairs with a nonzero table value.  The matrix table takes this
-  route, since its crossed values 2 * t[i,g] * t[k,a] are not multiples
-  of t_v * t_w.
+    {x^alpha, x^beta} = sum over s of (alpha^T Lambda_s beta) * x^(alpha + beta + s)
+
+so {f, g} is one pass over the term pairs of f and the shifted, weighted
+terms of g, with Lambda_s beta computed once per term of g and shift.  The
+cell table has the one shift s = 0; the matrix table adds one shift per
+crossed pair, e_(i,g) + e_(k,a) - e_(i,a) - e_(k,g).
 
 The step-bracket check runs on the cell table and computes Lambda beta
 once per step-matrix entry, for all of that entry's pairs.
@@ -34,7 +33,7 @@ once per step-matrix entry, for all of that entry's pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from itertools import repeat
 from operator import add, mul
 from typing import Iterable, Mapping
 
@@ -49,15 +48,17 @@ from .restoration import Step, restore, step_sequence
 class BracketTable:
     """Bracket values on generator pairs v < w (registry index order).
 
-    `skew` is the table's Lambda when the table is log-canonical (every
-    value is a constant times t_v * t_w): row v holds Lambda[v][w], with
-    Lambda[w][v] = -Lambda[v][w] and a zero diagonal.  It is None for any
-    other table.
+    `shifts` splits the values by shift: one pair (s, columns) per shift s
+    that some term c * x^e of a value b[v,w] has, s = e - e_v - e_w.
+    That shift's skew matrix Lambda_s has c at [v][w] and -c at [w][v];
+    `columns` maps u to column u of Lambda_s, for the nonzero columns only.
     """
 
     registry: VarRegistry
     entries: Mapping[tuple[int, int], LaurentPoly]
-    skew: tuple[tuple, ...] | None = field(init=False, repr=False, compare=False)
+    shifts: tuple[tuple[tuple[int, ...], dict[int, tuple]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for (v, w), value in self.entries.items():
@@ -65,31 +66,25 @@ class BracketTable:
                 raise ValueError(f"pair {(v, w)} is not ordered or out of range")
             if value.registry != self.registry:
                 raise RegistryMismatchError("table value from a foreign registry")
-        object.__setattr__(self, "skew", self._log_canonical_skew())
-
-    def _log_canonical_skew(self) -> tuple[tuple, ...] | None:
-        """Lambda if every value is c * t_v * t_w for a constant c, else None."""
         n = len(self.registry)
-        skew = [[0] * n for _ in range(n)]
+        # cols[u] is column u of Lambda_s: Lambda_s[v][w] = c lands in
+        # column w at row v, and Lambda_s[w][v] = -c in column v at row w
+        by_shift: dict[tuple[int, ...], list[list]] = {}
         for (v, w), value in self.entries.items():
-            if not value:
-                continue
-            if len(value.terms) != 1:
-                return None
-            ((e, c),) = value.terms.items()
-            if e[v] != 1 or e[w] != 1 or sum(map(abs, e)) != 2:
-                return None
-            skew[v][w] = c
-            skew[w][v] = -c
-        return tuple(map(tuple, skew))
-
-    def pair(self, v: int, w: int) -> LaurentPoly:
-        """{t_v, t_w} for any v, w (antisymmetry fills the lower half)."""
-        if v == w:
-            return self.registry.zero()
-        if v < w:
-            return self.entries.get((v, w), self.registry.zero())
-        return -self.entries.get((w, v), self.registry.zero())
+            for e, c in value.terms.items():
+                shift = list(e)
+                shift[v] -= 1
+                shift[w] -= 1
+                cols = by_shift.get(tuple(shift))
+                if cols is None:
+                    cols = by_shift[tuple(shift)] = [[0] * n for _ in range(n)]
+                cols[w][v] = c
+                cols[v][w] = -c
+        shifts = tuple(
+            (s, {u: tuple(column) for u, column in enumerate(cols) if any(column)})
+            for s, cols in by_shift.items()
+        )
+        object.__setattr__(self, "shifts", shifts)
 
 
 def cell_bracket_table(registry: VarRegistry) -> BracketTable:
@@ -131,22 +126,36 @@ def bracket(f: LaurentPoly, g: LaurentPoly, table: BracketTable) -> LaurentPoly:
     registry = table.registry
     if f.registry != registry or g.registry != registry:
         raise RegistryMismatchError("operands do not match the table's registry")
-    if table.skew is None:
-        return _bracket_of_gradients(_gradient(f), _gradient(g), table)
-    terms = _monomial_bracket(f.terms, _weighted_terms(g.terms, table.skew))
+    terms = _monomial_bracket(f.terms, _weighted_terms(g.terms, table.shifts))
     return LaurentPoly._raw(registry, terms)
 
 
-def _weighted_terms(terms: dict, skew: tuple[tuple, ...]) -> list[tuple]:
-    """Each term (beta, c) of a term map as (beta, c, Lambda beta)."""
-    return [
-        (e, c, tuple(sum(map(mul, row, e)) for row in skew)) for e, c in terms.items()
-    ]
+def _weighted_terms(terms: dict, shifts: tuple) -> list[tuple]:
+    """Each term (beta, c) of a term map as (beta + s, c, Lambda_s beta),
+    once per shift s whose Lambda_s beta is nonzero.
+
+    Lambda_s beta is summed as beta_u times column u over the support of
+    beta only, so a sparse term costs only its own columns."""
+    out = []
+    for e, c in terms.items():
+        support = [(u, x) for u, x in enumerate(e) if x]
+        for s, columns in shifts:
+            lb = None
+            for u, x in support:
+                column = columns.get(u)
+                if column is None:
+                    continue
+                if x != 1:
+                    column = map(mul, column, repeat(x))
+                lb = tuple(column) if lb is None else tuple(map(add, lb, column))
+            if lb is not None and any(lb):
+                out.append((tuple(map(add, e, s)), c, lb))
+    return out
 
 
 def _monomial_bracket(f_terms: dict, g_weighted: list[tuple]) -> dict:
-    """The term map of {f, g} on a log-canonical table: one pass over the
-    term pairs, each pair weighted by alpha^T (Lambda beta)."""
+    """The term map of {f, g}: one pass over the term pairs of f and the
+    weighted terms of g, each pair weighted by alpha^T (Lambda_s beta)."""
     out: dict = {}
     for ea, ca in f_terms.items():
         for eb, cb, lb in g_weighted:
@@ -166,35 +175,6 @@ def _monomial_bracket(f_terms: dict, g_weighted: list[tuple]) -> dict:
     if _has_fraction(out):
         _demote(out)
     return out
-
-
-def _gradient(f: LaurentPoly) -> dict[int, LaurentPoly]:
-    """The nonzero first partials of f, keyed by variable index."""
-    return {v: f.partial(v) for v in f.variables()}
-
-
-def _bracket_of_gradients(
-    df: dict[int, LaurentPoly], dg: dict[int, LaurentPoly], table: BracketTable
-) -> LaurentPoly:
-    """{f, g} from the gradients of f and g, the route for tables without
-    a skew: each partial is computed once per operand rather than once per
-    variable pair."""
-    registry = table.registry
-    zero = registry.zero()
-    result = zero
-    pairs = set()
-    for v in df:
-        for w in dg:
-            if v != w:
-                pairs.add((v, w) if v < w else (w, v))
-    for v, w in sorted(pairs):
-        coeff = table.pair(v, w)
-        if not coeff:
-            continue
-        term = df.get(v, zero) * dg.get(w, zero) - df.get(w, zero) * dg.get(v, zero)
-        if term:
-            result = result + coeff * term
-    return result
 
 
 def multidegree(f: LaurentPoly) -> tuple[int, ...] | None:
@@ -284,24 +264,32 @@ def expected_step_bracket(
     raise ValueError(f"positions {pos1}, {pos2} are not lexicographically ordered")
 
 
-@lru_cache(maxsize=32)
-def _generic_trace(C: CauchonDiagram):
-    registry, M = symbolic_cauchon_matrix(C)
-    return registry, cell_bracket_table(registry), restore(M)
-
-
 def verify_step_brackets(C: CauchonDiagram, r: Step) -> StepBracketReport:
     """Check every ordered pair of entries of the step-r matrix against
-    the five-case prediction, using the cell table on the base entries.
+    the five-case prediction, using the cell table on the base entries."""
+    registry, M = symbolic_cauchon_matrix(C)
+    return _step_report(C, r, restore(M)[r], cell_bracket_table(registry))
+
+
+def verify_all_step_brackets(C: CauchonDiagram) -> list[StepBracketReport]:
+    """Step-bracket reports for every label of the diagram's grid, from one
+    restoration of the generic matrix."""
+    registry, M = symbolic_cauchon_matrix(C)
+    table = cell_bracket_table(registry)
+    trace = restore(M)
+    return [_step_report(C, r, trace[r], table) for r in step_sequence(C.m, C.p)]
+
+
+def _step_report(C: CauchonDiagram, r: Step, Y, table: BracketTable) -> StepBracketReport:
+    """The step-r report on the step matrix Y.
 
     Lambda beta is computed once per entry for all of its pairs, and a
     difference is built only for a pair whose bracket misses."""
-    registry, table, trace = _generic_trace(C)
-    Y = trace[r]
+    registry = table.registry
     checks = []
     grid = [(i, a) for i in range(1, C.m + 1) for a in range(1, C.p + 1)]
     entries = [Y[i - 1][a - 1].terms for i, a in grid]
-    weighted = [_weighted_terms(terms, table.skew) for terms in entries]
+    weighted = [_weighted_terms(terms, table.shifts) for terms in entries]
     for x in range(len(grid)):
         for y in range(x + 1, len(grid)):
             pos1, pos2 = grid[x], grid[y]
@@ -313,11 +301,6 @@ def verify_step_brackets(C: CauchonDiagram, r: Step) -> StepBracketReport:
                 diff = LaurentPoly._raw(registry, lhs) - rhs
                 checks.append(PairCheck(pos1, pos2, False, diff))
     return StepBracketReport(C, r, tuple(checks))
-
-
-def verify_all_step_brackets(C: CauchonDiagram) -> list[StepBracketReport]:
-    """Step-bracket reports for every label of the diagram's grid."""
-    return [verify_step_brackets(C, r) for r in step_sequence(C.m, C.p)]
 
 
 def verify_jacobi(table: BracketTable, sample: Iterable[LaurentPoly]) -> bool:

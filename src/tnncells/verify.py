@@ -147,17 +147,7 @@ def match_suite(m: int, p: int) -> SuiteReport:
         "match",
         True,
         f"{len(pairs)} matched (permutation, diagram) pairs at ({m},{p})",
-        {
-            "pairs": [
-                {
-                    "perm": d.matched_perm.to_json_obj(),
-                    "diagram": d.diagram.to_json_obj(),
-                    "family": d.family.to_json_obj(),
-                    "family_size": len(d.family),
-                }
-                for d in pairs
-            ]
-        },
+        {"pairs": [d.to_json_obj() for d in pairs]},
     )
 
 

@@ -185,6 +185,16 @@ class TestMatchFamilies:
         seen = {d.diagram for d in descs}
         assert seen == set(enumerate_diagrams(2, 2))
 
+    def test_json_names_the_matched_pair(self):
+        for d in match_families(2, 2):
+            assert d.to_json_obj() == {
+                "perm": d.matched_perm.to_json_obj(),
+                "diagram": d.diagram.to_json_obj(),
+                "family": d.family.to_json_obj(),
+                "family_size": len(d.family),
+            }
+        assert classify(NBAR).to_json_obj()["perm"] is None
+
 
 # Every grid with at most 9 cells, plus (3,4): the pipe-dream permutation
 # must be the one match_families finds by comparing both families.

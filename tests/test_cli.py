@@ -236,6 +236,19 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "match", "2", "2", "--cap", "1")
         assert (code, out) == (2, "") and "exceeds the 1-cell symbolic cap" in err
 
+    @pytest.mark.parametrize(
+        "argv, sizes",
+        [
+            (("counting", "0", "3"), "(0,3)"),
+            (("counting", "2", "-1"), "(2,-1)"),
+            (("all", "0", "2"), "(0,2)"),
+        ],
+    )
+    def test_nonpositive_counting_sizes_are_a_usage_error(self, capsys, argv, sizes):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err.strip() == f"grid sizes must be positive, got {sizes}"
+
     def test_zero_samples_runs(self, capsys):
         code, obj, _ = run_json(capsys, "verify", "bruhat-cell", "2", "2", "--samples", "0")
         assert code == 0 and obj["ok"] is True

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -22,7 +23,6 @@ from tnncells import (
     verify_jacobi,
     verify_step_brackets,
 )
-from tnncells.poisson import _bracket_of_gradients, _gradient
 
 
 def rand_poly(reg, rng, terms=3):
@@ -37,21 +37,12 @@ def rand_poly(reg, rng, terms=3):
 
 
 def per_pair_bracket(f, g, table):
-    """The biderivation formula summed over every pair v < w, with fresh
-    partials for each pair."""
-    reg = table.registry
-    total = reg.zero()
-    for v in range(len(reg)):
-        for w in range(v + 1, len(reg)):
-            total = total + table.pair(v, w) * (
-                f.partial(v) * g.partial(w) - f.partial(w) * g.partial(v)
-            )
+    """The biderivation formula summed over the table's pairs v < w, with
+    fresh partials for each pair: the oracle for the monomial route."""
+    total = table.registry.zero()
+    for (v, w), value in table.entries.items():
+        total = total + value * (f.partial(v) * g.partial(w) - f.partial(w) * g.partial(v))
     return total
-
-
-def gradient_bracket(f, g, table):
-    """The gradient route on any table: the oracle for the monomial route."""
-    return _bracket_of_gradients(_gradient(f), _gradient(g), table)
 
 
 def cell_skew(reg):
@@ -64,6 +55,12 @@ def cell_skew(reg):
         if i == k or a == g:
             skew[v][w], skew[w][v] = 1, -1
     return tuple(map(tuple, skew))
+
+
+def nonzero_columns(skew):
+    """A skew matrix as the columns that `BracketTable.shifts` keeps: the
+    nonzero ones, keyed by column index."""
+    return {u: column for u, column in enumerate(zip(*skew)) if any(column)}
 
 
 def white_cell_registries():
@@ -98,9 +95,13 @@ class TestGeneratorTables:
 
     def test_pair_antisymmetry(self, reg22):
         table = matrix_bracket_table(reg22)
+        gens = reg22.gens()
         for v in range(4):
             for w in range(4):
-                assert table.pair(v, w) == -table.pair(w, v)
+                want = table.entries.get((v, w), reg22.zero())
+                if v > w:
+                    want = -table.entries.get((w, v), reg22.zero())
+                assert bracket(gens[v], gens[w], table) == want
 
     def test_matrix_table_needs_full_grid(self):
         reg = VarRegistry.grid(2, 2, skip=((1, 2),))
@@ -122,11 +123,8 @@ class TestGeneratorTables:
 class TestLogCanonicalSkew:
     @pytest.mark.parametrize("reg", REGISTRIES, ids=lambda r: f"{r.m}x{r.p}-{len(r)}vars")
     def test_cell_table_records_its_skew(self, reg):
-        assert cell_bracket_table(reg).skew == cell_skew(reg)
-
-    @pytest.mark.parametrize("m, p", [(2, 2), (2, 3), (3, 3)])
-    def test_matrix_table_takes_the_gradient_route(self, m, p):
-        assert matrix_bracket_table(VarRegistry.grid(m, p)).skew is None
+        zero = (0,) * len(reg)
+        assert cell_bracket_table(reg).shifts == ((zero, nonzero_columns(cell_skew(reg))),)
 
     def test_constant_multiple_of_the_product(self, reg22):
         t11, t12, t21, t22 = reg22.gens()
@@ -136,7 +134,7 @@ class TestLogCanonicalSkew:
         want = [[0] * 4 for _ in range(4)]
         want[0][1], want[1][0] = Fraction(3, 2), Fraction(-3, 2)
         want[1][3], want[3][1] = -1, 1
-        assert table.skew == tuple(map(tuple, want))
+        assert table.shifts == (((0, 0, 0, 0), nonzero_columns(want)),)
 
     def test_fractional_skew_keeps_integral_coefficients_int(self, reg22):
         t11, t12, _, _ = reg22.gens()
@@ -144,10 +142,41 @@ class TestLogCanonicalSkew:
         result = bracket(t11**2, t12, table)
         assert result == 3 * t11**2 * t12
         assert [type(c) for c in result.terms.values()] == [int]
-        assert bracket(t11, t12, table) == gradient_bracket(t11, t12, table)
+        assert bracket(t11, t12, table) == per_pair_bracket(t11, t12, table)
 
-    def test_other_values_are_not_log_canonical(self, reg22):
+
+class TestShifts:
+    """Tables whose values are not constant multiples of t_v * t_w: each
+    value splits into shifted skews, and the one route still equals the
+    per-pair formula."""
+
+    def sample(self, reg, rng):
+        gens = reg.gens()
+        polys = [rand_poly(reg, rng) for _ in range(6)]
+        return polys + [gens[0] ** 2 * gens[-1] ** -1, reg.const(Fraction(7, 3)), reg.zero()]
+
+    def test_two_by_two_matrix_table_has_two_shifts(self, reg22):
+        table = matrix_bracket_table(reg22)
+        crossed = [[0] * 4 for _ in range(4)]
+        crossed[0][3], crossed[3][0] = 2, -2
+        assert table.shifts == (
+            ((0, 0, 0, 0), nonzero_columns(cell_skew(reg22))),
+            ((-1, 1, 1, -1), nonzero_columns(crossed)),
+        )
+
+    @pytest.mark.parametrize("m, p", [(2, 2), (2, 3), (3, 3)])
+    def test_matrix_table_equals_per_pair_bracket(self, m, p, rng):
+        reg = VarRegistry.grid(m, p)
+        table = matrix_bracket_table(reg)
+        assert len(table.shifts) == 1 + comb(m, 2) * comb(p, 2)
+        sample = self.sample(reg, rng) + list(reg.gens())
+        for f in sample:
+            for g in sample:
+                assert bracket(f, g, table) == per_pair_bracket(f, g, table)
+
+    def test_other_values_split_into_shifts(self, reg22, rng):
         t11, t12, t21, t22 = reg22.gens()
+        sample = self.sample(reg22, rng)
         for value in (
             t11 * t11,
             t11 * t12 * t21,
@@ -157,21 +186,46 @@ class TestLogCanonicalSkew:
             2 * t12 * t21,
             reg22.const(5),
         ):
-            assert BracketTable(reg22, {(0, 1): value}).skew is None, value
+            table = BracketTable(reg22, {(0, 1): value})
+            assert len(table.shifts) == len(value.terms), value
+            for f in sample:
+                for g in sample:
+                    assert bracket(f, g, table) == per_pair_bracket(f, g, table), value
+
+    def test_broken_table_with_negative_shifts(self, reg22, rng):
+        t11, t12, t21, t22 = reg22.gens()
+        broken = BracketTable(reg22, {(0, 1): t21 * t21, (0, 3): t11 * t11, (1, 2): t22})
+        assert any(min(s) < 0 for s, _ in broken.shifts)
+        sample = self.sample(reg22, rng)
+        for f in sample:
+            for g in sample:
+                assert bracket(f, g, broken) == per_pair_bracket(f, g, broken)
+
+    def test_multi_term_fraction_value_on_a_white_cell_registry(self, rng):
+        reg = white_cell_registries()[1]
+        x, y, z = reg.gens()[:3]
+        value = Fraction(2, 3) * x * y**-1 + Fraction(-5, 4) * z + 7 * x * y * z
+        table = BracketTable(reg, {(0, 2): value, (1, 3): reg.zero()})
+        assert len(table.shifts) == 3
+        sample = self.sample(reg, rng)
+        for f in sample:
+            for g in sample:
+                assert bracket(f, g, table) == per_pair_bracket(f, g, table)
 
 
 class TestMonomialRoute:
-    """The monomial route against the gradient route on cell tables."""
+    """The monomial route against the gradient formula on cell tables:
+    `per_pair_bracket` takes fresh partials for every pair."""
 
     @pytest.mark.parametrize("reg", REGISTRIES, ids=lambda r: f"{r.m}x{r.p}-{len(r)}vars")
     def test_equals_gradient_route_on_random_pairs(self, reg, rng):
         table = cell_bracket_table(reg)
-        assert table.skew is not None
+        assert len(table.shifts) == 1
         sample = [rand_poly(reg, rng) for _ in range(8)]
         sample += [reg.gens()[-1] ** -2, reg.const(Fraction(7, 3)), reg.zero()]
         for f in sample:
             for g in sample:
-                assert bracket(f, g, table) == gradient_bracket(f, g, table)
+                assert bracket(f, g, table) == per_pair_bracket(f, g, table)
 
     def test_equals_gradient_route_on_every_2x3_step_entry_pair(self):
         for C in enumerate_diagrams(2, 3):
@@ -180,7 +234,7 @@ class TestMonomialRoute:
             for _, Y in restore(M).items():
                 entries = [x for row in Y for x in row]
                 for x, y in combinations(entries, 2):
-                    assert bracket(x, y, table) == gradient_bracket(x, y, table)
+                    assert bracket(x, y, table) == per_pair_bracket(x, y, table)
 
     def test_step_check_compares_the_monomial_bracket(self, monkeypatch):
         # predict zero everywhere: every failure must carry the full bracket
@@ -195,7 +249,7 @@ class TestMonomialRoute:
         assert len(report.checks) == 15 and report.failures
         for check in report.checks:
             (i, a), (k, g) = check.first, check.second
-            want = gradient_bracket(Y[i - 1][a - 1], Y[k - 1][g - 1], table)
+            want = per_pair_bracket(Y[i - 1][a - 1], Y[k - 1][g - 1], table)
             assert check.ok == (not want)
             assert check.difference == (None if check.ok else want)
 
