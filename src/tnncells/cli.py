@@ -2,8 +2,11 @@
 
 Every subcommand prints a stable machine-readable report (JSON by
 default) and exits 0 on success, 1 when a verification or assertion
-fails, and 2 on usage errors.  All randomness is seed-driven, so equal
-invocations produce byte-identical output.
+fails, and 2 on usage errors: bad sizes, flags or input, a grid over its
+cap without ``--force``, or a symbolic pivot that does not divide.  Input
+helpers raise :class:`UsageError`; only :func:`main` prints it and exits 2.
+The ``verify`` suites are the one table ``_SUITES``.  All randomness is
+seed-driven, so equal invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import verify as verify_mod
 from .cells import classify, family_of_diagram, is_tnn, match_families
@@ -19,17 +23,16 @@ from .combinat import (
     MAX_GRID_CELLS,
     CauchonDiagram,
     RestrictedPermutation,
-    count_diagrams,
     enumerate_diagrams,
     enumerate_restricted_perms,
 )
 from .errors import (
+    InexactDivisionError,
     NotTotallyNonnegativeError,
     SelfCheckError,
     SizeCapError,
 )
 from .families import family_of_perm
-from .laurent import VarRegistry
 from .linalg import is_symbolic
 from .restoration import delete_derivations, restore
 from .serialize import format_matrix_csv, format_trace, parse_matrix_csv
@@ -37,6 +40,10 @@ from .serialize import format_matrix_csv, format_trace, parse_matrix_csv
 SYMBOLIC_CELL_CAP = 12    # full-grid symbolic restoration
 CORPUS_CELL_CAP = 16      # numeric corpora + per-diagram symbolic families
 POISSON_CELL_CAP = 9      # symbolic brackets over every diagram
+
+
+class UsageError(Exception):
+    """Bad command-line input; :func:`main` prints the message and exits 2."""
 
 
 def _emit(obj, fmt: str) -> None:
@@ -54,22 +61,16 @@ def _emit(obj, fmt: str) -> None:
         print(obj)
 
 
-def _fail(message: str, code: int) -> int:
-    print(message, file=sys.stderr)
-    return code
-
-
-def _check_cells(m: int, p: int, cap: int | None, force: bool) -> str | None:
+def _check_cells(m: int, p: int, cap: int | None = None, force: bool = False) -> None:
     if m < 1 or p < 1:
-        return f"grid sizes must be positive, got ({m},{p})"
+        raise UsageError(f"grid sizes must be positive, got ({m},{p})")
     if m * p > MAX_GRID_CELLS:
-        return f"({m},{p}) exceeds the {MAX_GRID_CELLS}-cell bitmask limit"
+        raise UsageError(f"({m},{p}) exceeds the {MAX_GRID_CELLS}-cell bitmask limit")
     if cap is not None and m * p > cap and not force:
-        return (
+        raise UsageError(
             f"({m},{p}) exceeds the {cap}-cell symbolic cap; "
             "pass --force to run anyway"
         )
-    return None
 
 
 def _read_text(spec: str) -> str:
@@ -79,94 +80,70 @@ def _read_text(spec: str) -> str:
 
 
 def _load_diagram(spec: str) -> CauchonDiagram:
-    text = spec if spec.lstrip().startswith("{") else _read_text(spec)
-    return CauchonDiagram.from_json_obj(json.loads(text))
+    try:
+        text = spec if spec.lstrip().startswith("{") else _read_text(spec)
+        return CauchonDiagram.from_json_obj(json.loads(text))
+    except (OSError, ValueError, KeyError) as exc:
+        raise UsageError(f"bad --diagram: {exc}") from exc
 
 
-def _load_matrix(spec: str, registry: VarRegistry | None = None):
-    return parse_matrix_csv(_read_text(spec), registry)
-
-
-def _parse_w(text: str, m: int, p: int) -> RestrictedPermutation:
-    w = tuple(int(x) for x in text.replace(" ", "").split(","))
-    return RestrictedPermutation(m, p, w)
+def _load_matrix(args, rational: bool = False):
+    try:
+        X = parse_matrix_csv(_read_text(args.matrix))
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"bad --matrix: {exc}") from exc
+    if rational and is_symbolic(X):
+        raise UsageError(f"{args.command} requires a rational matrix")
+    return X
 
 
 # -- subcommand handlers -------------------------------------------------------
 
 
-def _cmd_diagrams(args) -> int:
-    err = _check_cells(args.m, args.p, None, False)
-    if err:
-        return _fail(err, 2)
+def _cmd_enumerate(args) -> int:
+    """``diagrams`` and ``perms``: the parser sets ``args.enumerate``."""
+    _check_cells(args.m, args.p)
+    items = args.enumerate(args.m, args.p)
     if args.count:
-        _emit({"m": args.m, "p": args.p, "count": count_diagrams(args.m, args.p)}, args.format)
+        _emit({"m": args.m, "p": args.p, "count": sum(1 for _ in items)}, args.format)
         return 0
-    diagrams = [C.to_json_obj() for C in enumerate_diagrams(args.m, args.p)]
-    _emit({"m": args.m, "p": args.p, "count": len(diagrams), "diagrams": diagrams}, args.format)
-    return 0
-
-
-def _cmd_perms(args) -> int:
-    err = _check_cells(args.m, args.p, None, False)
-    if err:
-        return _fail(err, 2)
-    if args.count:
-        n = sum(1 for _ in enumerate_restricted_perms(args.m, args.p))
-        _emit({"m": args.m, "p": args.p, "count": n}, args.format)
-        return 0
-    perms = [w.to_json_obj() for w in enumerate_restricted_perms(args.m, args.p)]
-    _emit({"m": args.m, "p": args.p, "count": len(perms), "perms": perms}, args.format)
+    objs = [x.to_json_obj() for x in items]
+    _emit({"m": args.m, "p": args.p, "count": len(objs), args.command: objs}, args.format)
     return 0
 
 
 def _cmd_mw(args) -> int:
-    err = _check_cells(args.m, args.p, None, False)
-    if err:
-        return _fail(err, 2)
+    _check_cells(args.m, args.p)
     try:
-        w = _parse_w(args.w, args.m, args.p)
+        w = tuple(int(x) for x in args.w.replace(" ", "").split(","))
+        perm = RestrictedPermutation(args.m, args.p, w)
     except ValueError as exc:
-        return _fail(f"bad --w: {exc}", 2)
-    _emit(family_of_perm(w).to_json_obj(), args.format)
+        raise UsageError(f"bad --w: {exc}") from exc
+    _emit(family_of_perm(perm).to_json_obj(), args.format)
     return 0
 
 
 def _cmd_mc(args) -> int:
-    try:
-        C = _load_diagram(args.diagram)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(f"bad --diagram: {exc}", 2)
-    err = _check_cells(C.m, C.p, SYMBOLIC_CELL_CAP, args.force)
-    if err:
-        return _fail(err, 2)
+    C = _load_diagram(args.diagram)
+    _check_cells(C.m, C.p, SYMBOLIC_CELL_CAP, args.force)
     _emit(family_of_diagram(C).to_json_obj(), args.format)
     return 0
 
 
 def _cmd_match(args) -> int:
-    err = _check_cells(args.m, args.p, SYMBOLIC_CELL_CAP, args.force)
-    if err:
-        return _fail(err, 2)
+    _check_cells(args.m, args.p, SYMBOLIC_CELL_CAP, args.force)
     try:
         pairs = match_families(args.m, args.p)
     except SelfCheckError as exc:
-        return _fail(f"match failed: {exc}", 1)
+        print(f"match failed: {exc}", file=sys.stderr)
+        return 1
     _emit([d.to_json_obj() for d in pairs], args.format)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    try:
-        X = _load_matrix(args.matrix)
-    except (OSError, ValueError) as exc:
-        return _fail(f"bad --matrix: {exc}", 2)
-    if is_symbolic(X):
-        return _fail("classify requires a rational matrix", 2)
-    m, p = len(X), len(X[0])
-    err = _check_cells(m, p, CORPUS_CELL_CAP, args.force)
-    if err:
-        return _fail(err, 2)
+    X = _load_matrix(args, rational=True)
+    _check_cells(len(X), len(X[0]), CORPUS_CELL_CAP, args.force)
     try:
         desc = classify(X, find_perm=args.find_perm)
     except NotTotallyNonnegativeError as exc:
@@ -180,7 +157,8 @@ def _cmd_classify(args) -> int:
         )
         return 1
     except SelfCheckError as exc:
-        return _fail(f"classification self-check failed: {exc}", 1)
+        print(f"classification self-check failed: {exc}", file=sys.stderr)
+        return 1
     report = {
         "diagram": desc.diagram.to_json_obj(),
         "family": desc.family.to_json_obj(),
@@ -198,17 +176,16 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _run_trace(args, forward: bool) -> int:
-    try:
-        X = _load_matrix(args.matrix)
-    except (OSError, ValueError) as exc:
-        return _fail(f"bad --matrix: {exc}", 2)
-    m, p = len(X), len(X[0])
+def _cmd_trace(args) -> int:
+    """``restore`` runs the trace forward, ``delete`` backward."""
+    X = _load_matrix(args)
     cap = SYMBOLIC_CELL_CAP if is_symbolic(X) else None
-    err = _check_cells(m, p, cap, args.force)
-    if err:
-        return _fail(err, 2)
-    trace = restore(X) if forward else delete_derivations(X)
+    _check_cells(len(X), len(X[0]), cap, args.force)
+    forward = args.command == "restore"
+    try:
+        trace = restore(X) if forward else delete_derivations(X)
+    except InexactDivisionError as exc:  # a symbolic pivot that does not divide
+        raise UsageError(f"{args.command}: {exc}") from exc
     if args.trace:
         sys.stdout.write(format_trace(trace))
     else:
@@ -218,22 +195,8 @@ def _run_trace(args, forward: bool) -> int:
     return 0
 
 
-def _cmd_restore(args) -> int:
-    return _run_trace(args, forward=True)
-
-
-def _cmd_delete(args) -> int:
-    return _run_trace(args, forward=False)
-
-
 def _cmd_tnn_check(args) -> int:
-    try:
-        X = _load_matrix(args.matrix)
-    except (OSError, ValueError) as exc:
-        return _fail(f"bad --matrix: {exc}", 2)
-    if is_symbolic(X):
-        return _fail("tnn-check requires a rational matrix", 2)
-    verdict = is_tnn(X)
+    verdict = is_tnn(_load_matrix(args, rational=True))
     _emit(
         {
             "is_tnn": verdict.is_tnn,
@@ -245,79 +208,60 @@ def _cmd_tnn_check(args) -> int:
     return 0
 
 
-_SUITES = (
-    "counting",
-    "match",
-    "bruhat-monotone",
-    "tnn-roundtrip",
-    "deletion",
-    "poisson",
-    "bruhat-cell",
-    "all",
-)
+class _Suite(NamedTuple):
+    run: Callable[[argparse.Namespace], verify_mod.SuiteReport]  # reads verify_mod when run
+    cap: int | None = None   # default symbolic cell cap; None checks the grid only
+    sized: bool = True       # False: runs its default sizes when M P are omitted
+    optional: bool = False   # `verify all` runs it last, and skips it over its cap
 
 
-def _cap(args, default: int) -> int:
-    return default if args.cap is None else args.cap
-
-
-def _run_one_suite(name: str, args) -> verify_mod.SuiteReport | str:
-    """Returns the report, or an error string for a usage problem."""
-    m, p = args.m, args.p
-    if name == "counting":
-        if m is None:
-            return verify_mod.counting_suite()
-        return _check_cells(m, p, None, False) or verify_mod.counting_suite(((m, p),))
-    if m is None:
-        return f"suite {name} needs explicit sizes: verify {name} M P"
-    if name == "match":
-        err = _check_cells(m, p, _cap(args, SYMBOLIC_CELL_CAP), args.force)
-        return err or verify_mod.match_suite(m, p)
-    if name == "bruhat-monotone":
-        err = _check_cells(m, p, None, False)
-        if err:
-            return err
-        sample = args.sample
-        if sample < 0:  # auto: exhaustive up to (2,3)-scale, else 500 pairs
-            sample = None if m + p <= 5 else 500
-        return verify_mod.bruhat_monotone_suite(m, p, sample, args.seed)
-    if name == "tnn-roundtrip":
-        err = _check_cells(m, p, _cap(args, CORPUS_CELL_CAP), args.force)
-        return err or verify_mod.tnn_roundtrip_suite(m, p, args.n, args.seed)
-    if name == "deletion":
-        err = _check_cells(m, p, _cap(args, CORPUS_CELL_CAP), args.force)
-        return err or verify_mod.deletion_suite(m, p, args.n, args.seed)
-    if name == "poisson":
-        err = _check_cells(m, p, _cap(args, POISSON_CELL_CAP), args.force)
-        return err or verify_mod.poisson_suite(m, p, args.n, args.seed)
-    if name == "bruhat-cell":
-        err = _check_cells(m, p, None, False)
-        return err or verify_mod.bruhat_cell_suite(m, p, args.samples, args.seed)
-    raise AssertionError(name)
+_SUITES = {
+    "counting": _Suite(
+        lambda a: verify_mod.counting_suite()
+        if a.m is None else verify_mod.counting_suite(((a.m, a.p),)),
+        sized=False,
+    ),
+    "match": _Suite(lambda a: verify_mod.match_suite(a.m, a.p), SYMBOLIC_CELL_CAP),
+    # an omitted --sample is exhaustive up to (2,3)-scale, else 500 pairs
+    "bruhat-monotone": _Suite(lambda a: verify_mod.bruhat_monotone_suite(
+        a.m, a.p, (None if a.m + a.p <= 5 else 500) if a.sample is None else a.sample, a.seed
+    )),
+    "tnn-roundtrip": _Suite(
+        lambda a: verify_mod.tnn_roundtrip_suite(a.m, a.p, a.n, a.seed), CORPUS_CELL_CAP
+    ),
+    "deletion": _Suite(lambda a: verify_mod.deletion_suite(a.m, a.p, a.n, a.seed), CORPUS_CELL_CAP),
+    "poisson": _Suite(
+        lambda a: verify_mod.poisson_suite(a.m, a.p, a.n, a.seed), POISSON_CELL_CAP, optional=True
+    ),
+    "bruhat-cell": _Suite(lambda a: verify_mod.bruhat_cell_suite(a.m, a.p, a.samples, a.seed)),
+}
 
 
 def _cmd_verify(args) -> int:
     if (args.m is None) != (args.p is None):
-        return _fail("verify needs both sizes or neither", 2)
-    if args.n < 0:
-        return _fail(f"--n must be nonnegative, got {args.n}", 2)
-    if args.samples < 0:
-        return _fail(f"--samples must be nonnegative, got {args.samples}", 2)
+        raise UsageError("verify needs both sizes or neither")
+    for flag in ("n", "samples", "sample"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise UsageError(f"--{flag} must be nonnegative, got {value}")
     if args.cap is not None and args.cap < 1:
-        return _fail(f"--cap must be positive, got {args.cap}", 2)
-    names: list[str]
+        raise UsageError(f"--cap must be positive, got {args.cap}")
     if args.suite == "all":
-        names = ["counting", "match", "bruhat-monotone", "tnn-roundtrip", "deletion", "bruhat-cell"]
-        if args.m is not None and args.m * args.p <= _cap(args, POISSON_CELL_CAP):
-            names.append("poisson")
+        names = sorted(_SUITES, key=lambda name: _SUITES[name].optional)
     else:
         names = [args.suite]
-    reports = []
+    if args.m is None and any(_SUITES[name].sized for name in names):
+        raise UsageError(f"suite {args.suite} needs explicit sizes: verify {args.suite} M P")
+    runs = []
     for name in names:
-        out = _run_one_suite(name, args)
-        if isinstance(out, str):
-            return _fail(out, 2)
-        reports.append(out)
+        suite = _SUITES[name]
+        cap = suite.cap if suite.cap is None or args.cap is None else args.cap
+        if args.m is not None:
+            if suite.optional and args.suite == "all" and args.m * args.p > cap:
+                continue
+            _check_cells(args.m, args.p, cap, args.force)
+        runs.append(suite.run)
+    reports = [run(args) for run in runs]
     obj = reports[0].to_json_obj() if len(reports) == 1 else [r.to_json_obj() for r in reports]
     _emit(obj, args.format)
     return 0 if all(r.ok for r in reports) else 1
@@ -343,15 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("json", "table"), default="json")
         return sp
 
-    sp = add("diagrams", _cmd_diagrams, "enumerate or count Cauchon diagrams")
-    sp.add_argument("m", type=int)
-    sp.add_argument("p", type=int)
-    sp.add_argument("--count", action="store_true")
-
-    sp = add("perms", _cmd_perms, "enumerate or count restricted permutations")
-    sp.add_argument("m", type=int)
-    sp.add_argument("p", type=int)
-    sp.add_argument("--count", action="store_true")
+    for name, enumerate_, help_ in (
+        ("diagrams", enumerate_diagrams, "enumerate or count Cauchon diagrams"),
+        ("perms", enumerate_restricted_perms, "enumerate or count restricted permutations"),
+    ):
+        sp = add(name, _cmd_enumerate, help_)
+        sp.set_defaults(enumerate=enumerate_)
+        sp.add_argument("m", type=int)
+        sp.add_argument("p", type=int)
+        sp.add_argument("--count", action="store_true")
 
     sp = add("mw", _cmd_mw, "minor family of a restricted permutation")
     sp.add_argument("m", type=int)
@@ -372,11 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--find-perm", action="store_true")
     sp.add_argument("--force", action="store_true")
 
-    for name, handler, help_ in (
-        ("restore", _cmd_restore, "run the restoration trace on a matrix"),
-        ("delete", _cmd_delete, "run the deleting-derivations trace on a matrix"),
+    for name, help_ in (
+        ("restore", "run the restoration trace on a matrix"),
+        ("delete", "run the deleting-derivations trace on a matrix"),
     ):
-        sp = add(name, handler, help_)
+        sp = add(name, _cmd_trace, help_)
         sp.add_argument("--matrix", required=True, metavar="PATH|-")
         sp.add_argument("--trace", action="store_true", help="print every labeled step")
         sp.add_argument("--force", action="store_true")
@@ -385,11 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--matrix", required=True, metavar="PATH|-")
 
     sp = add("verify", _cmd_verify, "run a cross-verification suite")
-    sp.add_argument("suite", choices=_SUITES)
+    sp.add_argument("suite", choices=(*_SUITES, "all"))
     sp.add_argument("m", type=int, nargs="?")
     sp.add_argument("p", type=int, nargs="?")
     sp.add_argument("--n", type=int, default=100, help="corpus size / random triples")
-    sp.add_argument("--sample", type=int, default=-1, help="pair sample (-1 = auto)")
+    sp.add_argument(
+        "--sample", type=int, default=None,
+        help="pairs to sample (bruhat-monotone; default: all pairs if M+P <= 5, else 500)",
+    )
     sp.add_argument("--samples", type=int, default=20, help="sweeps per case (bruhat-cell)")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--cap", type=int, default=None, help="symbolic cell-count cap override")
@@ -402,8 +349,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except SizeCapError as exc:
-        return _fail(str(exc), 2)
+    except (UsageError, SizeCapError) as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except BrokenPipeError:
         return 0
 
