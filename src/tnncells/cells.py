@@ -31,8 +31,8 @@ from .combinat import (
 from .errors import NotTotallyNonnegativeError, SelfCheckError
 from .families import family_of_perm
 from .laurent import VarRegistry
-from .linalg import Matrix, as_matrix, dims
-from .minors import MinorFamily, MinorId, all_minor_ids, all_minors_table, vanishing_family
+from .linalg import Matrix, as_matrix
+from .minors import MinorFamily, MinorId, all_minors_table, vanishing_family
 from .restoration import delete_derivations, diagram_of_matrix, restore
 
 
@@ -68,11 +68,7 @@ class CellDescriptor:
 def is_tnn(X: Matrix) -> TnnVerdict:
     """Check every minor exactly; report the first negative one in
     canonical order."""
-    X = as_matrix(X)
-    m, p = dims(X)
-    table = all_minors_table(X)
-    for mid in all_minor_ids(m, p):
-        value = table[mid]
+    for mid, value in all_minors_table(as_matrix(X)).items():
         if value < 0:
             return TnnVerdict(False, mid, value)
     return TnnVerdict(True)

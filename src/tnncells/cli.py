@@ -40,6 +40,8 @@ from .serialize import format_matrix_csv, format_trace, parse_matrix_csv
 SYMBOLIC_CELL_CAP = 12    # full-grid symbolic restoration
 CORPUS_CELL_CAP = 16      # numeric corpora + per-diagram symbolic families
 POISSON_CELL_CAP = 9      # symbolic brackets over every diagram
+SWEEP_CELL_CAP = 12       # every permutation pair, or partial permutation x minor
+PERMUTATION_SPAN_CAP = 8  # M+P, for suites that walk permutations of M+P letters
 
 
 class UsageError(Exception):
@@ -210,22 +212,26 @@ def _cmd_tnn_check(args) -> int:
 
 class _Suite(NamedTuple):
     run: Callable[[argparse.Namespace], verify_mod.SuiteReport]  # reads verify_mod when run
-    cap: int | None = None   # default symbolic cell cap; None checks the grid only
+    cap: int | None = None   # default cell cap, which --cap overrides
+    span: int | None = None  # cap on M+P
     sized: bool = True       # False: runs its default sizes when M P are omitted
     optional: bool = False   # `verify all` runs it last, and skips it over its cap
 
 
+# Every suite caps its sizes; --force lifts every cap.  The slowest sizes
+# they accept: counting (4,4), bruhat-monotone (6,2) and bruhat-cell (3,4).
 _SUITES = {
-    "counting": _Suite(
+    "counting": _Suite(  # its filter oracle walks all (M+P)! permutations
         lambda a: verify_mod.counting_suite()
         if a.m is None else verify_mod.counting_suite(((a.m, a.p),)),
+        span=PERMUTATION_SPAN_CAP,
         sized=False,
     ),
     "match": _Suite(lambda a: verify_mod.match_suite(a.m, a.p), SYMBOLIC_CELL_CAP),
     # an omitted --sample is exhaustive up to (2,3)-scale, else 500 pairs
     "bruhat-monotone": _Suite(lambda a: verify_mod.bruhat_monotone_suite(
         a.m, a.p, (None if a.m + a.p <= 5 else 500) if a.sample is None else a.sample, a.seed
-    )),
+    ), SWEEP_CELL_CAP, PERMUTATION_SPAN_CAP),
     "tnn-roundtrip": _Suite(
         lambda a: verify_mod.tnn_roundtrip_suite(a.m, a.p, a.n, a.seed), CORPUS_CELL_CAP
     ),
@@ -233,7 +239,9 @@ _SUITES = {
     "poisson": _Suite(
         lambda a: verify_mod.poisson_suite(a.m, a.p, a.n, a.seed), POISSON_CELL_CAP, optional=True
     ),
-    "bruhat-cell": _Suite(lambda a: verify_mod.bruhat_cell_suite(a.m, a.p, a.samples, a.seed)),
+    "bruhat-cell": _Suite(
+        lambda a: verify_mod.bruhat_cell_suite(a.m, a.p, a.samples, a.seed), SWEEP_CELL_CAP
+    ),
 }
 
 
@@ -260,6 +268,11 @@ def _cmd_verify(args) -> int:
             if suite.optional and args.suite == "all" and args.m * args.p > cap:
                 continue
             _check_cells(args.m, args.p, cap, args.force)
+            if suite.span is not None and args.m + args.p > suite.span and not args.force:
+                raise UsageError(
+                    f"({args.m},{args.p}) exceeds the {suite.span}-letter permutation cap "
+                    "on M+P; pass --force to run anyway"
+                )
         runs.append(suite.run)
     reports = [run(args) for run in runs]
     obj = reports[0].to_json_obj() if len(reports) == 1 else [r.to_json_obj() for r in reports]

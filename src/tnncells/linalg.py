@@ -1,7 +1,9 @@
 """Exact matrices: fraction-free determinants, all-minors tables, rank.
 
-Matrices are immutable tuples of row tuples with 1-based public indexing
-handled by callers; everything here is 0-based.  Entries are either all
+Matrices are immutable tuples of row tuples.  `submatrix` selects rows and
+columns by 0-based index; the all-minors table is keyed by 1-based
+:class:`MinorId`, the package's one name for a minor, in canonical order
+(by size, then rows, then columns).  Entries are either all
 rational (int/Fraction) or all :class:`~tnncells.laurent.LaurentPoly`
 over one registry.  Both are integral domains, so one Bareiss kernel and
 one Laplace all-minors kernel serve both: rational matrices enter them as
@@ -15,11 +17,26 @@ import math
 import operator
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .laurent import LaurentPoly, laurent_div_exact
 
 Matrix = tuple[tuple, ...]
+
+
+class MinorId(NamedTuple):
+    """The minor [I|L]: 1-based strictly increasing rows I and columns L."""
+
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+
+    def text(self) -> str:
+        return "[{}|{}]".format(
+            ",".join(map(str, self.rows)), ",".join(map(str, self.cols))
+        )
+
+    def __str__(self) -> str:
+        return self.text()
 
 
 def as_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -107,14 +124,14 @@ def det_exact(M: Matrix):
     return Fraction(_det_bareiss(ints, 0, operator.floordiv), math.prod(scales))
 
 
-def all_minors(M: Matrix) -> dict[tuple[tuple[int, ...], tuple[int, ...]], object]:
-    """Every nonempty square-submatrix determinant, keyed 0-based."""
+def all_minors(M: Matrix) -> dict[MinorId, object]:
+    """Every nonempty minor's exact value, keyed by MinorId in canonical order."""
     if is_symbolic(M):
         return _all_minors(M, M[0][0].registry.zero())
     ints, scales = _scaled_int_rows(M)
     return {
-        (rows, cols): Fraction(d, math.prod(scales[i] for i in rows))
-        for (rows, cols), d in _all_minors(ints, 0).items()
+        mid: Fraction(d, math.prod(scales[i - 1] for i in mid.rows))
+        for mid, d in _all_minors(ints, 0).items()
     }
 
 
@@ -195,32 +212,31 @@ def _det_bareiss(rows: Sequence[Sequence], zero, div):
     return -d if sign < 0 else d
 
 
-def _all_minors(mat: Sequence[Sequence], zero) -> dict:
-    """Determinants of every nonempty square submatrix.
+def _all_minors(mat: Sequence[Sequence], zero) -> dict[MinorId, object]:
+    """Determinants of every nonempty square submatrix, keyed by MinorId.
 
-    Returns {(rows, cols): det} with 0-based strictly increasing index
-    tuples, filled in order of size so each first-row Laplace expansion
-    reuses the size-(k-1) entries already present.  A zero entry or a zero
-    sub-minor contributes no term; `zero` is the entries' zero.
+    The table is filled in canonical order, size by size, so each
+    first-row Laplace expansion reuses the size-(k-1) entries already
+    present.  A zero entry or a zero sub-minor contributes no term; `zero`
+    is the entries' zero.
     """
-    m = len(mat)
-    p = len(mat[0]) if m else 0
+    m, p = len(mat), len(mat[0])
     out: dict = {}
-    for i in range(m):
-        row = mat[i]
-        for a in range(p):
-            out[((i,), (a,))] = row[a]
+    for i in range(1, m + 1):
+        row = mat[i - 1]
+        for a in range(1, p + 1):
+            out[MinorId((i,), (a,))] = row[a - 1]
     for k in range(2, min(m, p) + 1):
-        for rows in combinations(range(m), k):
+        for rows in combinations(range(1, m + 1), k):
             rest = rows[1:]
-            row0 = mat[rows[0]]
-            for cols in combinations(range(p), k):
+            row0 = mat[rows[0] - 1]
+            for cols in combinations(range(1, p + 1), k):
                 acc = zero
                 for t in range(k):
-                    x = row0[cols[t]]
+                    x = row0[cols[t] - 1]
                     if x:
                         sub = out[(rest, cols[:t] + cols[t + 1:])]
                         if sub:
                             acc = acc - x * sub if t % 2 else acc + x * sub
-                out[(rows, cols)] = acc
+                out[MinorId(rows, cols)] = acc
     return out

@@ -2,33 +2,23 @@
 
 A minor [I|L] is the determinant of the submatrix with row set I and
 column set L, |I| = |L| >= 1 (the empty minor is the constant 1 and is
-never stored).  Families are plain extensional sets of minor ids with a
-frozen canonical order - by size, then rows, then columns - so that
-serialized families are byte-stable.
+never stored).  Its 1-based id :class:`MinorId` keys the all-minors
+tables of :mod:`tnncells.linalg`, where it is defined.  Families are
+plain extensional sets of minor ids with a frozen canonical order - by
+size, then rows, then columns - so that serialized families are
+byte-stable.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from dataclasses import dataclass
 
 from . import linalg
 from .combinat import as_index_set
-
-
-class MinorId(NamedTuple):
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-
-    def text(self) -> str:
-        return "[{}|{}]".format(
-            ",".join(map(str, self.rows)), ",".join(map(str, self.cols))
-        )
-
-    def __str__(self) -> str:
-        return self.text()
+from .linalg import MinorId
 
 
 def minor(rows: Iterable[int], cols: Iterable[int]) -> MinorId:
@@ -126,21 +116,12 @@ def eval_minor(M: linalg.Matrix, mid: MinorId):
 
 
 def all_minors_table(M: linalg.Matrix) -> dict[MinorId, object]:
-    """Every nonempty minor's exact value, keyed by MinorId."""
-    table = linalg.all_minors(M)
-    return {
-        MinorId(tuple(i + 1 for i in rows), tuple(a + 1 for a in cols)): value
-        for (rows, cols), value in table.items()
-    }
+    """Every nonempty minor's exact value, keyed by MinorId in canonical order."""
+    return linalg.all_minors(M)
 
 
 def vanishing_family(M: linalg.Matrix) -> MinorFamily:
     """The set of minors of M that are exactly zero."""
     m, p = linalg.dims(M)
     table = linalg.all_minors(M)
-    zero_ids = (
-        MinorId(tuple(i + 1 for i in rows), tuple(a + 1 for a in cols))
-        for (rows, cols), value in table.items()
-        if not value
-    )
-    return MinorFamily.of(m, p, zero_ids)
+    return MinorFamily.of(m, p, (mid for mid, value in table.items() if not value))

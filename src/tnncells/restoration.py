@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .combinat import CauchonDiagram, is_cauchon
 from .linalg import Matrix, as_matrix, dims
-from .minors import MinorId, all_minor_ids, all_minors_table
+from .minors import MinorId, all_minors_table
 
 Step = tuple[int, int]
 
@@ -138,26 +138,20 @@ def diagram_of_matrix(X: Matrix) -> CauchonDiagram:
     return CauchonDiagram.from_black(m, p, zero_pattern(X))
 
 
-def _minor_before(mid: MinorId, r: Step) -> bool:
-    """Does the minor close strictly before position r (lexicographically,
-    comparing its largest row and largest column)?"""
-    return (mid.rows[-1], mid.cols[-1]) < r
-
-
 def trace_h_invariance_counterexample(
     trace: MatrixTrace,
 ) -> tuple[Step, MinorId] | None:
     """First (step, minor) whose vanishing fails to propagate backward.
 
-    For every non-final label r and minor closing strictly before r, a
-    zero value at the successor label must force a zero value at r.
+    For every non-final label r and minor closing strictly before r (its
+    largest row and largest column, as a pair, precede r), a zero value at
+    the successor label must force a zero value at r.  Both tables list
+    every minor in canonical order, so they are walked side by side.
     """
     tables = [all_minors_table(mat) for mat in trace.matrices]
-    ids = all_minor_ids(trace.m, trace.p)
     for k, r in enumerate(trace.labels[:-1]):
-        now, nxt = tables[k], tables[k + 1]
-        for mid in ids:
-            if _minor_before(mid, r) and not nxt[mid] and now[mid]:
+        for (mid, now), after in zip(tables[k].items(), tables[k + 1].values()):
+            if (mid.rows[-1], mid.cols[-1]) < r and not after and now:
                 return r, mid
     return None
 

@@ -72,6 +72,12 @@ class TestIsTnn:
         assert verdict.witness == minor([1], [2])
         assert verdict.witness_value == -3
 
+    def test_first_negative_entry_in_canonical_order(self):
+        # [1|2] and [2|1] are both -1; canonical order puts [1|2] first
+        verdict = is_tnn(((1, -1), (-1, 1)))
+        assert verdict.witness.text() == "[1|2]"
+        assert verdict.witness_value == -1
+
 
 class TestSymbolicMatrix:
     def test_black_cells_are_zero(self):

@@ -185,6 +185,13 @@ class TestTnnCheck:
         assert obj == {"is_tnn": True, "witness": None, "value": None}
 
 
+class _UnrunSuites:
+    """Stands in for the verify module: every suite passes without running."""
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: SuiteReport(name, True, "")
+
+
 class TestVerify:
     def test_counting_suite_passes(self, capsys):
         code, obj, _ = run_json(capsys, "verify", "counting", "2", "2")
@@ -296,6 +303,39 @@ class TestVerify:
         code, out, err = run(capsys, "verify", *argv)
         assert (code, out) == (2, "")
         assert err.strip() == f"grid sizes must be positive, got {sizes}"
+
+    @pytest.mark.parametrize(
+        "argv, cap",
+        [
+            (("bruhat-monotone", "4", "4"), "12-cell symbolic cap"),
+            (("bruhat-monotone", "12", "1"), "8-letter permutation cap on M+P"),
+            (("bruhat-cell", "4", "4"), "12-cell symbolic cap"),
+            (("bruhat-cell", "4", "5"), "12-cell symbolic cap"),
+            (("counting", "4", "5"), "8-letter permutation cap on M+P"),
+            (("counting", "1", "12"), "8-letter permutation cap on M+P"),
+        ],
+    )
+    def test_suite_caps_refuse(self, capsys, argv, cap):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err.strip() == f"({argv[1]},{argv[2]}) exceeds the {cap}; pass --force to run anyway"
+
+    def test_force_lifts_the_permutation_cap(self, capsys):
+        code, obj, _ = run_json(capsys, "verify", "counting", "1", "8", "--force")
+        assert code == 0 and obj["summary"] == "(1,8): 256 - all oracles agree"
+
+    def test_cap_lifts_a_sweep_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_mod", _UnrunSuites())
+        code, obj, _ = run_json(capsys, "verify", "bruhat-cell", "4", "4", "--cap", "16")
+        assert code == 0 and obj["suite"] == "bruhat_cell_suite"
+
+    @pytest.mark.parametrize("suite", list(cli._SUITES))
+    def test_every_suite_refuses_grids_under_the_bitmask_limit(self, capsys, monkeypatch, suite):
+        # an uncapped suite would return the stand-in's report, not hang
+        monkeypatch.setattr(cli, "verify_mod", _UnrunSuites())
+        for m, p in ((8, 8), (1, 64), (64, 1)):
+            code, out, err = run(capsys, "verify", suite, str(m), str(p))
+            assert (code, out) == (2, "") and "pass --force" in err
 
     def test_zero_samples_runs(self, capsys):
         code, obj, _ = run_json(capsys, "verify", "bruhat-cell", "2", "2", "--samples", "0")

@@ -54,10 +54,10 @@ def _check_all_minors(mat, table):
     m, p = len(mat), len(mat[0])
     count = 0
     for k in range(1, min(m, p) + 1):
-        for rows in combinations(range(m), k):
-            for cols in combinations(range(p), k):
+        for rows in combinations(range(1, m + 1), k):
+            for cols in combinations(range(1, p + 1), k):
                 count += 1
-                sub = [[mat[i][j] for j in cols] for i in rows]
+                sub = [[mat[i - 1][j - 1] for j in cols] for i in rows]
                 assert table[(rows, cols)] == _det_leibniz(sub)
     assert len(table) == count
 
@@ -123,5 +123,5 @@ class TestLaurentLane:
     def test_rank_one_minors_vanish(self):
         mat = [[T11, T12, 1], [2 * T11, 2 * T12, 2]]
         table = _all_minors(mat, R.zero())
-        for cols in combinations(range(3), 2):
-            assert table[((0, 1), cols)] == R.zero()
+        for cols in combinations(range(1, 4), 2):
+            assert table[((1, 2), cols)] == R.zero()

@@ -4,6 +4,7 @@ import pytest
 
 from tnncells import (
     VarRegistry,
+    all_minor_ids,
     all_minors,
     as_matrix,
     det_exact,
@@ -120,7 +121,8 @@ class TestDet:
             )
             for (rows, cols), d in all_minors(X).items():
                 if len(rows) >= 2:
-                    assert det_exact(submatrix(X, rows, cols)) == d
+                    sub = submatrix(X, [i - 1 for i in rows], [a - 1 for a in cols])
+                    assert det_exact(sub) == d
         assert multi_term_laurent
 
 
@@ -133,13 +135,23 @@ class TestAllMinors:
         for k in range(1, 4):
             for rows in combinations(range(3), k):
                 for cols in combinations(range(4), k):
-                    assert table[(rows, cols)] == det_exact(submatrix(M, rows, cols))
+                    key = (tuple(i + 1 for i in rows), tuple(a + 1 for a in cols))
+                    assert table[key] == det_exact(submatrix(M, rows, cols))
+
+    def test_keys_are_minor_ids_in_canonical_order(self, rng):
+        rational = as_matrix(rand_matrix(rng, 3, 4))
+        laurent = as_matrix([[T11, T12, 1], [T21, 0, T22]])
+        for M in (rational, laurent):
+            ids = all_minor_ids(len(M), len(M[0]))
+            table = all_minors(M)
+            assert list(table) == ids
+            assert [mid.text() for mid in table] == [mid.text() for mid in ids]
 
     def test_symbolic_matches(self):
         M = as_matrix([[T11, T12], [T21, T22]])
         table = all_minors(M)
-        assert table[((0,), (1,))] == T12
-        assert table[((0, 1), (0, 1))] == T11 * T22 - T12 * T21
+        assert table[((1,), (2,))] == T12
+        assert table[((1, 2), (1, 2))] == T11 * T22 - T12 * T21
 
 
 class TestRank:
