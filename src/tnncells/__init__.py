@@ -45,12 +45,9 @@ from .families import (
     closure_rank_conditions_hold,
     enumerate_partial_permutations,
     family_of_perm,
-    stripe_column_sets,
-    stripe_row_sets,
-    witness_matrix,
 )
 from .laurent import LaurentPoly, VarRegistry, laurent_div_exact, parse_laurent
-from .linalg import all_minors, as_matrix, det_exact, mat_mul, rank_exact, transpose
+from .linalg import all_minors, as_matrix, det_exact, mat_mul, rank_exact
 from .minors import (
     MinorFamily,
     MinorId,
@@ -58,7 +55,6 @@ from .minors import (
     all_minors_table,
     eval_minor,
     minor,
-    parse_minor,
     vanishing_family,
 )
 from .poisson import (
@@ -66,10 +62,8 @@ from .poisson import (
     bracket,
     cell_bracket_table,
     matrix_bracket_table,
-    multidegree,
     verify_all_step_brackets,
     verify_jacobi,
-    verify_step_brackets,
 )
 from .restoration import (
     MatrixTrace,
@@ -77,7 +71,6 @@ from .restoration import (
     delete_step,
     diagram_of_matrix,
     is_cauchon_matrix,
-    is_h_invariant,
     restore,
     restore_step,
     step_sequence,
@@ -136,17 +129,14 @@ __all__ = [
     "index_set_leq",
     "is_cauchon",
     "is_cauchon_matrix",
-    "is_h_invariant",
     "is_tnn",
     "laurent_div_exact",
     "mat_mul",
     "match_families",
     "matrix_bracket_table",
     "minor",
-    "multidegree",
     "parse_laurent",
     "parse_matrix_csv",
-    "parse_minor",
     "parse_rational",
     "perm_of_diagram",
     "random_cauchon_matrix",
@@ -155,15 +145,10 @@ __all__ = [
     "restore",
     "restore_step",
     "step_sequence",
-    "stripe_column_sets",
-    "stripe_row_sets",
     "symbolic_cauchon_matrix",
     "trace_h_invariance_counterexample",
-    "transpose",
     "vanishing_family",
     "verify_all_step_brackets",
     "verify_jacobi",
-    "verify_step_brackets",
     "w_max",
-    "witness_matrix",
 ]

@@ -198,7 +198,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_tnn_check(args) -> int:
-    verdict = is_tnn(_load_matrix(args, rational=True))
+    X = _load_matrix(args, rational=True)
+    _check_cells(len(X), len(X[0]))
+    verdict = is_tnn(X)
     _emit(
         {
             "is_tnn": verdict.is_tnn,

@@ -40,6 +40,17 @@ def _mask_is_cauchon(m: int, p: int, mask: int) -> bool:
     return True
 
 
+def _black_mask(m: int, p: int, black: Iterable[tuple[int, int]]) -> int:
+    """The row-major bitmask of a black-cell set, each cell checked on the grid."""
+    _check_grid(m, p)
+    mask = 0
+    for i, a in black:
+        if not (1 <= i <= m and 1 <= a <= p):
+            raise ValueError(f"cell {(i, a)} outside the {m}x{p} grid")
+        mask |= 1 << ((i - 1) * p + (a - 1))
+    return mask
+
+
 @dataclass(frozen=True, order=True)
 class CauchonDiagram:
     """An m x p diagram as a row-major bitmask (set bit = black cell)."""
@@ -59,13 +70,7 @@ class CauchonDiagram:
     def from_black(
         cls, m: int, p: int, black: Iterable[tuple[int, int]]
     ) -> "CauchonDiagram":
-        _check_grid(m, p)
-        mask = 0
-        for i, a in black:
-            if not (1 <= i <= m and 1 <= a <= p):
-                raise ValueError(f"cell {(i, a)} outside the {m}x{p} grid")
-            mask |= 1 << ((i - 1) * p + (a - 1))
-        return cls(m, p, mask)
+        return cls(m, p, _black_mask(m, p, black))
 
     def is_black(self, i: int, a: int) -> bool:
         if not (1 <= i <= self.m and 1 <= a <= self.p):
@@ -81,14 +86,6 @@ class CauchonDiagram:
             if self.mask >> ((i - 1) * self.p + (a - 1)) & 1
         )
 
-    def white_cells(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (i, a)
-            for i in range(1, self.m + 1)
-            for a in range(1, self.p + 1)
-            if not self.mask >> ((i - 1) * self.p + (a - 1)) & 1
-        )
-
     def to_json_obj(self) -> dict:
         return {"m": self.m, "p": self.p, "black": [[i, a] for i, a in self.black_cells()]}
 
@@ -99,13 +96,7 @@ class CauchonDiagram:
 
 def is_cauchon(m: int, p: int, black: Iterable[tuple[int, int]]) -> bool:
     """Does this black set satisfy the left-or-above diagram condition?"""
-    _check_grid(m, p)
-    mask = 0
-    for i, a in black:
-        if not (1 <= i <= m and 1 <= a <= p):
-            raise ValueError(f"cell {(i, a)} outside the {m}x{p} grid")
-        mask |= 1 << ((i - 1) * p + (a - 1))
-    return _mask_is_cauchon(m, p, mask)
+    return _mask_is_cauchon(m, p, _black_mask(m, p, black))
 
 
 def enumerate_diagrams(m: int, p: int) -> Iterator[CauchonDiagram]:
@@ -190,7 +181,15 @@ def enumerate_restricted_perms(m: int, p: int) -> Iterator[RestrictedPermutation
         if j > n:
             yield RestrictedPermutation(m, p, tuple(line))
             return
-        for v in range(max(1, j - p), min(n, j + m) + 1):
+        # Value j-p can sit no later than position j, so if it is still
+        # free it is the only choice here; any other leads to a dead end.
+        # It is also the smallest candidate, so the lex order is unchanged.
+        low = j - p
+        if low >= 1 and not used[low]:
+            candidates = (low,)
+        else:
+            candidates = range(max(1, low), min(n, j + m) + 1)
+        for v in candidates:
             if not used[v]:
                 used[v] = True
                 line.append(v)

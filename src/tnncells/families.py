@@ -18,8 +18,6 @@ from functools import cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from fractions import Fraction
-
 from . import linalg
 from .combinat import (
     RestrictedPermutation,
@@ -47,20 +45,6 @@ class PartialPermutation:
         for c, r in self.assignment:
             if not (1 <= c <= self.size_cols and 1 <= r <= self.size_rows):
                 raise ValueError(f"pair {(c, r)} out of range")
-
-    @classmethod
-    def from_matrix(cls, mat: Sequence[Sequence[int]]) -> "PartialPermutation":
-        """Read a 0/1 matrix with at most one 1 per row and per column."""
-        nr = len(mat)
-        nc = len(mat[0])
-        pairs = []
-        for c in range(1, nc + 1):
-            hits = [r for r in range(1, nr + 1) if mat[r - 1][c - 1]]
-            if len(hits) > 1:
-                raise ValueError(f"column {c} has several nonzero entries")
-            if hits:
-                pairs.append((c, hits[0]))
-        return cls(nr, nc, tuple(pairs))
 
     @property
     def rank(self) -> int:
@@ -227,28 +211,6 @@ class _PermContext:
         return False
 
 
-def stripe_column_sets(w: RestrictedPermutation) -> list[tuple[int, ...]]:
-    """Nonempty column sets pulled in by the interval condition alone."""
-    ctx = _PermContext(w)
-    out = []
-    for k in range(1, w.p + 1):
-        for cols in combinations(range(1, w.p + 1), k):
-            if ctx.cond3(cols):
-                out.append(cols)
-    return out
-
-
-def stripe_row_sets(w: RestrictedPermutation) -> list[tuple[int, ...]]:
-    """Nonempty row sets pulled in by the interval condition alone."""
-    ctx = _PermContext(w)
-    out = []
-    for k in range(1, w.m + 1):
-        for rows in combinations(range(1, w.m + 1), k):
-            if ctx.cond4(rows):
-                out.append(rows)
-    return out
-
-
 def family_of_perm(w: RestrictedPermutation) -> MinorFamily:
     """All minors satisfying at least one of the four conditions.
 
@@ -321,17 +283,3 @@ def closure_rank_conditions_hold(w: RestrictedPermutation, x: linalg.Matrix) -> 
             if xrank(range(r, s + 1), range(1, p + 1)) > bound:
                 return False
     return True
-
-
-def witness_matrix(mid: MinorId, m: int, p: int) -> linalg.Matrix:
-    """The 0/1 matrix with ones exactly at (rows[k], cols[k]); its minor
-    [rows|cols] equals 1."""
-    if mid.rows[-1] > m or mid.cols[-1] > p:
-        raise ValueError(f"minor {mid} outside the {m}x{p} grid")
-    ones = set(zip(mid.rows, mid.cols))
-    return linalg.as_matrix(
-        [
-            [Fraction(1) if (i, a) in ones else Fraction(0) for a in range(1, p + 1)]
-            for i in range(1, m + 1)
-        ]
-    )

@@ -77,10 +77,6 @@ def dims(M: Matrix) -> tuple[int, int]:
     return len(M), len(M[0])
 
 
-def transpose(M: Matrix) -> Matrix:
-    return tuple(zip(*M))
-
-
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     ra, ca = dims(A)
     rb, cb = dims(B)

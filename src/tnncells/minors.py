@@ -29,16 +29,6 @@ def minor(rows: Iterable[int], cols: Iterable[int]) -> MinorId:
     return MinorId(r, c)
 
 
-def parse_minor(text: str) -> MinorId:
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")) or "|" not in s:
-        raise ValueError(f"not a minor literal: {text!r}")
-    left, right = s[1:-1].split("|", 1)
-    return minor(
-        (int(v) for v in left.split(",")), (int(v) for v in right.split(","))
-    )
-
-
 def minor_sort_key(mid: MinorId) -> tuple:
     return (len(mid.rows), mid.rows, mid.cols)
 
@@ -85,11 +75,6 @@ class MinorFamily:
 
     def __contains__(self, mid: MinorId) -> bool:
         return mid in self.members
-
-    def issubset(self, other: "MinorFamily") -> bool:
-        if (self.m, self.p) != (other.m, other.p):
-            raise ValueError("families live on different grids")
-        return self.members <= other.members
 
     def to_json_obj(self) -> list[dict]:
         return [

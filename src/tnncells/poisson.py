@@ -177,30 +177,6 @@ def _monomial_bracket(f_terms: dict, g_weighted: list[tuple]) -> dict:
     return out
 
 
-def multidegree(f: LaurentPoly) -> tuple[int, ...] | None:
-    """The common row+column multidegree of all terms, or None if mixed.
-
-    Each variable at (i, a) contributes the sum of unit vectors e_i and
-    e_(m+a); the zero polynomial reports the zero degree.
-    """
-    registry = f.registry
-    m = registry.m
-    size = m + registry.p
-    deg: tuple[int, ...] | None = None
-    for e in f.terms:
-        d = [0] * size
-        for k, x in enumerate(e):
-            if x:
-                i, a = registry.positions[k]
-                d[i - 1] += x
-                d[m + a - 1] += x
-        if deg is None:
-            deg = tuple(d)
-        elif deg != tuple(d):
-            return None
-    return deg if deg is not None else (0,) * size
-
-
 @dataclass(frozen=True)
 class PairCheck:
     """One bracket comparison inside a step verification."""
@@ -225,22 +201,6 @@ class StepBracketReport:
     def failures(self) -> tuple[PairCheck, ...]:
         return tuple(c for c in self.checks if not c.ok)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "diagram": self.diagram.to_json_obj(),
-            "step": list(self.step),
-            "ok": self.ok,
-            "pairs": [
-                {
-                    "first": list(c.first),
-                    "second": list(c.second),
-                    "ok": c.ok,
-                    **({"difference": str(c.difference)} if not c.ok else {}),
-                }
-                for c in self.checks
-            ],
-        }
-
 
 def expected_step_bracket(
     Y, r: Step, pos1: tuple[int, int], pos2: tuple[int, int], registry: VarRegistry
@@ -262,13 +222,6 @@ def expected_step_bracket(
             return 2 * Y[i - 1][g - 1] * Y[k - 1][a - 1]
         return registry.zero()
     raise ValueError(f"positions {pos1}, {pos2} are not lexicographically ordered")
-
-
-def verify_step_brackets(C: CauchonDiagram, r: Step) -> StepBracketReport:
-    """Check every ordered pair of entries of the step-r matrix against
-    the five-case prediction, using the cell table on the base entries."""
-    registry, M = symbolic_cauchon_matrix(C)
-    return _step_report(C, r, restore(M)[r], cell_bracket_table(registry))
 
 
 def verify_all_step_brackets(C: CauchonDiagram) -> list[StepBracketReport]:

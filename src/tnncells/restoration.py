@@ -154,8 +154,3 @@ def trace_h_invariance_counterexample(
             if (mid.rows[-1], mid.cols[-1]) < r and not after and now:
                 return r, mid
     return None
-
-
-def is_h_invariant(X: Matrix) -> bool:
-    """Does minor vanishing propagate backward through every step?"""
-    return trace_h_invariance_counterexample(restore(X)) is None

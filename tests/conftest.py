@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import settings
 
 from tnncells import VarRegistry
+from tnncells.families import _PermContext
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -29,3 +31,19 @@ def rand_fraction(rng: random.Random, span: int = 30, allow_zero: bool = True) -
 
 def rand_matrix(rng: random.Random, m: int, p: int, span: int = 30) -> list:
     return [[rand_fraction(rng, span) for _ in range(p)] for _ in range(m)]
+
+
+def stripe_column_sets(w) -> set[tuple[int, ...]]:
+    """Nonempty column sets that condition 3 (the column stripes) alone
+    puts into the family of w."""
+    ctx = _PermContext(w)
+    sets = (combinations(range(1, w.p + 1), k) for k in range(1, w.p + 1))
+    return {cols for group in sets for cols in group if ctx.cond3(cols)}
+
+
+def stripe_row_sets(w) -> set[tuple[int, ...]]:
+    """Nonempty row sets that condition 4 (the row stripes) alone puts
+    into the family of w."""
+    ctx = _PermContext(w)
+    sets = (combinations(range(1, w.m + 1), k) for k in range(1, w.m + 1))
+    return {rows for group in sets for rows in group if ctx.cond4(rows)}

@@ -17,7 +17,6 @@ from tnncells import (
     is_tnn,
     match_families,
     minor,
-    parse_minor,
     perm_of_diagram,
     random_cauchon_matrix,
     restore,

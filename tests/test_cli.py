@@ -184,6 +184,13 @@ class TestTnnCheck:
         assert code == 0
         assert obj == {"is_tnn": True, "witness": None, "value": None}
 
+    def test_rejects_a_matrix_over_the_cell_limit(self, capsys, monkeypatch):
+        # 72 cells; the all-minors table grows about 4x per size past 8x8
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1,1,1,1,1,1,1,1\n" * 9))
+        code, out, err = run(capsys, "tnn-check", "--matrix", "-")
+        assert code == 2 and out == ""
+        assert "(9,8) exceeds the 64-cell bitmask limit" in err
+
 
 class _UnrunSuites:
     """Stands in for the verify module: every suite passes without running."""

@@ -62,7 +62,8 @@ class TestDiagrams:
     def test_black_white_partition(self):
         C = CauchonDiagram.from_black(2, 2, [(1, 2), (2, 2)])
         assert C.black_cells() == ((1, 2), (2, 2))
-        assert C.white_cells() == ((1, 1), (2, 1))
+        white = [(i, a) for i in (1, 2) for a in (1, 2) if not C.is_black(i, a)]
+        assert white == [(1, 1), (2, 1)]
         assert C.is_black(1, 2) and not C.is_black(1, 1)
 
     def test_invalid_diagram_rejected(self):
@@ -94,14 +95,20 @@ class TestRestrictedPerms:
             assert sum(1 for _ in enumerate_restricted_perms(m, p)) == n
 
     def test_enumeration_matches_naive_filter(self):
-        m, p = 2, 3
-        got = [w.w for w in enumerate_restricted_perms(m, p)]
-        expected = sorted(
-            w
-            for w in permutations(range(1, m + p + 1))
-            if all(-p <= w[j] - (j + 1) <= m for j in range(m + p))
-        )
-        assert got == expected
+        # lex order on thin and square grids, where the forced move of the
+        # smallest value prunes most
+        for m, p in ((2, 3), (1, 6), (6, 1), (2, 4), (4, 2), (3, 3)):
+            got = [w.w for w in enumerate_restricted_perms(m, p)]
+            expected = [
+                w
+                for w in permutations(range(1, m + p + 1))
+                if all(-p <= w[j] - (j + 1) <= m for j in range(m + p))
+            ]
+            assert got == expected, (m, p)
+
+    def test_tall_grid_has_no_dead_ends(self):
+        # 2^12 permutations; without the forced move this walk took 38 s
+        assert sum(1 for _ in enumerate_restricted_perms(12, 1)) == 4096
 
     def test_shift_bounds_enforced(self):
         with pytest.raises(ValueError):

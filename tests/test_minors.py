@@ -12,7 +12,6 @@ from tnncells import (
     as_matrix,
     eval_minor,
     minor,
-    parse_minor,
     vanishing_family,
 )
 
@@ -24,8 +23,7 @@ class TestMinorId:
         mid = minor((1, 2), (1, 3))
         assert mid.text() == "[1,2|1,3]"
         assert str(mid) == "[1,2|1,3]"
-        assert parse_minor("[1,2|1,3]") == mid
-        assert parse_minor("[3|2]") == minor((3,), (2,))
+        assert minor((3,), (2,)).text() == "[3|2]"
 
     def test_sorts_inputs(self):
         assert minor((2, 1), (3, 1)) == minor((1, 2), (1, 3))
@@ -39,8 +37,6 @@ class TestMinorId:
             minor((1, 1), (1, 2))
         with pytest.raises(ValueError):
             minor((0, 1), (1, 2))
-        with pytest.raises(ValueError):
-            parse_minor("[1,2|")
 
     def test_canonical_id_order(self):
         ids = all_minor_ids(2, 2)
@@ -75,8 +71,8 @@ class TestMinorFamily:
     def test_subset(self):
         small = MinorFamily.of(2, 2, [minor((1,), (2,))])
         big = MinorFamily.of(2, 2, [minor((1,), (2,)), minor((2,), (1,))])
-        assert small.issubset(big)
-        assert not big.issubset(small)
+        assert small.members <= big.members
+        assert not big.members <= small.members
 
 
 class TestEvaluation:

@@ -15,14 +15,34 @@ from tnncells import (
     cell_bracket_table,
     enumerate_diagrams,
     matrix_bracket_table,
-    multidegree,
     poisson,
     restore,
     symbolic_cauchon_matrix,
     verify_all_step_brackets,
     verify_jacobi,
-    verify_step_brackets,
 )
+
+
+def multidegree(f):
+    """The common row+column multidegree of all terms of f, or None if
+    mixed.  The variable at (i, a) adds the unit vectors e_i and e_(m+a);
+    the zero polynomial has the zero degree."""
+    reg = f.registry
+    degrees = set()
+    for e in f.terms:
+        d = [0] * (reg.m + reg.p)
+        for (i, a), x in zip(reg.positions, e):
+            d[i - 1] += x
+            d[reg.m + a - 1] += x
+        degrees.add(tuple(d))
+    if len(degrees) > 1:
+        return None
+    return degrees.pop() if degrees else (0,) * (reg.m + reg.p)
+
+
+def step_report(C, step):
+    """The step-bracket report of one step label of the diagram."""
+    return next(rep for rep in verify_all_step_brackets(C) if rep.step == step)
 
 
 def rand_poly(reg, rng, terms=3):
@@ -245,7 +265,7 @@ class TestMonomialRoute:
         monkeypatch.setattr(
             poisson, "expected_step_bracket", lambda Y, r, pos1, pos2, registry: registry.zero()
         )
-        report = verify_step_brackets(C, (2, 3))
+        report = step_report(C, (2, 3))
         assert len(report.checks) == 15 and report.failures
         for check in report.checks:
             (i, a), (k, g) = check.first, check.second
@@ -373,10 +393,13 @@ class TestStepBrackets:
 
     def test_report_shape(self):
         C = CauchonDiagram.from_black(2, 2, ((1, 1),))
-        report = verify_step_brackets(C, (2, 3))
-        assert report.ok and len(report.checks) == 6
-        obj = report.to_json_obj()
-        assert obj["step"] == [2, 3] and obj["ok"] is True
+        report = step_report(C, (2, 3))
+        assert report.ok and len(report.checks) == 6 and not report.failures
+        assert report.diagram == C and report.step == (2, 3)
+        assert [(c.first, c.second) for c in report.checks[:2]] == [
+            ((1, 1), (1, 2)),
+            ((1, 1), (2, 1)),
+        ]
 
     def test_all_two_by_two_diagrams(self):
         for C in enumerate_diagrams(2, 2):
