@@ -31,8 +31,8 @@ from .combinat import (
 from .errors import NotTotallyNonnegativeError, SelfCheckError
 from .families import family_of_perm
 from .laurent import VarRegistry
-from .linalg import Matrix, as_matrix
-from .minors import MinorFamily, MinorId, all_minors_table, vanishing_family
+from .linalg import Matrix, _scaled_minors, as_matrix
+from .minors import MinorFamily, MinorId, eval_minor, vanishing_family
 from .restoration import delete_derivations, diagram_of_matrix, restore
 
 
@@ -66,11 +66,17 @@ class CellDescriptor:
 
 
 def is_tnn(X: Matrix) -> TnnVerdict:
-    """Check every minor exactly; report the first negative one in
-    canonical order."""
-    for mid, value in all_minors_table(as_matrix(X)).items():
+    """Check the sign of every minor exactly; report the first negative
+    one in canonical order with its exact value.
+
+    Signs are read from the integer table of `linalg._scaled_minors`
+    (each minor times a positive integer); only the witness is evaluated
+    as a Fraction.
+    """
+    X = as_matrix(X)
+    for mid, value in _scaled_minors(X).items():
         if value < 0:
-            return TnnVerdict(False, mid, value)
+            return TnnVerdict(False, mid, eval_minor(X, mid))
     return TnnVerdict(True)
 
 

@@ -9,6 +9,16 @@ over one registry.  Both are integral domains, so one Bareiss kernel and
 one Laplace all-minors kernel serve both: rational matrices enter them as
 integer rows after clearing denominators row by row, and Laurent matrices
 enter as they are, with exact Laurent division for the Bareiss quotients.
+
+The all-minors kernel runs a Laplace plan built once per grid shape and
+cached (bounded): the canonical ids, each row set's first row and the
+block of its other rows, and per minor size one shared list of first-row
+terms as positions in that block, so no key is built per term.  `all_minors`
+divides the integer table back to exact Fractions; sign-and-zero readers
+(`cells.is_tnn`, `minors.vanishing_family` on rational input, the
+h-invariance check and the tnn round trip) use the integer table from
+`_scaled_minors` directly, since scaling a row by a positive integer keeps
+every minor's sign and zero-ness.
 """
 
 from __future__ import annotations
@@ -16,7 +26,8 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 from typing import NamedTuple, Sequence
 
 from .laurent import LaurentPoly, laurent_div_exact
@@ -131,6 +142,19 @@ def all_minors(M: Matrix) -> dict[MinorId, object]:
     }
 
 
+def _scaled_minors(M: Matrix) -> dict[MinorId, object]:
+    """Every nonempty minor up to a positive factor, keyed like `all_minors`.
+
+    A rational matrix enters as its denominator-cleared integer rows, so
+    each value is the minor times a positive integer: its sign and whether
+    it is zero are exact, its size is not.  A Laurent matrix enters as it
+    is (factor 1).  This is the table for sign-and-zero questions.
+    """
+    if is_symbolic(M):
+        return _all_minors(M, M[0][0].registry.zero())
+    return _all_minors(_scaled_int_rows(M)[0], 0)
+
+
 def rank_exact(M: Matrix) -> int:
     """Rank of a rational matrix by fraction-free elimination."""
     if is_symbolic(M):
@@ -208,31 +232,62 @@ def _det_bareiss(rows: Sequence[Sequence], zero, div):
     return -d if sign < 0 else d
 
 
+@lru_cache(maxsize=64)
+def _laplace_plan(m: int, p: int) -> tuple[tuple[MinorId, ...], tuple]:
+    """The all-minors expansion of an m x p grid, shared by every matrix of
+    that shape.
+
+    Values live in blocks, one per row set in canonical order; a block
+    lists the minors of its row set by columns, and the blocks of the
+    single rows are the matrix rows.  The first-row Laplace terms of a
+    size-k minor depend only on its columns, so each size has one shared
+    tuple over column sets of terms (column, position of the complementary
+    columns in the block below, negate).  Returns the MinorIds in canonical
+    order and, for every row set of size >= 2, (first row, index of the
+    block of the other rows, terms of its size), all 0-based.
+    """
+    ids = [MinorId((i,), (a,)) for i in range(1, m + 1) for a in range(1, p + 1)]
+    block_of = {(i,): i - 1 for i in range(1, m + 1)}
+    position = {(a,): a - 1 for a in range(1, p + 1)}
+    expansions = []
+    for k in range(2, min(m, p) + 1):
+        col_sets = list(combinations(range(1, p + 1), k))
+        terms = tuple(
+            tuple(
+                (cols[t] - 1, position[cols[:t] + cols[t + 1:]], t % 2 == 1)
+                for t in range(k)
+            )
+            for cols in col_sets
+        )
+        for rows in combinations(range(1, m + 1), k):
+            expansions.append((rows[0] - 1, block_of[rows[1:]], terms))
+            block_of[rows] = len(block_of)
+            ids.extend(MinorId(rows, cols) for cols in col_sets)
+        position = {cols: n for n, cols in enumerate(col_sets)}
+    return tuple(ids), tuple(expansions)
+
+
 def _all_minors(mat: Sequence[Sequence], zero) -> dict[MinorId, object]:
     """Determinants of every nonempty square submatrix, keyed by MinorId.
 
-    The table is filled in canonical order, size by size, so each
-    first-row Laplace expansion reuses the size-(k-1) entries already
-    present.  A zero entry or a zero sub-minor contributes no term; `zero`
-    is the entries' zero.
+    Runs the shape's cached Laplace plan: blocks are filled in canonical
+    order, size by size, so each first-row expansion reads size-(k-1)
+    values already present.  A zero entry or a zero sub-minor contributes
+    no term; `zero` is the entries' zero.
     """
-    m, p = len(mat), len(mat[0])
-    out: dict = {}
-    for i in range(1, m + 1):
-        row = mat[i - 1]
-        for a in range(1, p + 1):
-            out[MinorId((i,), (a,))] = row[a - 1]
-    for k in range(2, min(m, p) + 1):
-        for rows in combinations(range(1, m + 1), k):
-            rest = rows[1:]
-            row0 = mat[rows[0] - 1]
-            for cols in combinations(range(1, p + 1), k):
-                acc = zero
-                for t in range(k):
-                    x = row0[cols[t] - 1]
-                    if x:
-                        sub = out[(rest, cols[:t] + cols[t + 1:])]
-                        if sub:
-                            acc = acc - x * sub if t % 2 else acc + x * sub
-                out[MinorId(rows, cols)] = acc
-    return out
+    ids, expansions = _laplace_plan(len(mat), len(mat[0]))
+    blocks = list(mat)
+    for r, b, terms in expansions:
+        row, below = mat[r], blocks[b]
+        block = []
+        for col_terms in terms:
+            acc = zero
+            for c, s, negate in col_terms:
+                x = row[c]
+                if x:
+                    sub = below[s]
+                    if sub:
+                        acc = acc - x * sub if negate else acc + x * sub
+            block.append(acc)
+        blocks.append(block)
+    return dict(zip(ids, chain.from_iterable(blocks)))

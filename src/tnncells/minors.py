@@ -106,7 +106,12 @@ def all_minors_table(M: linalg.Matrix) -> dict[MinorId, object]:
 
 
 def vanishing_family(M: linalg.Matrix) -> MinorFamily:
-    """The set of minors of M that are exactly zero."""
+    """The set of minors of M that are exactly zero.
+
+    A rational M is read from the integer table of `linalg._scaled_minors`,
+    whose zeros are exactly the minors' zeros; a Laurent M from
+    `all_minors_table`.
+    """
     m, p = linalg.dims(M)
-    table = linalg.all_minors(M)
+    table = all_minors_table(M) if linalg.is_symbolic(M) else linalg._scaled_minors(M)
     return MinorFamily.of(m, p, (mid for mid, value in table.items() if not value))

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .combinat import CauchonDiagram, is_cauchon
-from .linalg import Matrix, as_matrix, dims
-from .minors import MinorId, all_minors_table
+from .linalg import Matrix, _scaled_minors, as_matrix, dims
+from .minors import MinorId
 
 Step = tuple[int, int]
 
@@ -146,9 +146,10 @@ def trace_h_invariance_counterexample(
     For every non-final label r and minor closing strictly before r (its
     largest row and largest column, as a pair, precede r), a zero value at
     the successor label must force a zero value at r.  Both tables list
-    every minor in canonical order, so they are walked side by side.
+    every minor in canonical order, so they are walked side by side; only
+    zero-ness is read, so they come from `linalg._scaled_minors`.
     """
-    tables = [all_minors_table(mat) for mat in trace.matrices]
+    tables = [_scaled_minors(mat) for mat in trace.matrices]
     for k, r in enumerate(trace.labels[:-1]):
         for (mid, now), after in zip(tables[k].items(), tables[k + 1].values()):
             if (mid.rows[-1], mid.cols[-1]) < r and not after and now:

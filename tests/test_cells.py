@@ -24,6 +24,7 @@ from tnncells import (
     vanishing_family,
     w_max,
 )
+from tnncells.linalg import as_matrix, det_exact, submatrix
 
 NBAR = ((11, 7, 4, 1), (7, 5, 3, 1), (4, 3, 2, 1), (1, 1, 1, 1))
 
@@ -70,6 +71,14 @@ class TestIsTnn:
         verdict = is_tnn(((1, -3), (0, 1)))
         assert verdict.witness == minor([1], [2])
         assert verdict.witness_value == -3
+
+    def test_witness_value_is_exact_under_row_scaling(self):
+        # rows scale by 6 and 35 to integers; the scaled [12|12] is -1
+        X = ((Fraction(1, 3), Fraction(1, 2), 1), (Fraction(1, 7), Fraction(1, 5), 1))
+        verdict = is_tnn(X)
+        assert verdict.witness == minor([1, 2], [1, 2])
+        sub = submatrix(as_matrix(X), [0, 1], [0, 1])
+        assert verdict.witness_value == det_exact(sub) == Fraction(-1, 210)
 
     def test_first_negative_entry_in_canonical_order(self):
         # [1|2] and [2|1] are both -1; canonical order puts [1|2] first

@@ -56,6 +56,20 @@ class TestCounting:
         code, out, err = run(capsys, "diagrams", "9", "9")
         assert code == 2 and out == "" and "bitmask" in err
 
+    @pytest.mark.parametrize("argv", [("diagrams", "6", "6"), ("perms", "1", "17"), ("perms", "17", "1")])
+    def test_enumeration_cap_refuses(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--count")
+        assert (code, out) == (2, "")
+        assert err.strip() == (
+            f"({argv[1]},{argv[2]}) exceeds the 16-cell enumeration cap; pass --force to run anyway"
+        )
+
+    def test_force_lifts_the_enumeration_cap(self, capsys, monkeypatch):
+        # a stand-in enumerator, so the forced run does not walk 2^25 masks
+        monkeypatch.setattr(cli, "enumerate_diagrams", lambda m, p: iter([None] * 3))
+        code, obj, _ = run_json(capsys, "diagrams", "5", "5", "--count", "--force")
+        assert code == 0 and obj == {"m": 5, "p": 5, "count": 3}
+
 
 class TestFamilies:
     def test_mw_matches_library(self, capsys):

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is used in that module,
 every module-level private function or class is used somewhere in the
 package outside its own definition, every name the package exports is
-used by some module of the package, and no module-level function or
-method is wrapped in a cache that grows for the life of the process.
+used by some module of the package, no module-level function or
+method is wrapped in a cache that grows for the life of the process, and
+every function the benchmark's tracer binds by name still exists.
 
 Stdlib only (`ast`), so it runs wherever the suite does.  For imports,
 `__init__.py` is exempt (its imports are the package's re-exports), and so
@@ -13,6 +14,8 @@ it imports, listed once each.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -270,3 +273,35 @@ def test_detector_flags_an_unused_export():
     assert unused_exports(trees, exports) == ["planted", "public"]
     init = ast.parse("from .a import planted\n__all__ = ['planted', 'planted']\n")
     assert exported_names(init) == ["planted", "planted"]
+
+
+TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"
+
+
+def traced_bindings(tree: ast.Module, table: str) -> list[tuple[str, str]]:
+    """(module, function) of every entry of the tracer's literal list
+    `table`; its third field may be any expression."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == table for t in node.targets
+        ):
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    raise LookupError(f"no list {table}")
+
+
+@pytest.mark.parametrize("table", ["FUNCTIONS", "GENERATORS"])
+def test_traced_names_resolve(table):
+    # the benchmark's tracer binds these by name; parsed, not imported, so
+    # the check needs nothing from the benchmark's own imports
+    bindings = traced_bindings(ast.parse(TRACING.read_text(), filename=str(TRACING)), table)
+    assert bindings
+    for module, name in bindings:
+        fn = getattr(importlib.import_module(f"tnncells.{module}"), name, None)
+        assert callable(fn), f"tnncells.{module}.{name} is gone"
+        if table == "GENERATORS":
+            assert inspect.isgeneratorfunction(fn), f"tnncells.{module}.{name} is not a generator"
+
+
+def test_detector_reads_traced_bindings():
+    tree = ast.parse("F = [('linalg', 'all_minors', _lane('x')), ('cells', 'is_tnn', 'y')]\n")
+    assert traced_bindings(tree, "F") == [("linalg", "all_minors"), ("cells", "is_tnn")]

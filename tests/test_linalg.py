@@ -14,7 +14,8 @@ from tnncells import (
     restore,
     symbolic_cauchon_matrix,
 )
-from tnncells.linalg import is_symbolic, submatrix
+from tnncells.linalg import _all_minors, _scaled_minors, is_symbolic, submatrix
+from tnncells.verify import _corpus
 
 from conftest import rand_matrix
 
@@ -151,6 +152,63 @@ class TestAllMinors:
         table = all_minors(M)
         assert table[((1,), (2,))] == T12
         assert table[((1, 2), (1, 2))] == T11 * T22 - T12 * T21
+
+
+PLAN_SHAPES = [(1, 6), (6, 1), (2, 5), (5, 2), (3, 5), (4, 4)]
+LAURENT_ENTRIES = (R.zero(), R.one(), -2 * T11, T12 * T21**-1, T11 + T22, T12 - 3 * T21)
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+class TestPlannedKernel:
+    """The per-shape Laplace plan against one Bareiss determinant per minor."""
+
+    def _check(self, rows, zero):
+        table = _all_minors(rows, zero)
+        M = as_matrix(rows)
+        assert list(table) == all_minor_ids(len(rows), len(rows[0]))
+        for mid, value in table.items():
+            sub = submatrix(M, [i - 1 for i in mid.rows], [a - 1 for a in mid.cols])
+            assert value == det_exact(sub), mid
+
+    @pytest.mark.parametrize("m,p", PLAN_SHAPES)
+    def test_integer_rows(self, rng, m, p):
+        rows = [[rng.randint(-9, 9) for _ in range(p)] for _ in range(m)]
+        rows[rng.randrange(m)] = [0] * p
+        self._check(rows, 0)
+
+    @pytest.mark.parametrize("m,p", PLAN_SHAPES)
+    def test_laurent_rows(self, rng, m, p):
+        rows = [[rng.choice(LAURENT_ENTRIES) for _ in range(p)] for _ in range(m)]
+        rows[rng.randrange(m)] = [R.zero()] * p
+        self._check(rows, R.zero())
+
+
+class TestScaledMinors:
+    """The integer sign lane against the exact Fraction table."""
+
+    @pytest.mark.parametrize("m,p", [(3, 3), (4, 4)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_signs_as_fractions_on_the_corpus(self, m, p, seed):
+        for _, X in _corpus(m, p, 100, seed):
+            for M in (X, restore(X).final):
+                exact, scaled = all_minors(M), _scaled_minors(M)
+                assert list(scaled) == list(exact)
+                assert all(isinstance(v, int) for v in scaled.values())
+                assert [_sign(v) for v in scaled.values()] == [_sign(v) for v in exact.values()]
+
+    def test_values_are_minors_times_row_scales(self):
+        M = as_matrix([[Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 7), Fraction(1, 5)]])
+        scaled = _scaled_minors(M)
+        assert all_minors(M)[((1, 2), (1, 2))] == Fraction(-1, 210)
+        assert scaled[((1, 2), (1, 2))] == -1
+        assert scaled[((2,), (1,))] == 5
+
+    def test_laurent_input_is_the_exact_table(self):
+        M = as_matrix([[T11, T12], [T21, T22]])
+        assert _scaled_minors(M) == all_minors(M)
 
 
 class TestRank:

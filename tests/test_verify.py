@@ -3,6 +3,7 @@
 import json
 import random
 
+from tnncells import restoration, verify
 from tnncells.verify import (
     SuiteReport,
     _count_perms_by_filter,
@@ -61,6 +62,18 @@ class TestSuiteSmoke:
     def test_bruhat_cell(self):
         rep = bruhat_cell_suite(1, 2, samples=5, seed=1)
         assert rep.ok and rep.details["mismatches"] == []
+
+    def test_deletion_fails_on_a_wrong_inverse_trace(self, monkeypatch):
+        # the inverse trace of a perturbed matrix ends elsewhere, so the
+        # one trace comparison the suite makes must catch it on every matrix
+        def wrong(M):
+            (a, *row), *rest = M
+            return restoration.delete_derivations(((a + 1, *row), *rest))
+
+        monkeypatch.setattr(verify, "delete_derivations", wrong)
+        rep = deletion_suite(2, 3, n=8, seed=1)
+        assert not rep.ok and len(rep.details["failures"]) == 8
+        assert all("inverse trace" in msg for msg in rep.details["failures"])
 
     def test_same_seed_same_report(self):
         a = deletion_suite(2, 2, n=6, seed=9)
