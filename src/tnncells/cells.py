@@ -1,9 +1,16 @@
 """Totally nonnegative matrices, their cells, and the diagram families.
 
 A cell is the set of tnn matrices sharing one exact vanishing family.
-`family_of_diagram` computes a diagram's family symbolically: put an
-indeterminate at every white cell, zero at every black cell, restore, and
-read off which minors of the result are identically zero.  `classify`
+`family_of_diagram` computes a diagram's family at one positive point:
+put 1 at every white cell and 0 at every black cell, restore in exact
+rationals, and read off which minors of the result are zero.  That is the
+family of the generic (symbolic) matrix, where every white cell holds an
+indeterminate: setting every indeterminate to 1 is a ring map, and each
+restoration pivot is an untouched diagram entry, so the 0/1 run is the
+image of the symbolic run; and every restored generic minor is a sum over
+vertex-disjoint path systems of the Cauchon graph with positive
+coefficients (Lindstrom-Gessel-Viennot), so it vanishes identically
+exactly when it vanishes at the point.  `classify`
 sends a tnn matrix to its cell by running the inverse algorithm and
 reading the zero pattern, then cross-checks the family.  With
 `find_perm`, it reads the cell's restricted permutation straight off the
@@ -95,12 +102,23 @@ def symbolic_cauchon_matrix(C: CauchonDiagram) -> tuple[VarRegistry, Matrix]:
     return registry, tuple(rows)
 
 
-# 4096 = B(1,12), the most diagrams of any grid under the 12-cell symbolic
-# cap, so one process can reuse every family of one full-grid enumeration.
+# 4096 = B(1,12), the most diagrams of any grid under the 12-cell cap of
+# `mc` and `match`, so one process can reuse every family of one full-grid
+# enumeration.
 @lru_cache(maxsize=4096)
 def family_of_diagram(C: CauchonDiagram) -> MinorFamily:
-    """The minors vanishing identically on the restored generic matrix."""
-    _, M = symbolic_cauchon_matrix(C)
+    """The minors vanishing identically on the restored generic matrix,
+    read off the restored 0/1 matrix (1 on white cells, 0 on black).
+
+    Exact because evaluating every indeterminate at 1 is a ring map that
+    keeps every pivot nonzero (a pivot is a diagram entry), and a restored
+    generic minor has positive coefficients, so it is zero iff its value
+    at 1 is.
+    """
+    M = tuple(
+        tuple(0 if C.is_black(i, a) else 1 for a in range(1, C.p + 1))
+        for i in range(1, C.m + 1)
+    )
     return vanishing_family(restore(M).final)
 
 

@@ -37,8 +37,11 @@ from .linalg import is_symbolic
 from .restoration import delete_derivations, restore
 from .serialize import format_matrix_csv, format_trace, parse_matrix_csv
 
-SYMBOLIC_CELL_CAP = 12    # full-grid symbolic restoration
-CORPUS_CELL_CAP = 16      # numeric corpora + per-diagram symbolic families
+# mc and match keep the symbolic cap although both family routes are numeric:
+# `mc --force` on the all-white (6,6) diagram takes 0.2 s.  Raising it for
+# them waits on the permutation side, which match enumerates in full.
+SYMBOLIC_CELL_CAP = 12    # full-grid symbolic restore and delete; mc, match
+CORPUS_CELL_CAP = 16      # numeric corpora + per-diagram positive-point families
 POISSON_CELL_CAP = 9      # symbolic brackets over every diagram
 SWEEP_CELL_CAP = 12       # every permutation pair, or partial permutation x minor
 PERMUTATION_SPAN_CAP = 8  # M+P, for suites that walk permutations of M+P letters
@@ -323,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("p", type=int)
     sp.add_argument("--w", required=True, metavar="W", help="one-line notation, e.g. 3,1,4,2,7,6,5")
 
-    sp = add("mc", _cmd_mc, "minor family of a Cauchon diagram (symbolic restoration)")
+    sp = add("mc", _cmd_mc, "minor family of a Cauchon diagram (restoration at a positive point)")
     sp.add_argument("--diagram", required=True, metavar="JSON|PATH|-")
     sp.add_argument("--force", action="store_true")
 

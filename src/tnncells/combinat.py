@@ -91,7 +91,25 @@ class CauchonDiagram:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CauchonDiagram":
-        return cls.from_black(obj["m"], obj["p"], [tuple(c) for c in obj["black"]])
+        """Read {"m": M, "p": P, "black": [[i, a], ...]}.  A missing field
+        raises KeyError; a field of the wrong type, ValueError (a bool is
+        not a size or an index)."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a diagram is a JSON object, got {type(obj).__name__}")
+        m, p, black = obj["m"], obj["p"], obj["black"]
+        for name, size in (("m", m), ("p", p)):
+            if type(size) is not int:
+                raise ValueError(f"grid size {name} must be an integer, got {size!r}")
+        if not isinstance(black, list):
+            raise ValueError(f"black must be a list of [row, column] pairs, got {black!r}")
+        for cell in black:
+            if not (
+                isinstance(cell, list)
+                and len(cell) == 2
+                and all(type(x) is int for x in cell)
+            ):
+                raise ValueError(f"black cell {cell!r} is not a pair of integers")
+        return cls.from_black(m, p, [tuple(c) for c in black])
 
 
 def is_cauchon(m: int, p: int, black: Iterable[tuple[int, int]]) -> bool:

@@ -2,8 +2,12 @@
 
 `family_of_perm` evaluates four combinatorial conditions per minor; a
 minor belongs to the family when at least one holds.  Conditions 1 and 2
-quantify over index sets carried through the permutation's blocks,
-conditions 3 and 4 are interval-counting ("stripe") conditions that
+quantify over index sets carried through the permutation's blocks: per
+minor size k, the permutation's witness list holds every k-subset L of
+its pool with the sorted image of L, built once, so a minor [I|J] fails
+condition 1 exactly when some witness has L <= J and I <= image
+componentwise (condition 2 likewise with rows and columns exchanged).
+Conditions 3 and 4 are interval-counting ("stripe") conditions that
 depend only on the column set, respectively the row set.
 
 `bruhat_cell_vanishes` and `closure_rank_conditions_hold` realize the
@@ -16,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from operator import le
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -24,7 +29,7 @@ from .combinat import (
     block_decompose,
     index_set_leq,
 )
-from .minors import MinorFamily, MinorId, all_minor_ids
+from .minors import MinorFamily, MinorId
 
 
 @dataclass(frozen=True)
@@ -94,6 +99,13 @@ def enumerate_partial_permutations(
                 )
 
 
+def _witnesses(
+    pool: Sequence[int], k: int, image
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(L, sorted image of L) for every size-k subset L of the ascending pool."""
+    return [(L, tuple(sorted(map(image, L)))) for L in combinations(pool, k)]
+
+
 def _bounded_subsets(
     pool: Sequence[int], k: int, bound: Sequence[int]
 ) -> Iterable[tuple[int, ...]]:
@@ -144,7 +156,8 @@ def bruhat_cell_vanishes(
 
 
 class _PermContext:
-    """Pools and images shared by all minors of one permutation."""
+    """Pools, images and witness lists shared by all minors of one
+    permutation."""
 
     def __init__(self, w: RestrictedPermutation):
         self.m, self.p = w.m, w.p
@@ -152,29 +165,28 @@ class _PermContext:
         line = w.w
         m, p, n = self.m, self.p, self.n
         # columns a of the left block whose image stays in the top rows
-        self.pool_rows = tuple(a for a in range(1, p + 1) if line[a - 1] <= m)
-        self.img_rows = {a: m + 1 - line[a - 1] for a in self.pool_rows}
+        pool_rows = tuple(a for a in range(1, p + 1) if line[a - 1] <= m)
         # reversed positions l whose image lands in the bottom rows
-        self.pool_cols = tuple(
-            l for l in range(1, m + 1) if line[n - l] >= m + 1
-        )
-        self.img_cols = {l: line[n - l] for l in self.pool_cols}
+        pool_cols = tuple(l for l in range(1, m + 1) if line[n - l] >= m + 1)
+        sizes = range(min(m, p) + 1)
+        self.witnesses_rows = [
+            _witnesses(pool_rows, k, lambda a: m + 1 - line[a - 1]) for k in sizes
+        ]
+        # images less m, so that condition 2 compares them with columns
+        self.witnesses_cols = [
+            _witnesses(pool_cols, k, lambda l: line[n - l] - m) for k in sizes
+        ]
         self.line = line
 
     def cond1(self, rows, cols) -> bool:
-        k = len(rows)
-        for L in _bounded_subsets(self.pool_rows, k, cols):
-            img = sorted(self.img_rows[a] for a in L)
-            if index_set_leq(rows, img):
+        for L, img in self.witnesses_rows[len(rows)]:
+            if all(map(le, L, cols)) and all(map(le, rows, img)):
                 return False
         return True
 
     def cond2(self, rows, cols) -> bool:
-        k = len(cols)
-        shifted = [self.m + c for c in cols]
-        for L in _bounded_subsets(self.pool_cols, k, rows):
-            img = sorted(self.img_cols[l] for l in L)
-            if index_set_leq(shifted, img):
+        for L, img in self.witnesses_cols[len(cols)]:
+            if all(map(le, L, rows)) and all(map(le, cols, img)):
                 return False
         return True
 
@@ -199,14 +211,18 @@ class _PermContext:
     def cond4(self, rows) -> bool:
         m, n, line = self.m, self.n, self.line
         for r in range(1, m + 1):
+            inside = 0
+            # positions j in [n+1-s, n+1-r] with m+1-s <= line[j-1] <= m+1-r.
+            # Widening the window to s can add position n+1-s only:
+            # line[j-1] >= j-p for a restricted permutation, so no position
+            # already in the window has the new lowest value m+1-s.
+            held = 0
             for s in range(r, m + 1):
-                inside = sum(1 for i in rows if r <= i <= s)
-                free = sum(
-                    1
-                    for j in range(n + 1 - s, n + 2 - r)
-                    if not (m + 1 - s <= line[j - 1] <= m + 1 - r)
-                )
-                if inside > free:
+                if s in rows:
+                    inside += 1
+                if m + 1 - s <= line[n - s] <= m + 1 - r:
+                    held += 1
+                if inside > s + 1 - r - held:
                     return True
         return False
 
@@ -218,16 +234,13 @@ def family_of_perm(w: RestrictedPermutation) -> MinorFamily:
     so each is evaluated once per set and reused by every minor sharing it.
     """
     ctx = _PermContext(w)
+    cond1, cond2 = ctx.cond1, ctx.cond2
     cond3 = cache(ctx.cond3)
     cond4 = cache(ctx.cond4)
     members = []
-    for mid in all_minor_ids(w.m, w.p):
-        if (
-            cond3(mid.cols)
-            or cond4(mid.rows)
-            or ctx.cond1(mid.rows, mid.cols)
-            or ctx.cond2(mid.rows, mid.cols)
-        ):
+    for mid in linalg._laplace_plan(w.m, w.p)[0]:
+        rows, cols = mid
+        if cond3(cols) or cond4(rows) or cond1(rows, cols) or cond2(rows, cols):
             members.append(mid)
     return MinorFamily.of(w.m, w.p, members)
 

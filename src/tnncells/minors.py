@@ -11,7 +11,6 @@ byte-stable.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from dataclasses import dataclass
@@ -37,12 +36,7 @@ def all_minor_ids(m: int, p: int) -> list[MinorId]:
     """All nonempty minors of an m x p grid in canonical order."""
     if m < 1 or p < 1:
         raise ValueError("grid dimensions must be positive")
-    out = []
-    for k in range(1, min(m, p) + 1):
-        for rows in combinations(range(1, m + 1), k):
-            for cols in combinations(range(1, p + 1), k):
-                out.append(MinorId(rows, cols))
-    return out
+    return list(linalg._laplace_plan(m, p)[0])
 
 
 @dataclass(frozen=True)

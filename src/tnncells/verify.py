@@ -208,7 +208,7 @@ def tnn_roundtrip_suite(m: int, p: int, n: int = 100, seed: int = 0) -> SuiteRep
         if observed != expected:
             return (
                 f"vanishing family of the restored matrix of {C} has "
-                f"{len(observed)} minors, the symbolic family {len(expected)}"
+                f"{len(observed)} minors, the diagram family {len(expected)}"
             )
         return None
 

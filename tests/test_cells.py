@@ -10,6 +10,7 @@ from tnncells import (
     NotTotallyNonnegativeError,
     RestrictedPermutation,
     SelfCheckError,
+    all_minors,
     classify,
     enumerate_diagrams,
     family_of_diagram,
@@ -104,6 +105,36 @@ class TestSymbolicMatrix:
             "1 * t[1,2]^1",
             "1 * t[1,3]^1",
         ]
+
+
+def symbolic_family(C):
+    """The diagram family from the generic matrix itself: restore it
+    symbolically and read off the identically vanishing minors."""
+    _, M = symbolic_cauchon_matrix(C)
+    return vanishing_family(restore(M).final)
+
+
+# Every grid with at most 9 cells, plus (2,5), (3,4) and (4,3).
+POSITIVE_POINT_GRIDS = [
+    (m, p) for m in range(1, 10) for p in range(1, 10) if m * p <= 9
+] + [(2, 5), (3, 4), (4, 3)]
+
+
+class TestPositivePoint:
+    """`family_of_diagram` reads the 0/1 matrix; the generic matrix is the
+    oracle, and its minors' positivity is what makes the point enough."""
+
+    @pytest.mark.parametrize("m,p", POSITIVE_POINT_GRIDS)
+    def test_equals_the_symbolic_family(self, m, p):
+        for C in enumerate_diagrams(m, p):
+            assert family_of_diagram(C) == symbolic_family(C), C
+
+    @pytest.mark.parametrize("m,p", [(2, 3), (3, 3), (3, 4), (4, 3)])
+    def test_restored_generic_minors_have_positive_coefficients(self, m, p):
+        for C in enumerate_diagrams(m, p):
+            _, M = symbolic_cauchon_matrix(C)
+            for mid, value in all_minors(restore(M).final).items():
+                assert all(c > 0 for c in value.terms.values()), (C, mid)
 
 
 class TestFamilyOfDiagram:

@@ -521,6 +521,24 @@ CHANGED = [
     # was: exit 0, running the default sample plan
     ("verify all 2 2 --sample -9 --n 1 --samples 0", "", 2,
      EMPTY, "a49cd731ded1d895e6601e30ec9cb814823d76e1a148be7ea69bb0b582386441"),
+    # was: a TypeError traceback, exit 1
+    ('mc --diagram \'{"m": 2.5, "p": 2, "black": []}\'', "", 2,
+     EMPTY, "4fd0cbb45132b8e3c37c0d54cf5a9f456a4d1f97bbb56dde540351d83c82f579"),
+    # was: a TypeError traceback, exit 1
+    ('mc --diagram \'{"m": "2", "p": 2, "black": []}\'', "", 2,
+     EMPTY, "783cd043e1e1703e5246441c94395ad07ab5973982dea753f45657496972c4e9"),
+    # was: a TypeError traceback, exit 1
+    ('mc --diagram \'{"m": 2, "p": 2, "black": 5}\'', "", 2,
+     EMPTY, "c238a8bc96824f814fcd93f36006891d05cf7fe11b49ae696e900985871f0da3"),
+    # was: a TypeError traceback, exit 1
+    ('mc --diagram \'{"m": 2, "p": 2, "black": null}\'', "", 2,
+     EMPTY, "d66575f1db2044e9c743036d218d9a0e29cdd3b64bc07032d553940aed84f829"),
+    # was: a TypeError traceback, exit 1
+    ('mc --diagram \'{"m": 2, "p": 2, "black": [["a", 1]]}\'', "", 2,
+     EMPTY, "aad72ec0b582c19398a10079441d4c726eed701e5d2f0829654d948292dbe971"),
+    # was: exit 0, read as the 1 x 2 grid
+    ('mc --diagram \'{"m": true, "p": 2, "black": []}\'', "", 2,
+     EMPTY, "cb499a46d4b2cb75e69e5eb20e8b7df5b2847d4c835300c0b26981290e27df41"),
 ]
 
 

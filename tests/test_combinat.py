@@ -76,6 +76,26 @@ class TestDiagrams:
         assert obj == {"m": 3, "p": 3, "black": [[1, 1], [1, 3], [2, 1], [2, 2]]}
         assert CauchonDiagram.from_json_obj(json.loads(json.dumps(obj))) == C
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"m": 2.5, "p": 2, "black": []},
+            {"m": "2", "p": 2, "black": []},
+            {"m": True, "p": 2, "black": []},
+            {"m": 2, "p": False, "black": []},
+            {"m": 2, "p": 2, "black": 5},
+            {"m": 2, "p": 2, "black": None},
+            {"m": 2, "p": 2, "black": [["a", 1]]},
+            {"m": 2, "p": 2, "black": [[1, True]]},
+            {"m": 2, "p": 2, "black": [[1, 2, 3]]},
+            {"m": 2, "p": 2, "black": [5]},
+            [2, 2, []],
+        ],
+    )
+    def test_json_of_the_wrong_type_is_a_value_error(self, obj):
+        with pytest.raises(ValueError):
+            CauchonDiagram.from_json_obj(obj)
+
     def test_random_diagram_is_valid_and_seeded(self):
         r1 = random.Random(99)
         r2 = random.Random(99)

@@ -12,11 +12,13 @@ from tnncells import (
     enumerate_partial_permutations,
     enumerate_restricted_perms,
     family_of_perm,
+    index_set_leq,
     minor,
+    MinorFamily,
     all_minor_ids,
     w_max,
 )
-from tnncells.families import _PermContext
+from tnncells.families import _PermContext, _bounded_subsets
 
 from conftest import stripe_column_sets, stripe_row_sets
 
@@ -146,6 +148,23 @@ def cond3_by_recount(w, cols) -> bool:
     return False
 
 
+def cond4_by_recount(w, rows) -> bool:
+    """Condition 4 with the row count and the escape count of every window
+    [r, s] recounted from scratch."""
+    m, n, line = w.m, w.n, w.w
+    for r in range(1, m + 1):
+        for s in range(r, m + 1):
+            inside = sum(1 for i in rows if r <= i <= s)
+            free = sum(
+                1
+                for j in range(n + 1 - s, n + 2 - r)
+                if not (m + 1 - s <= line[j - 1] <= m + 1 - r)
+            )
+            if inside > free:
+                return True
+    return False
+
+
 class TestStripeCondition:
     @pytest.mark.parametrize("m,p", [(2, 3), (3, 4), (4, 3), (2, 5)])
     def test_cond3_matches_the_recount(self, m, p):
@@ -154,6 +173,59 @@ class TestStripeCondition:
             for k in range(1, p + 1):
                 for cols in combinations(range(1, p + 1), k):
                     assert ctx.cond3(cols) == cond3_by_recount(w, cols), (w.w, cols)
+
+    @pytest.mark.parametrize("m,p", [(3, 2), (4, 3), (3, 4), (5, 2)])
+    def test_cond4_matches_the_recount(self, m, p):
+        for w in enumerate_restricted_perms(m, p):
+            ctx = _PermContext(w)
+            for k in range(1, m + 1):
+                for rows in combinations(range(1, m + 1), k):
+                    assert ctx.cond4(rows) == cond4_by_recount(w, rows), (w.w, rows)
+
+
+def reference_family_of_perm(w) -> MinorFamily:
+    """The four conditions evaluated from their definitions, minor by minor
+    over `all_minor_ids`: conditions 1 and 2 search the bounded subsets of
+    each pool afresh and compare sorted images with `index_set_leq`, and
+    conditions 3 and 4 recount every window."""
+    m, p, n, line = w.m, w.p, w.n, w.w
+    img_rows = {a: m + 1 - line[a - 1] for a in range(1, p + 1) if line[a - 1] <= m}
+    img_cols = {l: line[n - l] for l in range(1, m + 1) if line[n - l] >= m + 1}
+
+    def cond1(rows, cols):
+        return not any(
+            index_set_leq(rows, sorted(img_rows[a] for a in L))
+            for L in _bounded_subsets(tuple(img_rows), len(rows), cols)
+        )
+
+    def cond2(rows, cols):
+        shifted = [m + c for c in cols]
+        return not any(
+            index_set_leq(shifted, sorted(img_cols[l] for l in L))
+            for L in _bounded_subsets(tuple(img_cols), len(cols), rows)
+        )
+
+    return MinorFamily.of(m, p, (
+        mid
+        for mid in all_minor_ids(m, p)
+        if cond3_by_recount(w, mid.cols)
+        or cond4_by_recount(w, mid.rows)
+        or cond1(mid.rows, mid.cols)
+        or cond2(mid.rows, mid.cols)
+    ))
+
+
+# Every grid with at most 9 cells, plus (3,4), (4,3) and (2,6).
+REFERENCE_GRIDS = [
+    (m, p) for m in range(1, 10) for p in range(1, 10) if m * p <= 9
+] + [(3, 4), (4, 3), (2, 6)]
+
+
+class TestWitnessLists:
+    @pytest.mark.parametrize("m,p", REFERENCE_GRIDS)
+    def test_family_equals_the_reference(self, m, p):
+        for w in enumerate_restricted_perms(m, p):
+            assert family_of_perm(w) == reference_family_of_perm(w), w.w
 
 
 class TestFamilyEdges:

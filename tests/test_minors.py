@@ -46,6 +46,16 @@ class TestMinorId:
         for m, p in ((1, 1), (2, 2), (2, 3), (3, 3), (3, 4)):
             assert len(all_minor_ids(m, p)) == comb(m + p, m) - 1
 
+    def test_ids_are_every_minor_by_size_rows_then_columns(self):
+        for m, p in ((1, 4), (3, 2), (3, 4), (5, 5)):
+            expected = [
+                MinorId(rows, cols)
+                for k in range(1, min(m, p) + 1)
+                for rows in combinations(range(1, m + 1), k)
+                for cols in combinations(range(1, p + 1), k)
+            ]
+            assert all_minor_ids(m, p) == expected
+
 
 class TestMinorFamily:
     def test_json_is_sorted_canonically(self):
