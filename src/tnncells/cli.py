@@ -229,7 +229,8 @@ class _Suite(NamedTuple):
 
 
 # Every suite caps its sizes; --force lifts every cap.  The slowest sizes
-# they accept: counting (4,4), bruhat-monotone (6,2) and bruhat-cell (3,4).
+# they accept: counting (4,4), bruhat-monotone (6,2), bruhat-cell (3,4) and
+# poisson (1,9) and (9,1), 512 diagrams each, about 0.7 s of CLI wall time.
 _SUITES = {
     "counting": _Suite(  # its filter oracle walks all (M+P)! permutations
         lambda a: verify_mod.counting_suite()

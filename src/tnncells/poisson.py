@@ -26,8 +26,16 @@ terms of g, with Lambda_s beta computed once per term of g and shift.  The
 cell table has the one shift s = 0; the matrix table adds one shift per
 crossed pair, e_(i,g) + e_(k,a) - e_(i,a) - e_(k,g).
 
-The step-bracket check runs on the cell table and computes Lambda beta
-once per step-matrix entry, for all of that entry's pairs.
+The step-bracket check runs on the cell table, whose one shift is 0, so
+{f, g} sums c_alpha * c_beta * (alpha^T Lambda beta) * x^(alpha + beta).
+A pair predicted to be the product f * g is proved when every term-pair
+weight is 1 and no term of g has a zero Lambda beta; a pair predicted to
+be zero is proved when every weight is 0.  Every other pair - crossed,
+mixed weights, or a table with another shift - builds both sides and
+compares them.  A restoration step shares every entry it leaves alone,
+so within one trace Lambda beta is computed once per distinct entry
+object, and a pair whose case and entries are the objects an earlier
+step already checked reuses that step's check.
 """
 
 from __future__ import annotations
@@ -202,26 +210,40 @@ class StepBracketReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-def expected_step_bracket(
-    Y, r: Step, pos1: tuple[int, int], pos2: tuple[int, int], registry: VarRegistry
-) -> LaurentPoly:
-    """The predicted bracket of two step-matrix entries.
+_PRODUCT, _ZERO, _CROSSED = "product", "zero", "crossed"
 
-    Five cases: ordered same-row or same-column pairs give the product;
+
+def _step_case(r: Step, pos1: tuple[int, int], pos2: tuple[int, int]) -> str:
+    """Which of the three predictions the five-case rule makes at step r.
+
+    Ordered same-row or same-column pairs give the product;
     row-increasing column-decreasing pairs give zero; strictly
     northwest-southeast pairs give the crossed term while the second
     position lies strictly before the step, and zero from there on.
     """
     (i, a), (k, g) = pos1, pos2
     if i == k and a < g or i < k and a == g:
-        return Y[i - 1][a - 1] * Y[k - 1][g - 1]
+        return _PRODUCT
     if i < k and a > g:
-        return registry.zero()
+        return _ZERO
     if i < k and a < g:
-        if (k, g) < r:
-            return 2 * Y[i - 1][g - 1] * Y[k - 1][a - 1]
-        return registry.zero()
+        return _CROSSED if (k, g) < r else _ZERO
     raise ValueError(f"positions {pos1}, {pos2} are not lexicographically ordered")
+
+
+def expected_step_bracket(
+    Y, r: Step, pos1: tuple[int, int], pos2: tuple[int, int], registry: VarRegistry
+) -> LaurentPoly:
+    """The predicted bracket of two step-matrix entries: Y_ia * Y_kg,
+    zero, or the crossed term 2 * Y_ig * Y_ka, as `_step_case` says."""
+    case = _step_case(r, pos1, pos2)
+    (i, a), (k, g) = pos1, pos2
+    if case == _PRODUCT:
+        return Y[i - 1][a - 1] * Y[k - 1][g - 1]
+    if case == _CROSSED:
+        y_ig = Y[i - 1][g - 1]
+        return (y_ig + y_ig) * Y[k - 1][a - 1]  # 2 is never lifted to a constant
+    return registry.zero()
 
 
 def verify_all_step_brackets(C: CauchonDiagram) -> list[StepBracketReport]:
@@ -230,30 +252,83 @@ def verify_all_step_brackets(C: CauchonDiagram) -> list[StepBracketReport]:
     registry, M = symbolic_cauchon_matrix(C)
     table = cell_bracket_table(registry)
     trace = restore(M)
-    return [_step_report(C, r, trace[r], table) for r in step_sequence(C.m, C.p)]
+    # Both maps are keyed by the id of trace entries, which `trace` keeps
+    # alive for the whole call: a step shares every entry it leaves alone.
+    weighted: dict[int, list[tuple]] = {}
+    checks: dict[tuple, PairCheck] = {}
+    return [
+        _step_report(C, r, trace[r], table, weighted, checks)
+        for r in step_sequence(C.m, C.p)
+    ]
 
 
-def _step_report(C: CauchonDiagram, r: Step, Y, table: BracketTable) -> StepBracketReport:
+def _step_report(
+    C: CauchonDiagram,
+    r: Step,
+    Y,
+    table: BracketTable,
+    weighted: dict[int, list[tuple]],
+    checks: dict[tuple, PairCheck],
+) -> StepBracketReport:
     """The step-r report on the step matrix Y.
 
-    Lambda beta is computed once per entry for all of its pairs, and a
+    A pair whose case, entries and (for a crossed pair) Y_ig and Y_ka are
+    the same objects as at an earlier step of the trace reuses that
+    step's `PairCheck` from `checks`; Lambda beta is computed once per
+    distinct entry object into `weighted`.  A new pair is first offered to
+    `_certified`; only a pair it cannot prove builds both sides, and a
     difference is built only for a pair whose bracket misses."""
     registry = table.registry
-    checks = []
+    zero_shift = all(not any(s) for s, _ in table.shifts)
     grid = [(i, a) for i in range(1, C.m + 1) for a in range(1, C.p + 1)]
-    entries = [Y[i - 1][a - 1].terms for i, a in grid]
-    weighted = [_weighted_terms(terms, table.shifts) for terms in entries]
-    for x in range(len(grid)):
+    entries = [Y[i - 1][a - 1] for i, a in grid]
+    ids = [id(entry) for entry in entries]
+    for entry, key in zip(entries, ids):
+        if key not in weighted:
+            weighted[key] = _weighted_terms(entry.terms, table.shifts)
+    out = []
+    for x, (pos1, f) in enumerate(zip(grid, entries)):
         for y in range(x + 1, len(grid)):
-            pos1, pos2 = grid[x], grid[y]
-            lhs = _monomial_bracket(entries[x], weighted[y])
-            rhs = expected_step_bracket(Y, r, pos1, pos2, registry)
-            if lhs == rhs.terms:
-                checks.append(PairCheck(pos1, pos2, True))
-            else:
-                diff = LaurentPoly._raw(registry, lhs) - rhs
-                checks.append(PairCheck(pos1, pos2, False, diff))
-    return StepBracketReport(C, r, tuple(checks))
+            pos2 = grid[y]
+            case = _step_case(r, pos1, pos2)
+            key = (x, y, case, ids[x], ids[y])
+            if case == _CROSSED:
+                (i, a), (k, g) = pos1, pos2
+                key += (id(Y[i - 1][g - 1]), id(Y[k - 1][a - 1]))
+            check = checks.get(key)
+            if check is None:
+                g_weighted = weighted[ids[y]]
+                if zero_shift and _certified(case, f.terms, entries[y].terms, g_weighted):
+                    check = PairCheck(pos1, pos2, True)
+                else:
+                    lhs = _monomial_bracket(f.terms, g_weighted)
+                    rhs = expected_step_bracket(Y, r, pos1, pos2, registry)
+                    if lhs == rhs.terms:
+                        check = PairCheck(pos1, pos2, True)
+                    else:
+                        diff = LaurentPoly._raw(registry, lhs) - rhs
+                        check = PairCheck(pos1, pos2, False, diff)
+                checks[key] = check
+            out.append(check)
+    return StepBracketReport(C, r, tuple(out))
+
+
+def _certified(case: str, f_terms: dict, g_terms: dict, g_weighted: list[tuple]) -> bool:
+    """Whether the term-pair weights alone prove {f, g} equals the
+    prediction, on a table whose one shift is 0.
+
+    There {f, g} = sum of c_alpha * c_beta * (alpha^T Lambda beta) *
+    x^(alpha + beta), so every weight 0 makes it zero, and every weight 1,
+    with no term of g dropped for a zero Lambda beta, makes it f * g.  A
+    crossed pair, or a pair with mixed weights, is never certified."""
+    if case == _CROSSED:
+        return False
+    want = 1 if case == _PRODUCT else 0
+    if want and len(g_weighted) != len(g_terms):
+        return False
+    return all(
+        sum(map(mul, ea, lb)) == want for ea in f_terms for _, _, lb in g_weighted
+    )
 
 
 def verify_jacobi(table: BracketTable, sample: Iterable[LaurentPoly]) -> bool:

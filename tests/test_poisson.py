@@ -1,5 +1,6 @@
 """Bracket tables, the biderivation extension, and step-bracket checks."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -262,9 +263,7 @@ class TestMonomialRoute:
         reg, M = symbolic_cauchon_matrix(C)
         Y = restore(M)[(2, 3)]
         table = cell_bracket_table(reg)
-        monkeypatch.setattr(
-            poisson, "expected_step_bracket", lambda Y, r, pos1, pos2, registry: registry.zero()
-        )
+        monkeypatch.setattr(poisson, "_step_case", lambda r, pos1, pos2: "zero")
         report = step_report(C, (2, 3))
         assert len(report.checks) == 15 and report.failures
         for check in report.checks:
@@ -272,6 +271,115 @@ class TestMonomialRoute:
             want = per_pair_bracket(Y[i - 1][a - 1], Y[k - 1][g - 1], table)
             assert check.ok == (not want)
             assert check.difference == (None if check.ok else want)
+
+
+def assert_reports_match_oracle(C, reports, trace, table):
+    """Every step pair's check against the route that builds both sides:
+    `bracket` on the table and `expected_step_bracket`, with no
+    certificate and no reuse."""
+    grid = [(i, a) for i in range(1, C.m + 1) for a in range(1, C.p + 1)]
+    assert [rep.step for rep in reports] == list(trace.labels)
+    for rep in reports:
+        Y = trace[rep.step]
+        assert [(c.first, c.second) for c in rep.checks] == list(combinations(grid, 2))
+        for check in rep.checks:
+            (i, a), (k, g) = check.first, check.second
+            lhs = bracket(Y[i - 1][a - 1], Y[k - 1][g - 1], table)
+            rhs = poisson.expected_step_bracket(
+                Y, rep.step, check.first, check.second, table.registry
+            )
+            assert check.ok == (lhs == rhs), (rep.step, check)
+            assert check.difference == (None if check.ok else lhs - rhs), (rep.step, check)
+
+
+ALL_WHITE_33 = CauchonDiagram.from_black(3, 3, ())
+
+
+class TestStepCertificate:
+    """Weight certificates and reuse across steps against the oracle route,
+    and plants that each must fall through to the full comparison."""
+
+    @pytest.mark.parametrize("m, p", [(2, 3), (3, 3)])
+    def test_every_step_pair_matches_the_oracle(self, m, p):
+        for C in enumerate_diagrams(m, p):
+            reg, M = symbolic_cauchon_matrix(C)
+            reports = verify_all_step_brackets(C)
+            assert all(rep.ok for rep in reports)
+            assert_reports_match_oracle(C, reports, restore(M), cell_bracket_table(reg))
+
+    def test_few_pairs_fall_through(self, monkeypatch):
+        # 74,520 step pairs at (3,3); certificates and reuse leave 3,398
+        calls = []
+        full = poisson.expected_step_bracket
+
+        def counted(*args):
+            calls.append(args)
+            return full(*args)
+
+        monkeypatch.setattr(poisson, "expected_step_bracket", counted)
+        for C in enumerate_diagrams(3, 3):
+            verify_all_step_brackets(C)
+        assert 0 < len(calls) <= 6000
+
+    def test_a_wrong_weight_falls_through(self, monkeypatch):
+        reg, M = symbolic_cauchon_matrix(ALL_WHITE_33)
+        cell = cell_bracket_table(reg)
+        entries = dict(cell.entries)
+        entries[(0, 1)] = 2 * entries[(0, 1)]  # t11, t12: same row
+        doubled = BracketTable(reg, entries)
+        assert len(doubled.shifts) == 1 and not any(doubled.shifts[0][0])
+        monkeypatch.setattr(poisson, "cell_bracket_table", lambda registry: doubled)
+        reports = verify_all_step_brackets(ALL_WHITE_33)
+        assert not all(rep.ok for rep in reports)
+        assert_reports_match_oracle(ALL_WHITE_33, reports, restore(M), doubled)
+
+    def test_a_second_shift_falls_through(self, monkeypatch):
+        reg, M = symbolic_cauchon_matrix(ALL_WHITE_33)
+        table = matrix_bracket_table(reg)
+        assert len(table.shifts) > 1
+        monkeypatch.setattr(poisson, "cell_bracket_table", lambda registry: table)
+        reports = verify_all_step_brackets(ALL_WHITE_33)
+        assert not all(rep.ok for rep in reports)
+        assert_reports_match_oracle(ALL_WHITE_33, reports, restore(M), table)
+
+    def test_a_nonzero_shift_falls_through(self, monkeypatch):
+        # the cell table's weights with every value times t33: one shift,
+        # and it is not 0, so weight 1 no longer means the product
+        reg, M = symbolic_cauchon_matrix(ALL_WHITE_33)
+        t33 = reg.var(3, 3)
+        entries = cell_bracket_table(reg).entries
+        shifted = BracketTable(reg, {vw: value * t33 for vw, value in entries.items()})
+        assert len(shifted.shifts) == 1 and any(shifted.shifts[0][0])
+        monkeypatch.setattr(poisson, "cell_bracket_table", lambda registry: shifted)
+        reports = verify_all_step_brackets(ALL_WHITE_33)
+        assert not all(rep.ok for rep in reports)
+        assert_reports_match_oracle(ALL_WHITE_33, reports, restore(M), shifted)
+
+    # (3,3) is never written, so it is one object throughout the trace.
+    # At label (3,2) no entry changes: (1,2) is then Y_ig of the crossed
+    # pair (1,1), (2,2), whose own entries stay the same objects, and a
+    # constant (1,1) makes that pair's bracket 0 against a nonzero crossed
+    # prediction.
+    @pytest.mark.parametrize(
+        "pos, label", [((3, 3), (2, 2)), ((1, 2), (3, 2)), ((1, 1), (3, 2))]
+    )
+    def test_a_replaced_entry_is_checked_again(self, monkeypatch, pos, label):
+        reg, M = symbolic_cauchon_matrix(ALL_WHITE_33)
+        trace = restore(M)
+        k = trace.labels.index(label)
+        i, a = pos
+        assert trace.matrices[k - 1][i - 1][a - 1] is trace.matrices[k][i - 1][a - 1]
+        rows = [list(row) for row in trace.matrices[k]]
+        rows[i - 1][a - 1] = reg.one()
+        matrices = list(trace.matrices)
+        matrices[k] = tuple(map(tuple, rows))
+        planted = replace(trace, matrices=tuple(matrices))
+        monkeypatch.setattr(poisson, "restore", lambda X: planted)
+        reports = verify_all_step_brackets(ALL_WHITE_33)
+        assert [rep.ok for rep in reports] == [r != label for r in trace.labels]
+        assert_reports_match_oracle(
+            ALL_WHITE_33, reports, planted, cell_bracket_table(reg)
+        )
 
 
 class TestBracketLaws:
