@@ -2,17 +2,19 @@
 
 A cell is the set of tnn matrices sharing one exact vanishing family.
 `family_of_diagram` computes a diagram's family at one positive point:
-put 1 at every white cell and 0 at every black cell, restore in exact
-rationals, and read off which minors of the result are zero.  That is the
+put 1 at every white cell and 0 at every black cell, restore in plain
+integers, and read off which minors of the result are zero.  That is the
 family of the generic (symbolic) matrix, where every white cell holds an
 indeterminate: setting every indeterminate to 1 is a ring map, and each
 restoration pivot is an untouched diagram entry, so the 0/1 run is the
-image of the symbolic run; and every restored generic minor is a sum over
-vertex-disjoint path systems of the Cauchon graph with positive
-coefficients (Lindstrom-Gessel-Viennot), so it vanishes identically
-exactly when it vanishes at the point.  `classify`
-sends a tnn matrix to its cell by running the inverse algorithm and
-reading the zero pattern, then cross-checks the family.  With
+image of the symbolic run.  Every nonzero pivot of that run is an
+untouched 1, so floor division is exact and every restored entry is a
+nonnegative integer (it counts paths of the Cauchon graph).  Every
+restored generic minor is a sum over vertex-disjoint path systems of the
+Cauchon graph with positive coefficients (Lindstrom-Gessel-Viennot), so
+it vanishes identically exactly when it vanishes at the point.
+`classify` sends a tnn matrix to its cell by running the inverse
+algorithm and reading the zero pattern, then cross-checks the family.  With
 `find_perm`, it reads the cell's restricted permutation straight off the
 diagram's pipe dream (`combinat.perm_of_diagram`, O(mp), no search) and
 makes one self-check: the permutation's own family must equal the
@@ -23,6 +25,7 @@ the two-sided cross-check of that construction.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +43,7 @@ from .families import family_of_perm
 from .laurent import VarRegistry
 from .linalg import Matrix, _scaled_minors, as_matrix
 from .minors import MinorFamily, MinorId, eval_minor, vanishing_family
-from .restoration import delete_derivations, diagram_of_matrix, restore
+from .restoration import _restore, delete_derivations, diagram_of_matrix
 
 
 @dataclass(frozen=True)
@@ -113,13 +116,14 @@ def family_of_diagram(C: CauchonDiagram) -> MinorFamily:
     Exact because evaluating every indeterminate at 1 is a ring map that
     keeps every pivot nonzero (a pivot is a diagram entry), and a restored
     generic minor has positive coefficients, so it is zero iff its value
-    at 1 is.
+    at 1 is.  The run stays in plain ints: every nonzero pivot is an
+    untouched entry 1, so floor division is exact.
     """
     M = tuple(
         tuple(0 if C.is_black(i, a) else 1 for a in range(1, C.p + 1))
         for i in range(1, C.m + 1)
     )
-    return vanishing_family(restore(M).final)
+    return vanishing_family(_restore(M, operator.floordiv).final)
 
 
 def random_cauchon_matrix(C: CauchonDiagram, seed: int) -> Matrix:

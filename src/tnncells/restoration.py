@@ -3,18 +3,23 @@
 Steps are indexed by grid positions (j, b) running lexicographically from
 (1,2) to (m,p), plus a final label (m, p+1); the matrix stored at a label
 is the state *before* that step runs.  One step engine serves both
-directions - they differ in a sign and in traversal order - and both entry
-domains: the correction is ``X[i][b] * X[j][a] / pivot``, where ``/`` is
-exact on rationals and exact Laurent division on Laurent polynomials, so a
-non-exact pivot division can never pass silently.  The public entry points
-validate their matrix once with :func:`~tnncells.linalg.as_matrix`; the
-steps of a run work on the validated matrix.
+directions - they differ in a sign and in traversal order - and every entry
+domain: the correction is ``div(X[i][b] * X[j][a], pivot)``, where ``div``
+is the domain's exact division, passed in as `linalg._det_bareiss` takes
+it.  The public entry points validate their matrix once with
+:func:`~tnncells.linalg.as_matrix` (int entries become Fraction) and pass
+``operator.truediv``: exact on rationals and exact Laurent division on
+Laurent polynomials, so a non-exact pivot division can never pass
+silently.  The third domain is plain int: `cells.family_of_diagram`
+restores a 0/1 matrix with ``operator.floordiv``, exact there because
+every nonzero pivot of that run is an untouched entry 1.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .combinat import CauchonDiagram, is_cauchon
 from .linalg import Matrix, _scaled_minors, as_matrix, dims
@@ -37,8 +42,8 @@ def step_sequence(m: int, p: int) -> list[Step]:
     return labels
 
 
-def _apply_step(X: Matrix, r: Step, direction: int) -> Matrix:
-    """One step on a matrix already validated by :func:`as_matrix`."""
+def _apply_step(X: Matrix, r: Step, direction: int, div: Callable) -> Matrix:
+    """One step on a validated matrix; `div` is its entries' exact division."""
     m, p = dims(X)
     j, b = r
     if not (1 <= j <= m and 1 <= b <= p) or r == (1, 1):
@@ -52,7 +57,7 @@ def _apply_step(X: Matrix, r: Step, direction: int) -> Matrix:
         row = list(X[i])
         xib = row[b - 1]
         for a in range(b - 1):
-            correction = xib * pivot_row[a] / pivot
+            correction = div(xib * pivot_row[a], pivot)
             row[a] = row[a] + correction if direction > 0 else row[a] - correction
         rows[i] = tuple(row)
     return tuple(rows)
@@ -61,13 +66,13 @@ def _apply_step(X: Matrix, r: Step, direction: int) -> Matrix:
 def restore_step(X: Matrix, r: Step) -> Matrix:
     """One forward step: entries above-left of the pivot gain the
     pivot-scaled rank-one correction; a zero pivot leaves X unchanged."""
-    return _apply_step(as_matrix(X), r, +1)
+    return _apply_step(as_matrix(X), r, +1, operator.truediv)
 
 
 def delete_step(X: Matrix, r: Step) -> Matrix:
     """The inverse step (subtraction form), keyed on the same pivot
     position read from its own input."""
-    return _apply_step(as_matrix(X), r, -1)
+    return _apply_step(as_matrix(X), r, -1, operator.truediv)
 
 
 @dataclass(frozen=True)
@@ -99,12 +104,17 @@ class MatrixTrace:
 
 def restore(X: Matrix) -> MatrixTrace:
     """Run all forward steps; the final matrix sits at label (m, p+1)."""
-    X = as_matrix(X)
+    return _restore(as_matrix(X), operator.truediv)
+
+
+def _restore(X: Matrix, div: Callable) -> MatrixTrace:
+    """`restore` without validation or coercion: X is a tuple of row
+    tuples whose entries `div` divides exactly."""
     m, p = dims(X)
     labels = step_sequence(m, p)
     mats = [X]
     for r in labels[:-1]:
-        mats.append(_apply_step(mats[-1], r, +1))
+        mats.append(_apply_step(mats[-1], r, +1, div))
     return MatrixTrace(m, p, tuple(labels), tuple(mats))
 
 
@@ -115,7 +125,7 @@ def delete_derivations(Xbar: Matrix) -> MatrixTrace:
     labels = step_sequence(m, p)
     mats = [Xbar]
     for r in reversed(labels[:-1]):
-        mats.append(_apply_step(mats[-1], r, -1))
+        mats.append(_apply_step(mats[-1], r, -1, operator.truediv))
     mats.reverse()
     return MatrixTrace(m, p, tuple(labels), tuple(mats))
 
@@ -147,11 +157,21 @@ def trace_h_invariance_counterexample(
     largest row and largest column, as a pair, precede r), a zero value at
     the successor label must force a zero value at r.  Both tables list
     every minor in canonical order, so they are walked side by side; only
-    zero-ness is read, so they come from `linalg._scaled_minors`.
+    zero-ness is read, so they come from `linalg._scaled_minors`.  A label
+    whose successor is the same matrix object cannot fail and is skipped
+    (a zero pivot returns X itself); every other matrix gets one table,
+    keyed by object id while the trace keeps the matrices alive.
     """
-    tables = [_scaled_minors(mat) for mat in trace.matrices]
+    tables: dict[int, dict] = {}
+    mats = trace.matrices
     for k, r in enumerate(trace.labels[:-1]):
-        for (mid, now), after in zip(tables[k].items(), tables[k + 1].values()):
-            if (mid.rows[-1], mid.cols[-1]) < r and not after and now:
+        now, after = mats[k], mats[k + 1]
+        if now is after:
+            continue
+        for mat in (now, after):
+            if id(mat) not in tables:
+                tables[id(mat)] = _scaled_minors(mat)
+        for (mid, x), y in zip(tables[id(now)].items(), tables[id(after)].values()):
+            if (mid.rows[-1], mid.cols[-1]) < r and not y and x:
                 return r, mid
     return None

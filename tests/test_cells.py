@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tnncells import cells
+from tnncells import cells, restoration
 from tnncells import (
     CauchonDiagram,
     NotTotallyNonnegativeError,
@@ -135,6 +135,39 @@ class TestPositivePoint:
             _, M = symbolic_cauchon_matrix(C)
             for mid, value in all_minors(restore(M).final).items():
                 assert all(c > 0 for c in value.terms.values()), (C, mid)
+
+
+class TestIntegerRoute:
+    """`family_of_diagram` restores the 0/1 matrix in plain ints with floor
+    division; the Fraction route of `restore` is the oracle."""
+
+    @pytest.mark.parametrize("m,p", POSITIVE_POINT_GRIDS)
+    def test_int_route_equals_the_fraction_route(self, m, p, monkeypatch):
+        traces = []
+
+        def spy(X, div):
+            traces.append(restoration._restore(X, div))
+            return traces[-1]
+
+        monkeypatch.setattr(cells, "_restore", spy)
+        for C in enumerate_diagrams(m, p):
+            family_of_diagram.__wrapped__(C)
+            (trace,) = traces
+            traces.clear()
+            assert trace.initial == tuple(
+                tuple(0 if C.is_black(i, a) else 1 for a in range(1, p + 1))
+                for i in range(1, m + 1)
+            )
+            assert trace.final == restore(trace.initial).final, C
+            for mat in trace.matrices:
+                assert all(type(x) is int and x >= 0 for row in mat for x in row), C
+            for (j, b), mat in zip(trace.labels[:-1], trace.matrices):
+                assert mat[j - 1][b - 1] in (0, 1), (C, (j, b))
+
+    def test_restore_still_coerces_ints_to_fractions(self):
+        M = ((1, 1, 0), (1, 1, 1))
+        for mat in restore(M).matrices:
+            assert all(type(x) is Fraction for row in mat for x in row)
 
 
 class TestFamilyOfDiagram:

@@ -27,8 +27,10 @@ from tnncells import (
     symbolic_cauchon_matrix,
     trace_h_invariance_counterexample,
 )
-from tnncells.linalg import submatrix
-from tnncells.restoration import zero_pattern
+from tnncells import restoration
+from tnncells.linalg import _scaled_minors, submatrix
+from tnncells.restoration import MatrixTrace, zero_pattern
+from tnncells.verify import _corpus
 
 N_START = (
     (1, 0, 1, 1),
@@ -411,3 +413,86 @@ class TestVanishingPropagation:
             C = random_diagram(3, 3, rng)
             trace = restore(random_cauchon_matrix(C, seed))
             assert trace_h_invariance_counterexample(trace) is None
+
+
+def all_tables_counterexample(trace):
+    """The h-invariance check with one table per label and no skipping:
+    the oracle for the table reuse of `trace_h_invariance_counterexample`."""
+    tables = [_scaled_minors(mat) for mat in trace.matrices]
+    for k, r in enumerate(trace.labels[:-1]):
+        for (mid, now), after in zip(tables[k].items(), tables[k + 1].values()):
+            if (mid.rows[-1], mid.cols[-1]) < r and not after and now:
+                return r, mid
+    return None
+
+
+def two_by_two_trace(*mats):
+    """A hand-built 2x2 trace over the labels (1,2), (2,1), (2,2), (2,3);
+    the matrix objects are kept as given, repeats included."""
+    return MatrixTrace(2, 2, tuple(step_sequence(2, 2)), mats)
+
+
+ONES = as_matrix(((1, 1), (1, 1)))
+
+
+class TestTableReuse:
+    """`trace_h_invariance_counterexample` builds one minors table per
+    distinct matrix object and skips labels whose successor is the same
+    object; it must report what the all-tables oracle reports."""
+
+    @pytest.mark.parametrize("m,p", [(3, 3), (4, 4)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_corpus_traces_agree_with_the_oracle(self, m, p, seed):
+        for _, X in _corpus(m, p, 100, seed):
+            trace = delete_derivations(restore(X).final)
+            assert trace_h_invariance_counterexample(trace) == all_tables_counterexample(trace)
+
+    def test_sign_mixed_traces_agree_with_the_oracle(self, rng):
+        """Small signed integer entries make vanishing failures common."""
+        hits = 0
+        for _ in range(60):
+            m, p = rng.randint(2, 4), rng.randint(2, 4)
+            trace = restore([[rng.randint(-2, 2) for _ in range(p)] for _ in range(m)])
+            found = trace_h_invariance_counterexample(trace)
+            assert found == all_tables_counterexample(trace)
+            hits += found is not None
+        assert hits
+
+    def test_repeated_object_then_a_failing_step(self):
+        B = as_matrix(((0, 1), (1, 1)))
+        trace = two_by_two_trace(ONES, ONES, B, B)
+        expected = ((2, 1), minor([1], [1]))
+        assert all_tables_counterexample(trace) == expected
+        assert trace_h_invariance_counterexample(trace) == expected
+
+    def test_all_objects_distinct(self):
+        trace = two_by_two_trace(
+            *map(as_matrix, (((1, 1), (1, 1)), ((2, 1), (1, 1)), ((1, 1), (1, 1)), ((1, 1), (0, 1))))
+        )
+        assert len({id(mat) for mat in trace.matrices}) == 4
+        expected = ((2, 2), minor([2], [1]))
+        assert all_tables_counterexample(trace) == expected
+        assert trace_h_invariance_counterexample(trace) == expected
+
+    def test_object_repeated_out_of_order(self):
+        B, D = as_matrix(((2, 1), (1, 1))), as_matrix(((1, 1), (0, 1)))
+        trace = two_by_two_trace(ONES, B, ONES, D)
+        expected = ((2, 2), minor([2], [1]))
+        assert all_tables_counterexample(trace) == expected
+        assert trace_h_invariance_counterexample(trace) == expected
+
+    def test_one_table_per_distinct_object(self, monkeypatch):
+        built = []
+
+        def spy(M):
+            built.append(M)
+            return _scaled_minors(M)
+
+        monkeypatch.setattr(restoration, "_scaled_minors", spy)
+        for _, X in _corpus(4, 4, 20, 1):
+            trace = restore(X)
+            built.clear()
+            assert trace_h_invariance_counterexample(trace) is None
+            distinct = {id(mat) for mat in trace.matrices}
+            assert len(built) == (len(distinct) if len(distinct) > 1 else 0)
+            assert len({id(mat) for mat in built}) == len(built)

@@ -9,6 +9,7 @@ from tnncells.verify import (
     _count_perms_by_filter,
     _count_perms_by_permanent,
     bruhat_cell_suite,
+    _corpus,
     bruhat_monotone_suite,
     counting_suite,
     deletion_suite,
@@ -74,6 +75,28 @@ class TestSuiteSmoke:
         rep = deletion_suite(2, 3, n=8, seed=1)
         assert not rep.ok and len(rep.details["failures"]) == 8
         assert all("inverse trace" in msg for msg in rep.details["failures"])
+
+    def test_deletion_checks_each_matrix_object_once(self, monkeypatch):
+        # a zero pivot returns X itself; every distinct object of each
+        # inverse trace is checked, and none twice
+        checked = []
+
+        def spy(M):
+            checked.append(M)
+            return restoration.is_cauchon_matrix(M)
+
+        monkeypatch.setattr(verify, "is_cauchon_matrix", spy)
+        assert deletion_suite(3, 3, n=20, seed=1).ok
+        expected = [
+            mat
+            for _, X in _corpus(3, 3, 20, 1)
+            for mat in {
+                id(mat): mat
+                for mat in restoration.delete_derivations(restoration.restore(X).final).matrices
+            }.values()
+        ]
+        assert checked == expected
+        assert len(checked) < 20 * 9
 
     def test_same_seed_same_report(self):
         a = deletion_suite(2, 2, n=6, seed=9)
