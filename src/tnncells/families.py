@@ -1,14 +1,24 @@
 """Vanishing families attached to restricted permutations.
 
-`family_of_perm` evaluates four combinatorial conditions per minor; a
-minor belongs to the family when at least one holds.  Conditions 1 and 2
-quantify over index sets carried through the permutation's blocks: per
-minor size k, the permutation's witness list holds every k-subset L of
-its pool with the sorted image of L, built once, so a minor [I|J] fails
-condition 1 exactly when some witness has L <= J and I <= image
-componentwise (condition 2 likewise with rows and columns exchanged).
-Conditions 3 and 4 are interval-counting ("stripe") conditions that
-depend only on the column set, respectively the row set.
+A minor belongs to the family of w when at least one of four
+combinatorial conditions holds.  `family_of_perm` computes each
+condition as a bitmask over the grid's canonical minor order (see
+:mod:`tnncells.minors`) from a few per-shape masks, with no loop over
+the minors:
+
+- conditions 1 and 2 are dominance conditions.  A witness is a nonempty
+  subset L of a pool of columns (rows for condition 2) together with the
+  sorted image of L, a row set (column set); it rules out every minor
+  whose column set is >= L and whose row set is <= the image,
+  componentwise.  A condition's mask is the complement of the union of
+  these "column set >= L" AND "row set <= image" masks;
+- conditions 3 and 4 are interval-counting ("stripe") conditions on the
+  column set, respectively the row set: each is the union, over the
+  windows [r, s], of the minors with more indices in [r, s] than the
+  window's free positions.
+
+The per-shape masks are built on demand from the shape's row-set and
+column-set blocks and kept in bounded caches.
 
 `bruhat_cell_vanishes` and `closure_rank_conditions_hold` realize the
 same vanishing data through partial permutations and rank inequalities;
@@ -17,8 +27,9 @@ they exist as independent cross-checking oracles for the test suites.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from itertools import combinations
 from operator import le
 from typing import Iterable, Sequence
@@ -29,7 +40,7 @@ from .combinat import (
     block_decompose,
     index_set_leq,
 )
-from .minors import MinorFamily, MinorId
+from .minors import COLS, ROWS, MinorFamily, MinorId, _mask_by, _minor_count
 
 
 @dataclass(frozen=True)
@@ -99,13 +110,6 @@ def enumerate_partial_permutations(
                 )
 
 
-def _witnesses(
-    pool: Sequence[int], k: int, image
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(L, sorted image of L) for every size-k subset L of the ascending pool."""
-    return [(L, tuple(sorted(map(image, L)))) for L in combinations(pool, k)]
-
-
 def _bounded_subsets(
     pool: Sequence[int], k: int, bound: Sequence[int]
 ) -> Iterable[tuple[int, ...]]:
@@ -155,94 +159,92 @@ def bruhat_cell_vanishes(
 # -- the four membership conditions ----------------------------------------
 
 
-class _PermContext:
-    """Pools, images and witness lists shared by all minors of one
-    permutation."""
+# Keys: every index set of either axis, and every window and bound, of the
+# grids in use; 4096 covers all of them for any grid up to (8,8).
+@lru_cache(maxsize=4096)
+def _at_least(m: int, p: int, axis: int, S: tuple[int, ...]) -> int:
+    """The size-|S| minors whose index set on `axis` is >= S componentwise."""
+    return _mask_by(m, p, axis, len(S), lambda T: all(map(le, S, T)))
 
-    def __init__(self, w: RestrictedPermutation):
-        self.m, self.p = w.m, w.p
-        self.n = w.n
-        line = w.w
-        m, p, n = self.m, self.p, self.n
-        # columns a of the left block whose image stays in the top rows
-        pool_rows = tuple(a for a in range(1, p + 1) if line[a - 1] <= m)
-        # reversed positions l whose image lands in the bottom rows
-        pool_cols = tuple(l for l in range(1, m + 1) if line[n - l] >= m + 1)
-        sizes = range(min(m, p) + 1)
-        self.witnesses_rows = [
-            _witnesses(pool_rows, k, lambda a: m + 1 - line[a - 1]) for k in sizes
-        ]
-        # images less m, so that condition 2 compares them with columns
-        self.witnesses_cols = [
-            _witnesses(pool_cols, k, lambda l: line[n - l] - m) for k in sizes
-        ]
-        self.line = line
 
-    def cond1(self, rows, cols) -> bool:
-        for L, img in self.witnesses_rows[len(rows)]:
-            if all(map(le, L, cols)) and all(map(le, rows, img)):
-                return False
-        return True
+@lru_cache(maxsize=4096)
+def _at_most(m: int, p: int, axis: int, S: tuple[int, ...]) -> int:
+    """The size-|S| minors whose index set on `axis` is <= S componentwise."""
+    return _mask_by(m, p, axis, len(S), lambda T: all(map(le, T, S)))
 
-    def cond2(self, rows, cols) -> bool:
-        for L, img in self.witnesses_cols[len(cols)]:
-            if all(map(le, L, rows)) and all(map(le, cols, img)):
-                return False
-        return True
 
-    def cond3(self, cols) -> bool:
-        m, p, line = self.m, self.p, self.line
-        for r in range(1, p + 1):
-            inside = 0
-            # positions a in [r, s] with m+r <= line[a-1] <= m+s.  Widening
-            # the window to s can add position s only: line[a-1] <= a+m for a
-            # restricted permutation, so no earlier position had a value
-            # above the old bound m+s-1.
-            held = 0
-            for s in range(r, p + 1):
-                if s in cols:
-                    inside += 1
-                if m + r <= line[s - 1] <= m + s:
-                    held += 1
-                if inside > s + 1 - r - held:
-                    return True
-        return False
+@lru_cache(maxsize=4096)
+def _more_than(m: int, p: int, axis: int, r: int, s: int, bound: int) -> int:
+    """The minors with more than `bound` indices in [r, s] on `axis`."""
+    mask = 0
+    for k in range(bound + 1, min(m, p) + 1):
+        mask |= _mask_by(m, p, axis, k, lambda T: bisect_right(T, s) - bisect_left(T, r) > bound)
+    return mask
 
-    def cond4(self, rows) -> bool:
-        m, n, line = self.m, self.n, self.line
-        for r in range(1, m + 1):
-            inside = 0
-            # positions j in [n+1-s, n+1-r] with m+1-s <= line[j-1] <= m+1-r.
-            # Widening the window to s can add position n+1-s only:
-            # line[j-1] >= j-p for a restricted permutation, so no position
-            # already in the window has the new lowest value m+1-s.
-            held = 0
-            for s in range(r, m + 1):
-                if s in rows:
-                    inside += 1
-                if m + 1 - s <= line[n - s] <= m + 1 - r:
-                    held += 1
-                if inside > s + 1 - r - held:
-                    return True
-        return False
+
+def _undominated(m: int, p: int, axis: int, image: dict[int, int]) -> int:
+    """The minors that no witness dominates.  A witness is a nonempty subset
+    L of the pool `image` (indices on `axis`) with the sorted image of L on
+    the other axis; it dominates [I|J] when the index set on `axis` is >= L
+    and the other one is <= the image, both componentwise."""
+    other = COLS - axis
+    dominated = 0
+    for k in range(1, len(image) + 1):
+        for L in combinations(image, k):
+            dominated |= _at_least(m, p, axis, L) & _at_most(
+                m, p, other, tuple(sorted(image[x] for x in L))
+            )
+    return ((1 << _minor_count(m, p)) - 1) & ~dominated
+
+
+def _condition_masks(w: RestrictedPermutation) -> tuple[int, int, int, int]:
+    """The masks of the minors meeting each of the four conditions, in the
+    grid's canonical minor order."""
+    m, p, n, line = w.m, w.p, w.n, w.w
+    # condition 1: columns a of the left block whose image stays in the top
+    # rows, mapped to the row m+1-w(a)
+    cond1 = _undominated(
+        m, p, COLS, {a: m + 1 - line[a - 1] for a in range(1, p + 1) if line[a - 1] <= m}
+    )
+    # condition 2: reversed positions l whose image lands in the bottom
+    # rows, mapped to that image less m, a column
+    cond2 = _undominated(
+        m, p, ROWS, {l: line[n - l] - m for l in range(1, m + 1) if line[n - l] >= m + 1}
+    )
+    # condition 3: more columns in a window [r, s] than its free positions
+    cond3 = 0
+    for r in range(1, p + 1):
+        # positions a in [r, s] with m+r <= line[a-1] <= m+s.  Widening the
+        # window to s can add position s only: line[a-1] <= a+m for a
+        # restricted permutation, so no earlier position had a value above
+        # the old bound m+s-1.
+        held = 0
+        for s in range(r, p + 1):
+            if m + r <= line[s - 1] <= m + s:
+                held += 1
+            # with nothing held no minor has more columns than the window
+            if held:
+                cond3 |= _more_than(m, p, COLS, r, s, s + 1 - r - held)
+    # condition 4: more rows in a window [r, s] than its free positions
+    cond4 = 0
+    for r in range(1, m + 1):
+        # positions j in [n+1-s, n+1-r] with m+1-s <= line[j-1] <= m+1-r.
+        # Widening the window to s can add position n+1-s only: line[j-1] >=
+        # j-p for a restricted permutation, so no position already in the
+        # window has the new lowest value m+1-s.
+        held = 0
+        for s in range(r, m + 1):
+            if m + 1 - s <= line[n - s] <= m + 1 - r:
+                held += 1
+            if held:
+                cond4 |= _more_than(m, p, ROWS, r, s, s + 1 - r - held)
+    return cond1, cond2, cond3, cond4
 
 
 def family_of_perm(w: RestrictedPermutation) -> MinorFamily:
-    """All minors satisfying at least one of the four conditions.
-
-    Conditions 3 and 4 see only the column set, respectively the row set,
-    so each is evaluated once per set and reused by every minor sharing it.
-    """
-    ctx = _PermContext(w)
-    cond1, cond2 = ctx.cond1, ctx.cond2
-    cond3 = cache(ctx.cond3)
-    cond4 = cache(ctx.cond4)
-    members = []
-    for mid in linalg._laplace_plan(w.m, w.p)[0]:
-        rows, cols = mid
-        if cond3(cols) or cond4(rows) or cond1(rows, cols) or cond2(rows, cols):
-            members.append(mid)
-    return MinorFamily.of(w.m, w.p, members)
+    """All minors satisfying at least one of the four conditions."""
+    cond1, cond2, cond3, cond4 = _condition_masks(w)
+    return MinorFamily(w.m, w.p, cond1 | cond2 | cond3 | cond4)
 
 
 # -- rank-condition oracle ---------------------------------------------------

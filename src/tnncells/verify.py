@@ -34,7 +34,7 @@ from .families import (
 )
 from .laurent import LaurentPoly, VarRegistry
 from .linalg import _scaled_minors, as_matrix, mat_mul
-from .minors import MinorFamily, all_minor_ids, eval_minor
+from .minors import _zeros_family, all_minor_ids, eval_minor
 from .poisson import (
     bracket,
     cell_bracket_table,
@@ -169,7 +169,7 @@ def bruhat_monotone_suite(
         mode = f"{sample} sampled pairs (seed {seed})"
     bad = []
     for w, z in pairs:
-        contained = fams[w].members <= fams[z].members
+        contained = not fams[w].mask & ~fams[z].mask
         below = bruhat_leq(w, z)
         if contained != below:
             bad.append({"w": list(w.w), "z": list(z.w), "contained": contained, "bruhat": below})
@@ -203,7 +203,7 @@ def tnn_roundtrip_suite(m: int, p: int, n: int = 100, seed: int = 0) -> SuiteRep
         for mid, value in table.items():
             if value < 0:
                 return f"negative minor {mid} on the restored matrix of {C}"
-        observed = MinorFamily.of(m, p, (mid for mid, value in table.items() if not value))
+        observed = _zeros_family(m, p, table.values())
         expected = family_of_diagram(C)
         if observed != expected:
             return (

@@ -1,12 +1,11 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import settings
 
-from tnncells import VarRegistry
-from tnncells.families import _PermContext
+from tnncells import MinorFamily, VarRegistry
+from tnncells.families import _condition_masks
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -34,16 +33,12 @@ def rand_matrix(rng: random.Random, m: int, p: int, span: int = 30) -> list:
 
 
 def stripe_column_sets(w) -> set[tuple[int, ...]]:
-    """Nonempty column sets that condition 3 (the column stripes) alone
-    puts into the family of w."""
-    ctx = _PermContext(w)
-    sets = (combinations(range(1, w.p + 1), k) for k in range(1, w.p + 1))
-    return {cols for group in sets for cols in group if ctx.cond3(cols)}
+    """Column sets of the minors that condition 3 (the column stripes)
+    alone puts into the family of w."""
+    return {mid.cols for mid in MinorFamily(w.m, w.p, _condition_masks(w)[2])}
 
 
 def stripe_row_sets(w) -> set[tuple[int, ...]]:
-    """Nonempty row sets that condition 4 (the row stripes) alone puts
-    into the family of w."""
-    ctx = _PermContext(w)
-    sets = (combinations(range(1, w.m + 1), k) for k in range(1, w.m + 1))
-    return {rows for group in sets for rows in group if ctx.cond4(rows)}
+    """Row sets of the minors that condition 4 (the row stripes) alone
+    puts into the family of w."""
+    return {mid.rows for mid in MinorFamily(w.m, w.p, _condition_masks(w)[3])}

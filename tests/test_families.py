@@ -1,5 +1,4 @@
 import random
-from itertools import combinations
 
 import pytest
 
@@ -16,22 +15,18 @@ from tnncells import (
     minor,
     MinorFamily,
     all_minor_ids,
+    perm_of_diagram,
+    random_diagram,
     w_max,
 )
-from tnncells.families import _PermContext, _bounded_subsets
+from tnncells.families import _bounded_subsets, _condition_masks
 
 from conftest import stripe_column_sets, stripe_row_sets
 
 
 def condition_flags(w, mid) -> tuple[bool, bool, bool, bool]:
     """Which of the four membership conditions hold for this minor."""
-    ctx = _PermContext(w)
-    return (
-        ctx.cond1(mid.rows, mid.cols),
-        ctx.cond2(mid.rows, mid.cols),
-        ctx.cond3(mid.cols),
-        ctx.cond4(mid.rows),
-    )
+    return tuple(mid in MinorFamily(w.m, w.p, mask) for mask in _condition_masks(w))
 
 
 def witness_matrix(mid, m, p):
@@ -100,9 +95,10 @@ class TestWorked34Example:
         assert flags[minor((1, 2, 3), (1, 2, 3))][2]
 
     def test_stripes(self):
-        # (1,2,3,4) satisfies the column condition but matches no minor on 3 rows
-        assert stripe_column_sets(W34) == {(1, 2, 3), (1, 2, 3, 4)}
+        assert stripe_column_sets(W34) == {(1, 2, 3)}
         assert stripe_row_sets(W34) == set()
+        # (1,2,3,4) satisfies the column condition but matches no minor on 3 rows
+        assert cond3_by_recount(W34, (1, 2, 3, 4))
 
 
 class TestWorked44Example:
@@ -169,50 +165,72 @@ class TestStripeCondition:
     @pytest.mark.parametrize("m,p", [(2, 3), (3, 4), (4, 3), (2, 5)])
     def test_cond3_matches_the_recount(self, m, p):
         for w in enumerate_restricted_perms(m, p):
-            ctx = _PermContext(w)
-            for k in range(1, p + 1):
-                for cols in combinations(range(1, p + 1), k):
-                    assert ctx.cond3(cols) == cond3_by_recount(w, cols), (w.w, cols)
+            cond3 = MinorFamily.of(
+                m, p, (mid for mid in all_minor_ids(m, p) if cond3_by_recount(w, mid.cols))
+            )
+            assert MinorFamily(m, p, _condition_masks(w)[2]) == cond3, w.w
 
     @pytest.mark.parametrize("m,p", [(3, 2), (4, 3), (3, 4), (5, 2)])
     def test_cond4_matches_the_recount(self, m, p):
         for w in enumerate_restricted_perms(m, p):
-            ctx = _PermContext(w)
-            for k in range(1, m + 1):
-                for rows in combinations(range(1, m + 1), k):
-                    assert ctx.cond4(rows) == cond4_by_recount(w, rows), (w.w, rows)
+            cond4 = MinorFamily.of(
+                m, p, (mid for mid in all_minor_ids(m, p) if cond4_by_recount(w, mid.rows))
+            )
+            assert MinorFamily(m, p, _condition_masks(w)[3]) == cond4, w.w
 
 
-def reference_family_of_perm(w) -> MinorFamily:
-    """The four conditions evaluated from their definitions, minor by minor
-    over `all_minor_ids`: conditions 1 and 2 search the bounded subsets of
-    each pool afresh and compare sorted images with `index_set_leq`, and
-    conditions 3 and 4 recount every window."""
+def reference_conditions(w):
+    """The four conditions as predicates on a minor, evaluated from their
+    definitions: conditions 1 and 2 search the bounded subsets of each pool
+    afresh and compare sorted images with `index_set_leq`, and conditions 3
+    and 4 recount every window."""
     m, p, n, line = w.m, w.p, w.n, w.w
     img_rows = {a: m + 1 - line[a - 1] for a in range(1, p + 1) if line[a - 1] <= m}
     img_cols = {l: line[n - l] for l in range(1, m + 1) if line[n - l] >= m + 1}
 
-    def cond1(rows, cols):
+    def cond1(mid):
         return not any(
-            index_set_leq(rows, sorted(img_rows[a] for a in L))
-            for L in _bounded_subsets(tuple(img_rows), len(rows), cols)
+            index_set_leq(mid.rows, sorted(img_rows[a] for a in L))
+            for L in _bounded_subsets(tuple(img_rows), len(mid.rows), mid.cols)
         )
 
-    def cond2(rows, cols):
-        shifted = [m + c for c in cols]
+    def cond2(mid):
+        shifted = [m + c for c in mid.cols]
         return not any(
             index_set_leq(shifted, sorted(img_cols[l] for l in L))
-            for L in _bounded_subsets(tuple(img_cols), len(cols), rows)
+            for L in _bounded_subsets(tuple(img_cols), len(mid.cols), mid.rows)
         )
 
-    return MinorFamily.of(m, p, (
+    def cond3(mid):
+        return cond3_by_recount(w, mid.cols)
+
+    def cond4(mid):
+        return cond4_by_recount(w, mid.rows)
+
+    return cond1, cond2, cond3, cond4
+
+
+def reference_family_of_perm(w) -> MinorFamily:
+    """The minors of `all_minor_ids` meeting at least one reference condition."""
+    conditions = reference_conditions(w)
+    return MinorFamily.of(w.m, w.p, (
         mid
-        for mid in all_minor_ids(m, p)
-        if cond3_by_recount(w, mid.cols)
-        or cond4_by_recount(w, mid.rows)
-        or cond1(mid.rows, mid.cols)
-        or cond2(mid.rows, mid.cols)
+        for mid in all_minor_ids(w.m, w.p)
+        if any(cond(mid) for cond in conditions)
     ))
+
+
+class TestDominanceConditions:
+    """Conditions 1 and 2 mask by mask; TestStripeCondition covers 3 and 4."""
+
+    @pytest.mark.parametrize("m,p", [(2, 3), (3, 2), (3, 4), (4, 3), (2, 5), (5, 2)])
+    def test_each_condition_equals_its_reference(self, m, p):
+        ids = all_minor_ids(m, p)
+        for w in enumerate_restricted_perms(m, p):
+            masks = _condition_masks(w)
+            for k, cond in enumerate(reference_conditions(w)[:2]):
+                reference = MinorFamily.of(m, p, (mid for mid in ids if cond(mid)))
+                assert MinorFamily(m, p, masks[k]) == reference, (w.w, k + 1)
 
 
 # Every grid with at most 9 cells, plus (3,4), (4,3) and (2,6).
@@ -225,6 +243,18 @@ class TestWitnessLists:
     @pytest.mark.parametrize("m,p", REFERENCE_GRIDS)
     def test_family_equals_the_reference(self, m, p):
         for w in enumerate_restricted_perms(m, p):
+            assert family_of_perm(w) == reference_family_of_perm(w), w.w
+
+    def test_seeded_sample_at_4x4(self):
+        rng = random.Random(4)
+        for w in rng.sample(list(enumerate_restricted_perms(4, 4)), 300):
+            assert family_of_perm(w) == reference_family_of_perm(w), w.w
+
+    def test_seeded_sample_at_5x5(self):
+        # restricted permutations of uniform diagrams, read off the pipe dream
+        rng = random.Random(5)
+        for _ in range(20):
+            w = perm_of_diagram(random_diagram(5, 5, rng))
             assert family_of_perm(w) == reference_family_of_perm(w), w.w
 
 

@@ -28,7 +28,7 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # Exports no other module uses yet, each kept for a stated reason.
 EXPORT_EXCEPTIONS = {
     "closure_rank_conditions_hold": "the rank conditions of the orbit closures; "
-    "ROADMAP item 7 makes them a verify suite",
+    "ROADMAP item 3 makes them a verify suite",
     "w_max": "the top of the Bruhat interval of restricted permutations; ROADMAP item 5",
     "matrix_bracket_table": "the standard Poisson structure on matrices, named in the README",
     "restore_step": "one step of the restoration algorithm, the per-layer unit of aim 1",

@@ -3,6 +3,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tnncells import (
     MinorFamily,
@@ -83,6 +85,69 @@ class TestMinorFamily:
         big = MinorFamily.of(2, 2, [minor((1,), (2,)), minor((2,), (1,))])
         assert small.members <= big.members
         assert not big.members <= small.members
+        assert not small.mask & ~big.mask
+        assert big.mask & ~small.mask
+
+    def test_mask_validation(self):
+        MinorFamily(2, 2, (1 << 5) - 1)  # all five minors of the 2x2 grid
+        with pytest.raises(ValueError, match="nonnegative"):
+            MinorFamily(2, 2, -1)
+        with pytest.raises(ValueError, match="past the last minor of the 2x2 grid"):
+            MinorFamily(2, 2, 1 << 5)
+        for m, p in ((0, 2), (2, 0), (-1, 1)):
+            with pytest.raises(ValueError, match="positive"):
+                MinorFamily(m, p, 0)
+
+    def test_of_names_a_malformed_minor(self):
+        for bad in (MinorId((1, 2), (1,)), MinorId((), ()), MinorId((2, 1), (1, 2))):
+            with pytest.raises(ValueError, match="malformed minor"):
+                MinorFamily.of(3, 3, [bad])
+
+    def test_of_names_a_minor_outside_the_grid(self):
+        with pytest.raises(ValueError, match=r"minor \[3\|1\] outside the 2x2 grid"):
+            MinorFamily.of(2, 2, [minor((3,), (1,))])
+        with pytest.raises(ValueError, match="outside the 1x3 grid"):
+            MinorFamily.of(1, 3, [minor((1, 2), (1, 2))])
+
+
+GRIDS = st.sampled_from([(1, 1), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)])
+
+
+@st.composite
+def grid_and_ids(draw):
+    m, p = draw(GRIDS)
+    ids = draw(st.lists(st.sampled_from(all_minor_ids(m, p))))
+    return m, p, ids
+
+
+class TestMinorFamilyProperties:
+    @given(grid_and_ids())
+    def test_members_are_the_ids(self, case):
+        m, p, ids = case
+        assert MinorFamily.of(m, p, ids).members == frozenset(ids)
+
+    @given(grid_and_ids())
+    def test_iteration_is_by_size_rows_then_columns(self, case):
+        m, p, ids = case
+        expected = sorted(set(ids), key=lambda mid: (len(mid.rows), mid.rows, mid.cols))
+        assert list(MinorFamily.of(m, p, ids)) == expected
+
+    @given(grid_and_ids())
+    def test_len_and_membership(self, case):
+        m, p, ids = case
+        fam = MinorFamily.of(m, p, ids)
+        assert len(fam) == len(set(ids))
+        for mid in all_minor_ids(m, p):
+            assert (mid in fam) == (mid in ids)
+        assert minor((m + 1,), (1,)) not in fam
+
+    @given(grid_and_ids())
+    def test_json_round_trip(self, case):
+        m, p, ids = case
+        fam = MinorFamily.of(m, p, ids)
+        obj = json.loads(json.dumps(fam.to_json_obj()))
+        assert MinorFamily.from_json_obj(m, p, obj) == fam
+        assert [minor(item["rows"], item["cols"]) for item in obj] == list(fam)
 
 
 class TestEvaluation:
