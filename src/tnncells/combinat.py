@@ -92,10 +92,13 @@ class CauchonDiagram:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CauchonDiagram":
         """Read {"m": M, "p": P, "black": [[i, a], ...]}.  A missing field
-        raises KeyError; a field of the wrong type, ValueError (a bool is
+        or a field of the wrong type raises ValueError naming it (a bool is
         not a size or an index)."""
         if not isinstance(obj, dict):
             raise ValueError(f"a diagram is a JSON object, got {type(obj).__name__}")
+        for name in ("m", "p", "black"):
+            if name not in obj:
+                raise ValueError(f"a diagram needs the field {name!r}")
         m, p, black = obj["m"], obj["p"], obj["black"]
         for name, size in (("m", m), ("p", p)):
             if type(size) is not int:

@@ -33,15 +33,21 @@ weight is 1 and no term of g has a zero Lambda beta; a pair predicted to
 be zero is proved when every weight is 0.  Every other pair - crossed,
 mixed weights, or a table with another shift - builds both sides and
 compares them.  A restoration step shares every entry it leaves alone,
-so within one trace Lambda beta is computed once per distinct entry
-object, and a pair whose case and entries are the objects an earlier
-step already checked reuses that step's check.
+so each label starts from the previous label's checks, recomputes
+Lambda beta only for the entries that changed, and examines a pair again
+only when (a) one of its entries changed, (b) it is a
+northwest-southeast pair whose Y_ig or Y_ka changed, or (c) it is a
+northwest-southeast pair whose second position is the previous label, so
+its case turns from zero to crossed.  What depends only on the grid's
+shape (the pairs, which pairs read each entry, which turn crossed at each
+label, and the passing check of each pair) is built once per shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from functools import lru_cache
+from itertools import combinations, repeat
 from operator import add, mul
 from typing import Iterable, Mapping
 
@@ -248,69 +254,81 @@ def expected_step_bracket(
 
 def verify_all_step_brackets(C: CauchonDiagram) -> list[StepBracketReport]:
     """Step-bracket reports for every label of the diagram's grid, from one
-    restoration of the generic matrix."""
+    restoration of the generic matrix.
+
+    Each label starts from the previous label's checks.  At label r with
+    predecessor r' a pair is examined again only when (a) one of its
+    entries is not the object it was at r', (b) it is a northwest-southeast
+    pair whose Y_ig or Y_ka is not the object it was at r', or (c) it is a
+    northwest-southeast pair whose second position is r'; every pair is
+    examined at the first label.  An examined pair is first offered to
+    `_certified`; only a pair it cannot prove builds both sides, and a
+    difference is built only for a pair whose bracket misses."""
     registry, M = symbolic_cauchon_matrix(C)
     table = cell_bracket_table(registry)
     trace = restore(M)
-    # Both maps are keyed by the id of trace entries, which `trace` keeps
-    # alive for the whole call: a step shares every entry it leaves alone.
-    weighted: dict[int, list[tuple]] = {}
-    checks: dict[tuple, PairCheck] = {}
-    return [
-        _step_report(C, r, trace[r], table, weighted, checks)
-        for r in step_sequence(C.m, C.p)
-    ]
-
-
-def _step_report(
-    C: CauchonDiagram,
-    r: Step,
-    Y,
-    table: BracketTable,
-    weighted: dict[int, list[tuple]],
-    checks: dict[tuple, PairCheck],
-) -> StepBracketReport:
-    """The step-r report on the step matrix Y.
-
-    A pair whose case, entries and (for a crossed pair) Y_ig and Y_ka are
-    the same objects as at an earlier step of the trace reuses that
-    step's `PairCheck` from `checks`; Lambda beta is computed once per
-    distinct entry object into `weighted`.  A new pair is first offered to
-    `_certified`; only a pair it cannot prove builds both sides, and a
-    difference is built only for a pair whose bracket misses."""
-    registry = table.registry
+    grid, pairs, reads, turns, passing = _step_plan(C.m, C.p)
     zero_shift = all(not any(s) for s, _ in table.shifts)
-    grid = [(i, a) for i in range(1, C.m + 1) for a in range(1, C.p + 1)]
-    entries = [Y[i - 1][a - 1] for i, a in grid]
-    ids = [id(entry) for entry in entries]
-    for entry, key in zip(entries, ids):
-        if key not in weighted:
-            weighted[key] = _weighted_terms(entry.terms, table.shifts)
-    out = []
-    for x, (pos1, f) in enumerate(zip(grid, entries)):
-        for y in range(x + 1, len(grid)):
-            pos2 = grid[y]
+    labels = step_sequence(C.m, C.p)
+    # entry u and its Lambda beta terms at the previous label; every entry
+    # differs from None, so every pair is examined at the first label
+    entries: list = [None] * len(grid)
+    weighted: list = [None] * len(grid)
+    checks: list = [None] * len(pairs)
+    reports = []
+    Y = None
+    for t, r in enumerate(labels):
+        before, Y = Y, trace[r]
+        todo = set(turns[grid.index(labels[t - 1])]) if t else set()
+        if Y is not before:
+            for u, entry in enumerate(x for row in Y for x in row):
+                if entry is not entries[u]:
+                    entries[u] = entry
+                    weighted[u] = _weighted_terms(entry.terms, table.shifts)
+                    todo.update(reads[u])
+        for j in todo:
+            x, y = pairs[j]
+            pos1, pos2 = grid[x], grid[y]
             case = _step_case(r, pos1, pos2)
-            key = (x, y, case, ids[x], ids[y])
-            if case == _CROSSED:
-                (i, a), (k, g) = pos1, pos2
-                key += (id(Y[i - 1][g - 1]), id(Y[k - 1][a - 1]))
-            check = checks.get(key)
-            if check is None:
-                g_weighted = weighted[ids[y]]
-                if zero_shift and _certified(case, f.terms, entries[y].terms, g_weighted):
-                    check = PairCheck(pos1, pos2, True)
-                else:
-                    lhs = _monomial_bracket(f.terms, g_weighted)
-                    rhs = expected_step_bracket(Y, r, pos1, pos2, registry)
-                    if lhs == rhs.terms:
-                        check = PairCheck(pos1, pos2, True)
-                    else:
-                        diff = LaurentPoly._raw(registry, lhs) - rhs
-                        check = PairCheck(pos1, pos2, False, diff)
-                checks[key] = check
-            out.append(check)
-    return StepBracketReport(C, r, tuple(out))
+            f, g_weighted = entries[x], weighted[y]
+            if zero_shift and _certified(case, f.terms, entries[y].terms, g_weighted):
+                checks[j] = passing[j]
+                continue
+            lhs = _monomial_bracket(f.terms, g_weighted)
+            rhs = expected_step_bracket(Y, r, pos1, pos2, registry)
+            if lhs == rhs.terms:
+                checks[j] = passing[j]
+            else:
+                diff = LaurentPoly._raw(registry, lhs) - rhs
+                checks[j] = PairCheck(pos1, pos2, False, diff)
+        reports.append(StepBracketReport(C, r, tuple(checks)))
+    return reports
+
+
+@lru_cache(maxsize=64)
+def _step_plan(m: int, p: int) -> tuple:
+    """What the step checks of an m x p grid need from its shape alone.
+
+    `grid` lists the positions row-major, so position (i, a) has index
+    (i-1)*p + a-1, and `pairs` lists their index pairs x < y in
+    `combinations(grid, 2)` order.  `reads[u]` holds the pairs that read
+    entry u: as one of their entries or, for a northwest-southeast pair,
+    as Y_ig or Y_ka.  `turns[u]` holds the northwest-southeast pairs whose
+    second position is u.  `passing[j]` is the passing check of pair j."""
+    grid = tuple((i, a) for i in range(1, m + 1) for a in range(1, p + 1))
+    pairs = tuple(combinations(range(m * p), 2))
+    reads: list[list[int]] = [[] for _ in grid]
+    turns: list[list[int]] = [[] for _ in grid]
+    for j, (x, y) in enumerate(pairs):
+        (i, a), (k, g) = grid[x], grid[y]
+        reads[x].append(j)
+        reads[y].append(j)
+        if i < k and a < g:
+            reads[(i - 1) * p + g - 1].append(j)
+            reads[(k - 1) * p + a - 1].append(j)
+            turns[y].append(j)
+    passing = tuple(PairCheck(grid[x], grid[y], True) for x, y in pairs)
+    return grid, pairs, tuple(map(tuple, reads)), tuple(map(tuple, turns)), passing
 
 
 def _certified(case: str, f_terms: dict, g_terms: dict, g_weighted: list[tuple]) -> bool:

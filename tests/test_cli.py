@@ -95,6 +95,15 @@ class TestFamilies:
         code, _, err = run(capsys, "mc", "--diagram", '{"m": 2}')
         assert code == 2 and "bad --diagram" in err
 
+    @pytest.mark.parametrize(
+        "spec, field",
+        [("{}", "m"), ('{"m": 2}', "p"), ('{"m": 2, "p": 2}', "black")],
+    )
+    def test_mc_diagram_missing_a_field(self, capsys, spec, field):
+        code, out, err = run(capsys, "mc", "--diagram", spec)
+        assert code == 2 and out == ""
+        assert f"bad --diagram: a diagram needs the field '{field}'" in err
+
     def test_match_emits_pairs(self, capsys):
         code, obj, _ = run_json(capsys, "match", "2", "2")
         assert code == 0 and len(obj) == 14
@@ -405,8 +414,6 @@ GOLDEN = [
      "4ca04f077af802b95441f4fd6dc2b7660f71732e1e5305a109ddb3f6aee52dc8", EMPTY),
     ("mc --diagram -", '{"m": 2, "p": 3, "black": [[1, 1]]}', 0,
      "8350886bbcdeae0ab91357240e413d871bc231c83c56e54661f30f3c20715371", EMPTY),
-    ('mc --diagram \'{"m": 2}\'', "", 2,
-     EMPTY, "2e668e13ef5e7c497fc502bbe6ad7293f828a2e8cb862aa02bcf03fb9cbcea77"),
     ('mc --diagram \'{"m": 4, "p": 4, "black": []}\'', "", 2,
      EMPTY, "55637167391c5ff5ea0dc968cf07c8f8dad47dfc5ddd317da3a026adeaecc026"),
     ("match 2 2", "", 0,
@@ -539,6 +546,9 @@ CHANGED = [
     # was: exit 0, read as the 1 x 2 grid
     ('mc --diagram \'{"m": true, "p": 2, "black": []}\'', "", 2,
      EMPTY, "cb499a46d4b2cb75e69e5eb20e8b7df5b2847d4c835300c0b26981290e27df41"),
+    # was: "bad --diagram: 'p'", the bare repr of a KeyError
+    ('mc --diagram \'{"m": 2}\'', "", 2,
+     EMPTY, "c36879c42aaddcad0e000232cbb70f6012128131a468fc599edaf8bfa0eb3eb9"),
 ]
 
 

@@ -96,6 +96,13 @@ class TestDiagrams:
         with pytest.raises(ValueError):
             CauchonDiagram.from_json_obj(obj)
 
+    @pytest.mark.parametrize("field", ["m", "p", "black"])
+    def test_json_missing_a_field_is_a_value_error_naming_it(self, field):
+        obj = {"m": 2, "p": 2, "black": []}
+        del obj[field]
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            CauchonDiagram.from_json_obj(obj)
+
     def test_random_diagram_is_valid_and_seeded(self):
         r1 = random.Random(99)
         r2 = random.Random(99)

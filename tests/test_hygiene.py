@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
 every module-level private function or class is used somewhere in the
 package outside its own definition, every name the package exports is
-used by some module of the package, no module-level function or
+used by some module of the package, every public method is referenced by
+some module of the package, no module-level function or
 method is wrapped in a cache that grows for the life of the process, and
 every function the benchmark's tracer binds by name still exists.
 
@@ -11,6 +12,11 @@ are `from __future__` imports.  For private definitions and exports,
 references from the tests do not count: a helper that only a test calls
 belongs in the test.  `__init__.py`'s `__all__` must be exactly the names
 it imports, listed once each.
+
+A method is referenced by an attribute of its name outside its own
+definition.  The receiver narrows the class when it can: `self` and `cls`
+name the enclosing class, and a class of the package named directly names
+that class; any other receiver may be any class with that method.
 """
 
 import ast
@@ -23,7 +29,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tnncells"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
 # Exports no other module uses yet, each kept for a stated reason.
 EXPORT_EXCEPTIONS = {
@@ -33,6 +40,26 @@ EXPORT_EXCEPTIONS = {
     "matrix_bracket_table": "the standard Poisson structure on matrices, named in the README",
     "restore_step": "one step of the restoration algorithm, the per-layer unit of aim 1",
     "delete_step": "one step of deleting derivations, the per-layer unit of aim 1",
+}
+
+# Public methods no module references, each kept for a stated reason.
+METHOD_EXCEPTIONS = {
+    "LaurentPoly.partial": "the per-pair reference bracket of the tests; ROADMAP item 6",
+    "LaurentPoly.evaluate": "Laurent evaluation only the tests use; ROADMAP item 6",
+    "LaurentPoly.constant_value": "only the tests read a constant's value; ROADMAP item 6",
+    "LaurentPoly.is_monomial": "only the tests and the sympy oracle ask; ROADMAP item 6",
+    "VarRegistry.contains": "registry membership only the tests query; ROADMAP item 6",
+    "VarRegistry.gens": "every generator at once, the tests' way to name them; ROADMAP item 6",
+    "RestrictedPermutation.inverse": "the inverse permutation, checked by the tests only; "
+    "ROADMAP item 6",
+    "RestrictedPermutation.from_json_obj": "the reader of `to_json_obj`, which only a "
+    "test calls; ROADMAP item 6",
+    "MinorFamily.from_json_obj": "the reader of `to_json_obj`, which only a test calls; "
+    "ROADMAP item 6",
+    "MinorFamily.members": "the family as a frozenset, for the tests and API users; "
+    "ROADMAP item 6",
+    "PartialPermutation.rank": "the size of a partial permutation, read by the tests only; "
+    "ROADMAP item 6",
 }
 
 
@@ -69,7 +96,7 @@ def referenced_names(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
         annotations = []
         if isinstance(node, ast.arg):
             annotations.append(node.annotation)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        elif isinstance(node, FUNCTIONS):
             annotations.append(node.returns)
         elif isinstance(node, ast.AnnAssign):
             annotations.append(node.annotation)
@@ -132,6 +159,49 @@ def unused_exports(trees: dict[str, ast.Module], exports: list[str]) -> list[str
     return [name for name in exports if not any(used_in(name, t) for t in trees.values())]
 
 
+def attribute_references(trees: dict[str, ast.Module]) -> list[tuple]:
+    """(owner, name, method) of every attribute in the modules.  The
+    owner is the class the receiver names (see the module docstring), or
+    None; the method is the method definition it sits in, or None."""
+    classes = {n.name for t in trees.values() for n in t.body if isinstance(n, ast.ClassDef)}
+    refs = []
+
+    def visit(node: ast.AST, cls: str | None, method: ast.AST | None) -> None:
+        if isinstance(node, ast.Attribute):
+            base = node.value.id if isinstance(node.value, ast.Name) else None
+            owner = cls if base in ("self", "cls") else base if base in classes else None
+            refs.append((owner, node.attr, method))
+        for child in ast.iter_child_nodes(node):
+            if isinstance(node, ast.ClassDef):
+                visit(child, node.name, child if isinstance(child, FUNCTIONS) else None)
+            else:
+                visit(child, cls, method)
+
+    for tree in trees.values():
+        visit(tree, None, None)
+    return refs
+
+
+def unreferenced_methods(trees: dict[str, ast.Module]) -> list[str]:
+    """`Class.method` for every public method of a module-level class that
+    no attribute outside its own definition can reach."""
+    refs = attribute_references(trees)
+    out = []
+    for tree in trees.values():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, FUNCTIONS) or node.name.startswith("_"):
+                    continue
+                if not any(
+                    name == node.name and owner in (None, cls.name) and method is not node
+                    for owner, name, method in refs
+                ):
+                    out.append(f"{cls.name}.{node.name}")
+    return out
+
+
 def _is_unbounded_cache(decorator: ast.expr) -> bool:
     """`cache`, or `lru_cache` with `maxsize=None`, under any import form."""
     call = decorator if isinstance(decorator, ast.Call) else None
@@ -161,7 +231,7 @@ def unbounded_caches(tree: ast.Module) -> list[str]:
     return [
         prefix + node.name
         for prefix, node in functions
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if isinstance(node, FUNCTIONS)
         and any(_is_unbounded_cache(d) for d in node.decorator_list)
     ]
 
@@ -273,6 +343,34 @@ def test_detector_flags_an_unused_export():
     assert unused_exports(trees, exports) == ["planted", "public"]
     init = ast.parse("from .a import planted\n__all__ = ['planted', 'planted']\n")
     assert exported_names(init) == ["planted", "planted"]
+
+
+def test_every_public_method_is_referenced_in_the_package():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    unused = unreferenced_methods(trees)
+    extra = set(unused) - set(METHOD_EXCEPTIONS)
+    assert not extra, f"public methods no module references: {sorted(extra)}"
+    stale = set(METHOD_EXCEPTIONS) - set(unused)
+    assert not stale, f"exceptions no longer needed: {sorted(stale)}"
+
+
+def test_detector_flags_an_unreferenced_method():
+    trees = {
+        "a.py": ast.parse(
+            "class A:\n"
+            "    def recursive(self):\n        return self.recursive()\n\n"
+            "    def by_self(self):\n        pass\n\n"
+            "    def by_class(self):\n        pass\n\n"
+            "    def by_instance(self):\n        pass\n\n"
+            "    def shadowed(self):\n        pass\n\n"
+            "    def _private(self):\n        pass\n\n"
+            "    def __repr__(self):\n        return self.by_self()\n\n"
+            "class B:\n"
+            "    def shadowed(self):\n        return self.shadowed\n"
+        ),
+        "b.py": ast.parse("from .a import A\nA.by_class\nthing.by_instance()\nB.shadowed\n"),
+    }
+    assert unreferenced_methods(trees) == ["A.recursive", "A.shadowed"]
 
 
 TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"

@@ -299,7 +299,7 @@ class TestStepCertificate:
     """Weight certificates and reuse across steps against the oracle route,
     and plants that each must fall through to the full comparison."""
 
-    @pytest.mark.parametrize("m, p", [(2, 3), (3, 3)])
+    @pytest.mark.parametrize("m, p", [(2, 3), (3, 2), (3, 3), (2, 4)])
     def test_every_step_pair_matches_the_oracle(self, m, p):
         for C in enumerate_diagrams(m, p):
             reg, M = symbolic_cauchon_matrix(C)
@@ -308,18 +308,21 @@ class TestStepCertificate:
             assert_reports_match_oracle(C, reports, restore(M), cell_bracket_table(reg))
 
     def test_few_pairs_fall_through(self, monkeypatch):
-        # 74,520 step pairs at (3,3); certificates and reuse leave 3,398
-        calls = []
-        full = poisson.expected_step_bracket
+        # 74,520 step pairs at (3,3); carrying checks from label to label
+        # leaves 17,598 to examine, and certificates leave 3,398 of those
+        calls = {"expected_step_bracket": 0, "_certified": 0}
+        for name in calls:
+            full = getattr(poisson, name)
 
-        def counted(*args):
-            calls.append(args)
-            return full(*args)
+            def counted(*args, name=name, full=full):
+                calls[name] += 1
+                return full(*args)
 
-        monkeypatch.setattr(poisson, "expected_step_bracket", counted)
+            monkeypatch.setattr(poisson, name, counted)
         for C in enumerate_diagrams(3, 3):
             verify_all_step_brackets(C)
-        assert 0 < len(calls) <= 6000
+        assert 0 < calls["expected_step_bracket"] <= 6000
+        assert 0 < calls["_certified"] <= 17_598
 
     def test_a_wrong_weight_falls_through(self, monkeypatch):
         reg, M = symbolic_cauchon_matrix(ALL_WHITE_33)
@@ -377,6 +380,26 @@ class TestStepCertificate:
         monkeypatch.setattr(poisson, "restore", lambda X: planted)
         reports = verify_all_step_brackets(ALL_WHITE_33)
         assert [rep.ok for rep in reports] == [r != label for r in trace.labels]
+        assert_reports_match_oracle(
+            ALL_WHITE_33, reports, planted, cell_bracket_table(reg)
+        )
+
+    def test_a_pair_turning_crossed_is_checked_again(self, monkeypatch):
+        # Step (2,2) is planted as a no-op, so at label (2,3) the pair
+        # (1,1), (2,2) reads the same four objects as at (2,2); only its
+        # case changes, from zero to crossed, and its bracket stays 0
+        # against a nonzero crossed prediction.
+        reg, M = symbolic_cauchon_matrix(ALL_WHITE_33)
+        trace = restore(M)
+        k = trace.labels.index((2, 3))
+        assert trace.labels[k - 1] == (2, 2)
+        matrices = list(trace.matrices)
+        matrices[k] = matrices[k - 1]
+        planted = replace(trace, matrices=tuple(matrices))
+        monkeypatch.setattr(poisson, "restore", lambda X: planted)
+        reports = verify_all_step_brackets(ALL_WHITE_33)
+        assert reports[k - 1].ok
+        assert ((1, 1), (2, 2)) in {(c.first, c.second) for c in reports[k].failures}
         assert_reports_match_oracle(
             ALL_WHITE_33, reports, planted, cell_bracket_table(reg)
         )
