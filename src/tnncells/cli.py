@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--samples", type=int, default=20, help="sweeps per case (bruhat-cell)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--cap", type=int, default=None, help="symbolic cell-count cap override")
+    sp.add_argument("--cap", type=int, default=None, help="cell-count cap for every capped suite")
     sp.add_argument("--force", action="store_true")
 
     return parser

@@ -169,18 +169,8 @@ class RestrictedPermutation:
     def __call__(self, j: int) -> int:
         return self.w[j - 1]
 
-    def inverse(self) -> tuple[int, ...]:
-        inv = [0] * self.n
-        for j, v in enumerate(self.w, start=1):
-            inv[v - 1] = j
-        return tuple(inv)
-
     def to_json_obj(self) -> dict:
         return {"m": self.m, "p": self.p, "w": list(self.w)}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "RestrictedPermutation":
-        return cls(obj["m"], obj["p"], tuple(obj["w"]))
 
 
 def w_max(m: int, p: int) -> RestrictedPermutation:

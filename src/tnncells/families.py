@@ -62,10 +62,6 @@ class PartialPermutation:
             if not (1 <= c <= self.size_cols and 1 <= r <= self.size_rows):
                 raise ValueError(f"pair {(c, r)} out of range")
 
-    @property
-    def rank(self) -> int:
-        return len(self.assignment)
-
     def domain(self) -> tuple[int, ...]:
         return tuple(c for c, _ in self.assignment)
 

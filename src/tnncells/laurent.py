@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InexactDivisionError, RegistryMismatchError
 
@@ -125,9 +125,6 @@ class VarRegistry:
     def __len__(self) -> int:
         return len(self.positions)
 
-    def contains(self, i: int, a: int) -> bool:
-        return (i, a) in self._index
-
     def index(self, i: int, a: int) -> int:
         try:
             return self._index[(i, a)]
@@ -140,9 +137,6 @@ class VarRegistry:
 
     def zero(self) -> "LaurentPoly":
         return LaurentPoly._raw(self, {})
-
-    def one(self) -> "LaurentPoly":
-        return self.const(1)
 
     def const(self, value) -> "LaurentPoly":
         c = _canonical(Fraction(value))
@@ -157,9 +151,6 @@ class VarRegistry:
 
     def var(self, i: int, a: int) -> "LaurentPoly":
         return self.gen(self.index(i, a))
-
-    def gens(self) -> tuple["LaurentPoly", ...]:
-        return tuple(self.gen(k) for k in range(len(self.positions)))
 
 
 class LaurentPoly:
@@ -207,18 +198,6 @@ class LaurentPoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def constant_value(self) -> Fraction:
-        """The rational value of a constant polynomial."""
-        if not self.terms:
-            return _ZERO
-        ((e, c),) = self.terms.items()
-        if any(e):
-            raise ValueError(f"not a constant: {self}")
-        return Fraction(c)
 
     # -- ring operations -------------------------------------------------
 
@@ -287,27 +266,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.registry.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def inverse(self) -> "LaurentPoly":
-        """Inverse of a unit (a single-term polynomial)."""
-        if len(self.terms) != 1:
-            raise InexactDivisionError(f"not a unit in the Laurent ring: {self}")
-        ((e, c),) = self.terms.items()
-        return LaurentPoly._raw(self.registry, {tuple(-x for x in e): _quotient(1, c)})
-
     def __truediv__(self, other) -> "LaurentPoly":
         """Exact quotient; see :func:`laurent_div_exact`."""
         o = self._coerce(other)
@@ -336,24 +294,6 @@ class LaurentPoly:
         if _has_fraction(self.terms):
             _demote(out)
         return LaurentPoly._raw(self.registry, out)
-
-    def evaluate(self, values: Sequence) -> Fraction:
-        """Evaluate at rational values, one per registry variable.
-
-        Variables occurring with a negative exponent must get a nonzero
-        value.
-        """
-        vals = [Fraction(v) for v in values]
-        if len(vals) != len(self.registry):
-            raise ValueError("wrong number of values")
-        total = _ZERO
-        for e, c in self.terms.items():
-            term = c
-            for v, x in zip(vals, e):
-                if x:
-                    term *= v**x
-            total += term
-        return total
 
     # -- text form -------------------------------------------------------
 
@@ -443,6 +383,18 @@ _VAR_RE = re.compile(r"t\[(\d+),(\d+)\](?:\^(-?\d+))?$")
 _RAT_RE = re.compile(r"-?\d+(/\d+)?$")
 
 
+def parse_rational(text: str) -> Fraction:
+    """Read a literal ``num`` or ``num/den``; ValueError names a literal
+    that is not one or whose denominator is 0."""
+    s = text.strip()
+    if not _RAT_RE.match(s):
+        raise ValueError(f"not a rational literal: {text!r}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_laurent(text: str, registry: VarRegistry) -> LaurentPoly:
     """Parse the canonical text form.
 
@@ -477,7 +429,7 @@ def parse_laurent(text: str, registry: VarRegistry) -> LaurentPoly:
                 x = int(mvar.group(3)) if mvar.group(3) is not None else 1
                 e[registry.index(i, a)] += x
             elif _RAT_RE.match(factor):
-                coeff *= Fraction(factor)
+                coeff *= parse_rational(factor)
             else:
                 raise ValueError(f"unrecognized factor {factor!r} in {text!r}")
         key = tuple(e)

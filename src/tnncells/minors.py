@@ -128,10 +128,6 @@ class MinorFamily:
             mask |= 1 << bit
         return cls(m, p, mask)
 
-    @property
-    def members(self) -> frozenset[MinorId]:
-        return frozenset(self)
-
     def __iter__(self) -> Iterator[MinorId]:
         # the binary digits read backwards: the i-th selects the i-th id
         ids = linalg._laplace_plan(self.m, self.p)[0]
@@ -149,9 +145,19 @@ class MinorFamily:
 
     @classmethod
     def from_json_obj(cls, m: int, p: int, arr: list[dict]) -> "MinorFamily":
-        return cls.of(
-            m, p, (minor(item["rows"], item["cols"]) for item in arr)
-        )
+        """Read [{"rows": [...], "cols": [...]}, ...].  A missing field or a
+        malformed item raises ValueError naming it (a bool is not an index)."""
+        if not isinstance(arr, list):
+            raise ValueError(f"a family is a JSON list of minors, got {type(arr).__name__}")
+        for item in arr:
+            if not isinstance(item, dict):
+                raise ValueError(f"minor {item!r} is not a JSON object")
+            for name in ("rows", "cols"):
+                if name not in item:
+                    raise ValueError(f"a minor needs the field {name!r}")
+                if not (isinstance(item[name], list) and all(type(x) is int for x in item[name])):
+                    raise ValueError(f"{name} of minor {item!r} is not a list of integers")
+        return cls.of(m, p, (minor(item["rows"], item["cols"]) for item in arr))
 
 
 def _zeros_family(m: int, p: int, values: Iterable) -> MinorFamily:

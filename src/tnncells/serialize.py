@@ -10,37 +10,23 @@ from __future__ import annotations
 
 import csv
 import io
-import re
-from fractions import Fraction
 
-from .laurent import VarRegistry, parse_laurent
+from .laurent import VarRegistry, parse_laurent, parse_rational
 from .linalg import Matrix, as_matrix
 
-_RATIONAL_RE = re.compile(r"-?\d+(/\d+)?$")
 
-
-def parse_rational(text: str) -> Fraction:
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
-        raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(s)
-
-
-def parse_matrix_csv(text: str, registry: VarRegistry | None = None) -> Matrix:
+def parse_matrix_csv(text: str) -> Matrix:
     """Parse a matrix from CSV.
 
     If any cell mentions a variable the whole matrix is read symbolically,
-    against `registry` when given and otherwise against the full grid
-    registry of the matrix's own shape.
+    against the full grid registry of the matrix's own shape.
     """
     cells = [row for row in csv.reader(io.StringIO(text)) if row]
     if not cells:
         raise ValueError("empty matrix")
-    symbolic = registry is not None or any("t[" in c for row in cells for c in row)
-    if not symbolic:
+    if not any("t[" in c for row in cells for c in row):
         return as_matrix([[parse_rational(c) for c in row] for row in cells])
-    if registry is None:
-        registry = VarRegistry.grid(len(cells), len(cells[0]))
+    registry = VarRegistry.grid(len(cells), len(cells[0]))
     return as_matrix([[parse_laurent(c, registry) for c in row] for row in cells])
 
 

@@ -265,17 +265,12 @@ def deletion_suite(m: int, p: int, n: int = 100, seed: int = 0) -> SuiteReport:
 # -- Poisson ------------------------------------------------------------------
 
 
-def random_laurent(
-    registry: VarRegistry,
-    rng: random.Random,
-    max_terms: int = 3,
-    max_exp: int = 2,
-    max_coeff: int = 9,
-) -> LaurentPoly:
+def random_laurent(registry: VarRegistry, rng: random.Random) -> LaurentPoly:
+    """1 to 3 terms, exponents in [-2, 2], integer coefficients in [-9, 9]."""
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        e = tuple(rng.randint(-max_exp, max_exp) for _ in range(len(registry)))
-        c = Fraction(rng.randint(-max_coeff, max_coeff))
+    for _ in range(rng.randint(1, 3)):
+        e = tuple(rng.randint(-2, 2) for _ in range(len(registry)))
+        c = Fraction(rng.randint(-9, 9))
         terms[e] = terms.get(e, 0) + c
     return LaurentPoly(registry, terms)
 

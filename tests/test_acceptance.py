@@ -77,7 +77,7 @@ def test_criterion_02_perm_family_worked_examples():
         union = {
             mid for mid in all_minor_ids(4, 4) if mid.cols in cols or mid.rows in rows
         }
-        assert set(family_of_perm(w44).members) == union
+        assert set(family_of_perm(w44)) == union
 
     timed(1, check)
 
@@ -91,7 +91,7 @@ def test_criterion_03_diagram_family_end_to_end():
             "[2,3|1,3]", "[2,3|2,3]", "[1,2,3|1,2,3]",
         }
         w = RestrictedPermutation(3, 3, (1, 4, 3, 2, 6, 5))
-        assert family_of_perm(w).members == fam.members
+        assert family_of_perm(w) == fam
 
     timed(1, check)
 
@@ -106,14 +106,14 @@ def test_criterion_04_counting_identities():
 def test_criterion_05_family_bijection_at_desk_scale():
     for m, p, budget in ((2, 2, 10), (2, 3, 20), (3, 3, 120)):
         descs = timed(budget, match_families, m, p)
-        fams = [frozenset(d.family.members) for d in descs]
+        fams = [frozenset(d.family) for d in descs]
         assert len(set(fams)) == len(descs)  # pairwise distinct
         assert all(d.matched_perm is not None for d in descs)
         perms = {d.matched_perm for d in descs}
         diagrams = {d.diagram for d in descs}
         assert len(perms) == len(diagrams) == len(descs)  # a bijection
         for d in descs:
-            assert family_of_perm(d.matched_perm).members == d.family.members
+            assert family_of_perm(d.matched_perm) == d.family
 
 
 def test_criterion_06_containment_matches_bruhat_order():

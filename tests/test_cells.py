@@ -185,13 +185,13 @@ class TestFamilyOfDiagram:
 
     def test_matches_perm_family(self):
         w = RestrictedPermutation(3, 3, (1, 4, 3, 2, 6, 5))
-        assert family_of_perm(w).members == family_of_diagram(FIG_DIAGRAM).members
+        assert family_of_perm(w) == family_of_diagram(FIG_DIAGRAM)
 
     def test_four_by_four_worked_cell(self):
         C = CauchonDiagram.from_black(4, 4, ((1, 2), (2, 1), (2, 2)))
         fam = family_of_diagram(C)
         assert texts(fam) == NBAR_FAMILY
-        assert fam.members == vanishing_family(NBAR).members
+        assert fam == vanishing_family(NBAR)
 
 
 class TestRandomCauchonMatrix:
@@ -216,7 +216,7 @@ class TestRandomCauchonMatrix:
         for seed in range(4):
             X = random_cauchon_matrix(FIG_DIAGRAM, seed)
             fam = vanishing_family(restore(X).final)
-            assert fam.members == family_of_diagram(FIG_DIAGRAM).members
+            assert fam == family_of_diagram(FIG_DIAGRAM)
 
 
 class TestClassify:
@@ -234,7 +234,7 @@ class TestClassify:
     def test_find_perm(self):
         desc = classify(NBAR, find_perm=True)
         assert desc.matched_perm is not None
-        assert family_of_perm(desc.matched_perm).members == desc.family.members
+        assert family_of_perm(desc.matched_perm) == desc.family
 
     def test_rejects_negative_input(self):
         with pytest.raises(NotTotallyNonnegativeError) as exc:
@@ -244,19 +244,19 @@ class TestClassify:
 
     def test_scaling_keeps_the_cell(self):
         scaled = tuple(tuple(Fraction(3, 7) * x for x in row) for row in NBAR)
-        assert classify(scaled).family.members == classify(NBAR).family.members
+        assert classify(scaled).family == classify(NBAR).family
 
 
 class TestMatchFamilies:
     def test_two_by_two_catalogue(self):
         descs = match_families(2, 2)
         assert len(descs) == 14
-        fams = [frozenset(d.family.members) for d in descs]
+        fams = [frozenset(d.family) for d in descs]
         assert len(set(fams)) == 14  # pairwise distinct
         for d in descs:
             assert d.matched_perm is not None
-            assert family_of_perm(d.matched_perm).members == d.family.members
-            assert family_of_diagram(d.diagram).members == d.family.members
+            assert family_of_perm(d.matched_perm) == d.family
+            assert family_of_diagram(d.diagram) == d.family
 
     def test_every_diagram_appears_once(self):
         descs = match_families(2, 2)
@@ -297,7 +297,7 @@ class TestPermOfDiagram:
         )
         # every pipe turns at its first cell: the identity, with no minor vanishing
         assert perm_of_diagram(all_white).w == tuple(range(1, m + p + 1))
-        assert len(family_of_diagram(all_white).members) == 0
+        assert len(family_of_diagram(all_white)) == 0
         # every pipe runs straight through: w_max, the zero matrix's cell
         assert perm_of_diagram(all_black) == w_max(m, p)
 

@@ -194,6 +194,22 @@ class TestTraces:
         )
 
 
+class TestZeroDenominators:
+    @pytest.mark.parametrize(
+        "command, csv, literal",
+        [
+            ("tnn-check", "1/0,1\n", "1/0"),
+            ("classify", "0/0\n", "0/0"),
+            ("restore", '"1/0 * t[1,1]"\n', "1/0"),
+        ],
+    )
+    def test_zero_denominator_is_a_usage_error(self, capsys, monkeypatch, command, csv, literal):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(csv))
+        code, out, err = run(capsys, command, "--matrix", "-")
+        assert (code, out) == (2, "")
+        assert err == f"bad --matrix: zero denominator in {literal!r}\n"
+
+
 class TestTnnCheck:
     def test_witness_report(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("0,1\n1,0\n"))

@@ -3,8 +3,9 @@ every module-level private function or class is used somewhere in the
 package outside its own definition, every name the package exports is
 used by some module of the package, every public method is referenced by
 some module of the package, no module-level function or
-method is wrapped in a cache that grows for the life of the process, and
-every function the benchmark's tracer binds by name still exists.
+method is wrapped in a cache that grows for the life of the process,
+every function and method the benchmark's tracer binds by name still
+exists, and the README's Library example runs.
 
 Stdlib only (`ast`), so it runs wherever the suite does.  For imports,
 `__init__.py` is exempt (its imports are the package's re-exports), and so
@@ -44,22 +45,10 @@ EXPORT_EXCEPTIONS = {
 
 # Public methods no module references, each kept for a stated reason.
 METHOD_EXCEPTIONS = {
-    "LaurentPoly.partial": "the per-pair reference bracket of the tests; ROADMAP item 6",
-    "LaurentPoly.evaluate": "Laurent evaluation only the tests use; ROADMAP item 6",
-    "LaurentPoly.constant_value": "only the tests read a constant's value; ROADMAP item 6",
-    "LaurentPoly.is_monomial": "only the tests and the sympy oracle ask; ROADMAP item 6",
-    "VarRegistry.contains": "registry membership only the tests query; ROADMAP item 6",
-    "VarRegistry.gens": "every generator at once, the tests' way to name them; ROADMAP item 6",
-    "RestrictedPermutation.inverse": "the inverse permutation, checked by the tests only; "
-    "ROADMAP item 6",
-    "RestrictedPermutation.from_json_obj": "the reader of `to_json_obj`, which only a "
-    "test calls; ROADMAP item 6",
-    "MinorFamily.from_json_obj": "the reader of `to_json_obj`, which only a test calls; "
-    "ROADMAP item 6",
-    "MinorFamily.members": "the family as a frozenset, for the tests and API users; "
-    "ROADMAP item 6",
-    "PartialPermutation.rank": "the size of a partial permutation, read by the tests only; "
-    "ROADMAP item 6",
+    "LaurentPoly.partial": "the benchmark's tracer binds it by name (`METHODS` in "
+    "perfbench/tracing.py); it moves into the tests when that binding goes, ROADMAP item 1",
+    "MinorFamily.from_json_obj": "the only caller in the package of `MinorFamily.of`, "
+    "which the tests use to write out expected families",
 }
 
 
@@ -377,8 +366,9 @@ TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"
 
 
 def traced_bindings(tree: ast.Module, table: str) -> list[tuple[str, str]]:
-    """(module, function) of every entry of the tracer's literal list
-    `table`; its third field may be any expression."""
+    """The first two fields of every entry of the tracer's literal list
+    `table`: (module, function), or (method, metric) in `METHODS`.  A third
+    field may be any expression."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == table for t in node.targets
@@ -387,12 +377,17 @@ def traced_bindings(tree: ast.Module, table: str) -> list[tuple[str, str]]:
     raise LookupError(f"no list {table}")
 
 
-@pytest.mark.parametrize("table", ["FUNCTIONS", "GENERATORS"])
+@pytest.mark.parametrize("table", ["FUNCTIONS", "GENERATORS", "METHODS"])
 def test_traced_names_resolve(table):
     # the benchmark's tracer binds these by name; parsed, not imported, so
     # the check needs nothing from the benchmark's own imports
     bindings = traced_bindings(ast.parse(TRACING.read_text(), filename=str(TRACING)), table)
     assert bindings
+    if table == "METHODS":
+        laurent_poly = importlib.import_module("tnncells.laurent").LaurentPoly
+        for name, _ in bindings:
+            assert callable(getattr(laurent_poly, name, None)), f"LaurentPoly.{name} is gone"
+        return
     for module, name in bindings:
         fn = getattr(importlib.import_module(f"tnncells.{module}"), name, None)
         assert callable(fn), f"tnncells.{module}.{name} is gone"
@@ -403,3 +398,18 @@ def test_traced_names_resolve(table):
 def test_detector_reads_traced_bindings():
     tree = ast.parse("F = [('linalg', 'all_minors', _lane('x')), ('cells', 'is_tnn', 'y')]\n")
     assert traced_bindings(tree, "F") == [("linalg", "all_minors"), ("cells", "is_tnn")]
+    tree = ast.parse("M = [('__mul__', 'laurent.mul'), ('partial', 'laurent.partial')]\n")
+    assert traced_bindings(tree, "M") == [
+        ("__mul__", "laurent.mul"),
+        ("partial", "laurent.partial"),
+    ]
+
+
+README = PACKAGE.parent.parent / "README.md"
+
+
+def test_readme_library_example_runs():
+    # the first python block under "## Library", run as a reader would run it
+    section = README.read_text().split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, f"{README.name} (Library)", "exec"), {})

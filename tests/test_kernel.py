@@ -11,18 +11,18 @@ from tnncells.laurent import _term_map_mul
 from tnncells.linalg import _all_minors, _det_bareiss
 
 R = VarRegistry.grid(2, 2)
-T11, T12, T21, T22 = R.gens()
+T11, T12, T21, T22 = (R.gen(k) for k in range(4))
 # zero, units, and multi-term entries, so that Laurent rows need row swaps,
 # skip zero terms and divide by multi-term Bareiss pivots
 LAURENT_POOL = (
     R.zero(),
     R.zero(),
-    R.one(),
+    R.const(1),
     -2 * T11,
-    T12 * T21**-1,
+    T12 / T21,
     T11 + T22,
     T12 - Fraction(1, 2) * T21,
-    T11 * T22 - 3 * T12**-1,
+    T11 * T22 - R.const(3) / T12,
 )
 
 
@@ -101,7 +101,7 @@ class TestLaurentLane:
                 assert d == _det_leibniz(rows)
 
     def test_empty_det_is_one(self):
-        assert _det_laurent([]) == R.one()
+        assert _det_laurent([]) == R.const(1)
 
     def test_det_needs_row_swap(self):
         z = R.zero()

@@ -14,7 +14,7 @@ from tnncells import (
 )
 
 R = VarRegistry.grid(2, 2)
-T11, T12, T21, T22 = R.gens()
+T11, T12, T21, T22 = (R.gen(k) for k in range(4))
 
 
 def poly(terms: dict) -> LaurentPoly:
@@ -25,9 +25,6 @@ coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 exponents = st.tuples(*[st.integers(min_value=-3, max_value=3)] * 4)
 polys = st.dictionaries(exponents, coeffs, max_size=5).map(lambda d: LaurentPoly(R, d))
 nonzero_polys = polys.filter(bool)
-monomials = st.tuples(exponents, coeffs.filter(bool)).map(
-    lambda t: LaurentPoly(R, {t[0]: t[1]})
-)
 
 
 class TestRegistry:
@@ -41,7 +38,6 @@ class TestRegistry:
     def test_grid_skip(self):
         reg = VarRegistry.grid(2, 2, skip=[(1, 1)])
         assert len(reg) == 3
-        assert not reg.contains(1, 1)
         with pytest.raises(ValueError):
             reg.index(1, 1)
 
@@ -64,9 +60,9 @@ class TestArithmetic:
     def test_zero_and_one(self):
         assert R.zero().is_zero
         assert not R.zero()
-        assert R.one().constant_value() == 1
+        assert R.const(1) == 1
         assert T11 + (-T11) == R.zero()
-        assert T11 * R.one() == T11
+        assert T11 * R.const(1) == T11
         assert T11 * R.zero() == R.zero()
 
     def test_small_golden(self):
@@ -86,20 +82,14 @@ class TestArithmetic:
         assert a - a == R.zero()
         assert -(-a) == a
 
-    def test_pow(self):
-        assert T11**0 == R.one()
-        assert T11**3 == T11 * T11 * T11
-        f = T11 + T21
-        assert f**4 == f * f * f * f
-        assert T12**-2 == T12.inverse() * T12.inverse()
-
     def test_pow_negative_needs_monomial(self):
+        # only a monomial is a unit of the Laurent ring
         with pytest.raises(InexactDivisionError):
-            (T11 + T12) ** -1
+            R.const(1) / (T11 + T12)
 
     def test_inverse_monomial(self):
-        m = Fraction(3, 5) * T11 * T22**-2
-        assert m * m.inverse() == R.one()
+        m = poly({(1, 0, 0, -2): Fraction(3, 5)})
+        assert m * (R.const(1) / m) == R.const(1)
 
     def test_scalar_coercion(self):
         assert 2 * T11 == T11 + T11
@@ -122,12 +112,12 @@ class TestDivision:
     def test_monomial_division_is_exact(self):
         # dividing by a nonzero monomial always succeeds in the Laurent ring
         q = laurent_div_exact(T12, T11)
-        assert q == T11**-1 * T12
+        assert q == poly({(-1, 1, 0, 0): 1})
         assert str(q) == "1 * t[1,1]^-1 * t[1,2]^1"
 
     def test_polynomial_division(self):
-        a = (T11 + T12) * (T21 + T22) * T11**-3
-        assert laurent_div_exact(a, T21 + T22) == (T11 + T12) * T11**-3
+        a = (T11 + T12) * (T21 + T22) * poly({(-3, 0, 0, 0): 1})
+        assert laurent_div_exact(a, T21 + T22) == poly({(-2, 0, 0, 0): 1, (-3, 1, 0, 0): 1})
 
     @given(polys, nonzero_polys)
     def test_roundtrip(self, a, b):
@@ -150,13 +140,13 @@ class TestDivision:
 class TestPartials:
     def test_generator_partial(self):
         k = R.index(1, 1)
-        assert T11.partial(k) == R.one()
+        assert T11.partial(k) == R.const(1)
         assert T12.partial(k) == R.zero()
 
     def test_negative_exponent(self):
         k = R.index(1, 1)
-        f = T11**-1
-        assert f.partial(k) == -(T11**-2)
+        f = poly({(-1, 0, 0, 0): 1})
+        assert f.partial(k) == poly({(-2, 0, 0, 0): -1})
 
     @given(polys, polys)
     def test_product_rule(self, f, g):
@@ -166,22 +156,12 @@ class TestPartials:
 
 
 class TestEvaluateAndText:
-    def test_evaluate(self):
-        f = T11 * T22 - T12 * T21
-        assert f.evaluate([2, 3, 5, 7]) == 2 * 7 - 3 * 5
-
-    def test_evaluate_negative_exponents(self):
-        f = T11**-2
-        assert f.evaluate([Fraction(1, 2), 1, 1, 1]) == 4
-        with pytest.raises(ZeroDivisionError):
-            f.evaluate([0, 1, 1, 1])
-
     def test_str_canonical_order(self):
         f = T22 + T11  # lex-descending on exponent vectors: t[1,1] first
         assert str(f) == "1 * t[1,1]^1 + 1 * t[2,2]^1"
         assert str(R.zero()) == "0"
         assert str(R.const(Fraction(-3, 4))) == "-3/4"
-        assert str(T11**-1 * T12 * T21) == "1 * t[1,1]^-1 * t[1,2]^1 * t[2,1]^1"
+        assert str(poly({(-1, 1, 1, 0): 1})) == "1 * t[1,1]^-1 * t[1,2]^1 * t[2,1]^1"
 
     @given(polys)
     def test_parse_str_roundtrip(self, f):
@@ -190,7 +170,7 @@ class TestEvaluateAndText:
     def test_parse_forms(self):
         assert parse_laurent("t[1,1]", R) == T11
         assert parse_laurent("-t[1,1]", R) == -T11
-        assert parse_laurent("2 * t[1,2]^2 * t[2,1]^-1", R) == 2 * T12**2 * T21**-1
+        assert parse_laurent("2 * t[1,2]^2 * t[2,1]^-1", R) == poly({(0, 2, -1, 0): 2})
         assert parse_laurent("t[1,1] - t[1,2]", R) == T11 - T12
         assert parse_laurent("3/4", R) == R.const(Fraction(3, 4))
 
@@ -202,11 +182,8 @@ class TestEvaluateAndText:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_laurent("t[1,1] & t[1,2]", R)
-
-    @given(monomials)
-    def test_monomial_flag(self, f):
-        assert f.is_monomial()
-        assert not (f + 1 + T11 + T12).is_zero
+        with pytest.raises(ValueError, match="zero denominator in '0/0'"):
+            parse_laurent("t[1,1] + 0/0", R)
 
 
 def assert_int_while_integral(f: LaurentPoly) -> None:
@@ -229,7 +206,7 @@ class TestTrueDivision:
 
     def test_monomial_divisor(self):
         q = T12 / T11
-        assert q == T11**-1 * T12
+        assert q == poly({(-1, 1, 0, 0): 1})
         assert str(q) == "1 * t[1,1]^-1 * t[1,2]^1"
         assert_int_while_integral(q)
         assert (6 * T11 * T12) / (3 * T11) == 2 * T12
@@ -238,7 +215,13 @@ class TestTrueDivision:
 
     def test_multi_term_divisor(self):
         b = T21 + HALF * T22
-        for a in ((T11 + T12) * T11**-3, 2 * T12 - T11 * T22**-1, R.one()):
+        # (T11 + T12) * T11^-3, 2 * T12 - T11 * T22^-1 and 1
+        cases = (
+            poly({(-2, 0, 0, 0): 1, (-3, 1, 0, 0): 1}),
+            poly({(0, 1, 0, 0): 2, (1, 0, 0, -1): -1}),
+            R.const(1),
+        )
+        for a in cases:
             q = (a * b) / b
             assert q == a
             assert_int_while_integral(q)
@@ -309,27 +292,28 @@ class TestCoefficientForm:
 
     def test_partial(self):
         k = R.index(1, 1)
-        f = (HALF * T11**2 + Fraction(1, 3) * T11**3 * T12).partial(k)
-        assert f == T11 + T11**2 * T12
+        f = poly({(2, 0, 0, 0): HALF, (3, 1, 0, 0): Fraction(1, 3)}).partial(k)
+        assert f == T11 + T11 * T11 * T12
         assert_int_while_integral(f)
-        assert_int_while_integral((Fraction(1, 3) * T11**2).partial(k))
+        assert_int_while_integral(poly({(2, 0, 0, 0): Fraction(1, 3)}).partial(k))
 
     def test_pow_and_inverse(self):
-        assert (HALF * T11).inverse().terms == {(-1, 0, 0, 0): 2}
-        assert (-T11).inverse().terms == {(-1, 0, 0, 0): -1}
-        assert (2 * T11).inverse().terms == {(-1, 0, 0, 0): HALF}
+        one = R.const(1)
+        assert (one / (HALF * T11)).terms == {(-1, 0, 0, 0): 2}
+        assert (one / -T11).terms == {(-1, 0, 0, 0): -1}
+        assert (one / (2 * T11)).terms == {(-1, 0, 0, 0): HALF}
         for f in (
-            (HALF * T11) ** -1,
-            (2 * T11) ** -2,
-            (HALF * T11 + HALF * T12) ** 2,
-            (2 * T11 * T22**-1) ** 3,
+            one / (HALF * T11),
+            one / (4 * T11 * T11),
+            (HALF * T11 + HALF * T12) * (HALF * T11 + HALF * T12),
+            poly({(3, 0, 0, -3): 8}),
         ):
             assert_int_while_integral(f)
 
     def test_exact_division(self):
         cases = [
             (6 * T11 * T12, 3 * T11, 2 * T12),
-            (T11, 2 * T12, HALF * T11 * T12**-1),
+            (T11, 2 * T12, poly({(1, -1, 0, 0): HALF})),
             (HALF * T11 + HALF * T12, T11 + T12, R.const(HALF)),
             (2 * T11 + 2 * T12, HALF * T11 + HALF * T12, R.const(4)),
             ((2 * T11 + 2 * T12) * (T11 - T22), Fraction(2, 3) * (T11 + T12), 3 * (T11 - T22)),
@@ -356,10 +340,6 @@ class TestCoefficientForm:
         assert parse_laurent("1/2 * t[1,1] + 1/2 * t[1,1]", R).terms == {(1, 0, 0, 0): 1}
 
     def test_rational_results_and_text_are_unchanged(self):
-        assert type(R.const(3).constant_value()) is Fraction
-        assert type(R.zero().constant_value()) is Fraction
-        assert type(R.const(2).evaluate([1, 1, 1, 1])) is Fraction
-        assert type((T11 * T12).evaluate([2, 3, 1, 1])) is Fraction
         assert str(R.const(Fraction(3))) == str(R.const(3)) == "3"
         assert (3 * T11).terms == {(1, 0, 0, 0): Fraction(3)}
         assert hash(Fraction(3)) == hash(3)
@@ -368,7 +348,5 @@ class TestCoefficientForm:
     def test_every_operation_keeps_the_form(self, a, b):
         results = [a * b, a + b, a - b, -a, a * HALF, laurent_div_exact(a * b, b)]
         results += [a.partial(k) for k in range(4)]
-        if b.is_monomial():
-            results += [b.inverse(), b**-2]
         for f in results:
             assert_int_while_integral(f)

@@ -69,6 +69,23 @@ class TestMinorFamily:
         ]
         assert MinorFamily.from_json_obj(2, 2, json.loads(json.dumps(obj))) == fam
 
+    @pytest.mark.parametrize(
+        "arr, message",
+        [
+            ([{}], "a minor needs the field 'rows'"),
+            ([{"rows": [1]}], "a minor needs the field 'cols'"),
+            ({"rows": [1], "cols": [1]}, "a family is a JSON list of minors, got dict"),
+            ([[1, 1]], r"minor \[1, 1\] is not a JSON object"),
+            ([{"rows": 1, "cols": [1]}], "rows of minor .* is not a list of integers"),
+            ([{"rows": [1], "cols": [True]}], "cols of minor .* is not a list of integers"),
+            ([{"rows": [1, 2], "cols": [1]}], "equal nonzero numbers"),
+            ([{"rows": [3], "cols": [1]}], r"minor \[3\|1\] outside the 2x2 grid"),
+        ],
+    )
+    def test_json_errors_are_value_errors_naming_the_fault(self, arr, message):
+        with pytest.raises(ValueError, match=message):
+            MinorFamily.from_json_obj(2, 2, arr)
+
     def test_membership_iteration(self):
         fam = MinorFamily.of(2, 2, [minor((1,), (2,)), minor((2,), (1,))])
         assert minor((1,), (2,)) in fam
@@ -83,8 +100,8 @@ class TestMinorFamily:
     def test_subset(self):
         small = MinorFamily.of(2, 2, [minor((1,), (2,))])
         big = MinorFamily.of(2, 2, [minor((1,), (2,)), minor((2,), (1,))])
-        assert small.members <= big.members
-        assert not big.members <= small.members
+        assert frozenset(small) <= frozenset(big)
+        assert not frozenset(big) <= frozenset(small)
         assert not small.mask & ~big.mask
         assert big.mask & ~small.mask
 
@@ -124,7 +141,7 @@ class TestMinorFamilyProperties:
     @given(grid_and_ids())
     def test_members_are_the_ids(self, case):
         m, p, ids = case
-        assert MinorFamily.of(m, p, ids).members == frozenset(ids)
+        assert frozenset(MinorFamily.of(m, p, ids)) == frozenset(ids)
 
     @given(grid_and_ids())
     def test_iteration_is_by_size_rows_then_columns(self, case):
@@ -191,4 +208,4 @@ class TestEvaluation:
         M = as_matrix([[1] * 3] * 3)
         fam = vanishing_family(M)
         expected = {mid for mid in all_minor_ids(3, 3) if len(mid.rows) >= 2}
-        assert set(fam.members) == expected
+        assert set(fam) == expected

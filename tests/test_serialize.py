@@ -7,7 +7,6 @@ from conftest import rand_matrix
 
 from tnncells import (
     CauchonDiagram,
-    VarRegistry,
     format_matrix_csv,
     format_trace,
     parse_matrix_csv,
@@ -25,7 +24,7 @@ class TestRational:
     def test_parse(self, text, value):
         assert parse_rational(text) == value
 
-    @pytest.mark.parametrize("bad", ["", "1.5", "2/", "/3", "1/2/3", "x", "1e3"])
+    @pytest.mark.parametrize("bad", ["", "1.5", "2/", "/3", "1/2/3", "x", "1e3", "1/0", "0/0"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
@@ -53,12 +52,6 @@ class TestMatrixCsv:
         text = format_matrix_csv(Y)
         assert '"' in text  # symbolic cells contain commas
         assert parse_matrix_csv(text) == Y
-
-    def test_symbolic_with_explicit_registry(self):
-        # cells holding commas need CSV quoting on the way in too
-        reg = VarRegistry.grid(2, 2, skip=((1, 2),))
-        M = parse_matrix_csv('"t[1,1]",0\n1,"t[2,2]"\n', registry=reg)
-        assert M[0][1].is_zero and M[0][0] == reg.var(1, 1)
 
     def test_variable_mention_switches_to_symbolic(self):
         M = parse_matrix_csv('"t[1,1]",2\n3,4\n')
