@@ -27,7 +27,6 @@ from .combinat import (
     enumerate_diagrams,
     enumerate_restricted_perms,
     index_set_leq,
-    is_cauchon,
     perm_of_diagram,
     random_diagram,
     w_max,
@@ -127,7 +126,6 @@ __all__ = [
     "format_matrix_csv",
     "format_trace",
     "index_set_leq",
-    "is_cauchon",
     "is_cauchon_matrix",
     "is_tnn",
     "laurent_div_exact",

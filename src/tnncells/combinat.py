@@ -26,17 +26,20 @@ def _check_grid(m: int, p: int) -> None:
 
 
 def _mask_is_cauchon(m: int, p: int, mask: int) -> bool:
-    for i in range(1, m + 1):
-        row = (mask >> ((i - 1) * p)) & ((1 << p) - 1)
-        for a in range(1, p + 1):
-            if not row >> (a - 1) & 1:
-                continue
-            left_full = row & ((1 << (a - 1)) - 1) == (1 << (a - 1)) - 1
-            if left_full:
-                continue
-            above_full = all(mask >> ((k - 1) * p + a - 1) & 1 for k in range(1, i))
-            if not above_full:
-                return False
+    """The left-or-above test on a row-major mask, a row at a time.
+
+    In a row, the black cells with every cell to their left black are its
+    trailing run of set bits, ``row ^ (row + 1)`` (plus the first clear
+    bit, which is white); `above` holds the columns black in every earlier
+    row.  A black cell outside both fails.
+    """
+    width = (1 << p) - 1
+    above = width
+    for shift in range(0, m * p, p):
+        row = mask >> shift & width
+        if row & ~((row ^ (row + 1)) | above):
+            return False
+        above &= row
     return True
 
 
@@ -115,11 +118,6 @@ class CauchonDiagram:
         return cls.from_black(m, p, [tuple(c) for c in black])
 
 
-def is_cauchon(m: int, p: int, black: Iterable[tuple[int, int]]) -> bool:
-    """Does this black set satisfy the left-or-above diagram condition?"""
-    return _mask_is_cauchon(m, p, _black_mask(m, p, black))
-
-
 def enumerate_diagrams(m: int, p: int) -> Iterator[CauchonDiagram]:
     """All m x p diagrams, ascending by row-major bitmask."""
     _check_grid(m, p)
@@ -165,9 +163,6 @@ class RestrictedPermutation:
     @property
     def n(self) -> int:
         return self.m + self.p
-
-    def __call__(self, j: int) -> int:
-        return self.w[j - 1]
 
     def to_json_obj(self) -> dict:
         return {"m": self.m, "p": self.p, "w": list(self.w)}

@@ -53,8 +53,9 @@ class MinorId(NamedTuple):
 def as_matrix(rows: Sequence[Sequence]) -> Matrix:
     """Validate and freeze a rectangular matrix, coercing scalar entries.
 
-    int entries become Fraction; if any entry is a LaurentPoly, every
-    scalar entry is lifted into its registry.
+    Fraction entries are kept as they are and other scalars become
+    Fraction; if any entry is a LaurentPoly, every scalar entry is lifted
+    into its registry.
     """
     data = [list(r) for r in rows]
     if not data or not data[0]:
@@ -79,7 +80,7 @@ def as_matrix(rows: Sequence[Sequence]) -> Matrix:
             elif registry is not None:
                 row.append(registry.const(x))
             else:
-                row.append(Fraction(x))
+                row.append(x if type(x) is Fraction else Fraction(x))
         out.append(tuple(row))
     return tuple(out)
 
@@ -112,10 +113,8 @@ def _scaled_int_rows(M: Matrix) -> tuple[list[list[int]], list[int]]:
     """Clear denominators row by row; returns (int rows, positive scales)."""
     ints, scales = [], []
     for row in M:
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-        ints.append([int(x.numerator * (scale // x.denominator)) for x in row])
+        scale = math.lcm(*[x.denominator for x in row])
+        ints.append([x.numerator * (scale // x.denominator) for x in row])
         scales.append(scale)
     return ints, scales
 

@@ -6,7 +6,14 @@ is the state *before* that step runs.  One step engine serves both
 directions - they differ in a sign and in traversal order - and every entry
 domain: the correction is ``div(X[i][b] * X[j][a], pivot)``, where ``div``
 is the domain's exact division, passed in as `linalg._det_bareiss` takes
-it.  The public entry points validate their matrix once with
+it.  A step writes only the entries whose correction is nonzero: a row
+with a zero multiplier X[i][b] keeps its row tuple, an entry with a zero
+pivot-row factor X[j][a] keeps its object, and a step that writes nothing
+(a zero pivot among them) returns its input matrix itself, so the
+h-invariance check, the deletion suite and the step-bracket checks can
+skip what a step left alone.  A Fraction pivot takes a rational kernel
+that builds each written entry as one normalised ``Fraction(n, d)``.
+The public entry points validate their matrix once with
 :func:`~tnncells.linalg.as_matrix` (int entries become Fraction) and pass
 ``operator.truediv``: exact on rationals and exact Laurent division on
 Laurent polynomials, so a non-exact pivot division can never pass
@@ -19,11 +26,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterator
 
-from .combinat import CauchonDiagram, is_cauchon
-from .linalg import Matrix, _scaled_minors, as_matrix, dims
-from .minors import MinorId
+from .combinat import CauchonDiagram, _mask_is_cauchon
+from .linalg import Matrix, _laplace_plan, _scaled_minors, as_matrix, dims
+from .minors import MinorId, _zeros_family
 
 Step = tuple[int, int]
 
@@ -43,7 +52,15 @@ def step_sequence(m: int, p: int) -> list[Step]:
 
 
 def _apply_step(X: Matrix, r: Step, direction: int, div: Callable) -> Matrix:
-    """One step on a validated matrix; `div` is its entries' exact division."""
+    """One step on a validated matrix; `div` is its entries' exact division.
+
+    Only entries with a nonzero correction are written (see the module
+    docstring).  A Fraction pivot forms xib/pivot once per row as an
+    unreduced integer pair, so each written entry costs one normalisation,
+    in `Fraction(n, d)`.  Any other pivot (int, Laurent) takes
+    ``div(xib * X[j][a], pivot)``, the exact form where xib/pivot need not
+    lie in the domain.
+    """
     m, p = dims(X)
     j, b = r
     if not (1 <= j <= m and 1 <= b <= p) or r == (1, 1):
@@ -52,15 +69,34 @@ def _apply_step(X: Matrix, r: Step, direction: int, div: Callable) -> Matrix:
     if not pivot:
         return X
     pivot_row = X[j - 1]
-    rows = list(X)
+    cols = [a for a in range(b - 1) if pivot_row[a]]
+    if not cols:
+        return X
+    rational = type(pivot) is Fraction
+    if rational:
+        factors = [(a, pivot_row[a].numerator, pivot_row[a].denominator) for a in cols]
+    rows = None
     for i in range(j - 1):
+        xib = X[i][b - 1]
+        if not xib:
+            continue
         row = list(X[i])
-        xib = row[b - 1]
-        for a in range(b - 1):
-            correction = div(xib * pivot_row[a], pivot)
-            row[a] = row[a] + correction if direction > 0 else row[a] - correction
+        if rational:
+            # row[a] + direction * (n / d) * y, over one common denominator
+            n = direction * xib.numerator * pivot.denominator
+            d = xib.denominator * pivot.numerator
+            for a, yn, yd in factors:
+                x = row[a]
+                dy = d * yd
+                row[a] = Fraction(x.numerator * dy + n * yn * x.denominator, x.denominator * dy)
+        else:
+            for a in cols:
+                correction = div(xib * pivot_row[a], pivot)
+                row[a] = row[a] + correction if direction > 0 else row[a] - correction
+        if rows is None:
+            rows = list(X)
         rows[i] = tuple(row)
-    return tuple(rows)
+    return X if rows is None else tuple(rows)
 
 
 def restore_step(X: Matrix, r: Step) -> Matrix:
@@ -130,22 +166,40 @@ def delete_derivations(Xbar: Matrix) -> MatrixTrace:
     return MatrixTrace(m, p, tuple(labels), tuple(mats))
 
 
-def zero_pattern(X: Matrix) -> frozenset[tuple[int, int]]:
-    m, p = dims(X)
-    return frozenset(
-        (i, a) for i in range(1, m + 1) for a in range(1, p + 1) if not X[i - 1][a - 1]
-    )
+def _zero_mask(X: Matrix) -> int:
+    """The row-major bitmask of the zero entries of X (bit (i-1)p + a-1
+    for entry (i, a)), the layout of `CauchonDiagram.mask`."""
+    mask = 0
+    bit = 1
+    for row in X:
+        for x in row:
+            if not x:
+                mask |= bit
+            bit <<= 1
+    return mask
 
 
 def is_cauchon_matrix(X: Matrix) -> bool:
     """Is the zero pattern of X a valid diagram?"""
     m, p = dims(X)
-    return is_cauchon(m, p, zero_pattern(X))
+    return _mask_is_cauchon(m, p, _zero_mask(X))
 
 
 def diagram_of_matrix(X: Matrix) -> CauchonDiagram:
     m, p = dims(X)
-    return CauchonDiagram.from_black(m, p, zero_pattern(X))
+    return CauchonDiagram(m, p, _zero_mask(X))
+
+
+@lru_cache(maxsize=64)
+def _closed_before(m: int, p: int) -> dict[Step, int]:
+    """Non-final label of the m x p grid -> the mask, over the canonical
+    minor order, of the minors that close strictly before it (their
+    largest row and largest column, as a pair, precede the label)."""
+    corners = [(mid.rows[-1], mid.cols[-1]) for mid in _laplace_plan(m, p)[0]]
+    return {
+        r: sum(1 << bit for bit, corner in enumerate(corners) if corner < r)
+        for r in step_sequence(m, p)[:-1]
+    }
 
 
 def trace_h_invariance_counterexample(
@@ -155,23 +209,27 @@ def trace_h_invariance_counterexample(
 
     For every non-final label r and minor closing strictly before r (its
     largest row and largest column, as a pair, precede r), a zero value at
-    the successor label must force a zero value at r.  Both tables list
-    every minor in canonical order, so they are walked side by side; only
-    zero-ness is read, so they come from `linalg._scaled_minors`.  A label
-    whose successor is the same matrix object cannot fail and is skipped
-    (a zero pivot returns X itself); every other matrix gets one table,
-    keyed by object id while the trace keeps the matrices alive.
+    the successor label must force a zero value at r.  Each matrix is
+    read as the mask of its zero minors, from `linalg._scaled_minors`
+    (only zero-ness is read), so label r fails when
+    ``before(r) & zeros(after) & ~zeros(now)`` is nonzero, and its lowest
+    bit is the first such minor in canonical order.  A label whose
+    successor is the same matrix object cannot fail and is skipped (a
+    step that writes nothing returns X itself); every other matrix gets
+    one mask, keyed by object id while the trace keeps the matrices alive.
     """
-    tables: dict[int, dict] = {}
+    m, p = trace.m, trace.p
+    closed_before = _closed_before(m, p)
+    zeros: dict[int, int] = {}
     mats = trace.matrices
     for k, r in enumerate(trace.labels[:-1]):
         now, after = mats[k], mats[k + 1]
         if now is after:
             continue
         for mat in (now, after):
-            if id(mat) not in tables:
-                tables[id(mat)] = _scaled_minors(mat)
-        for (mid, x), y in zip(tables[id(now)].items(), tables[id(after)].values()):
-            if (mid.rows[-1], mid.cols[-1]) < r and not y and x:
-                return r, mid
+            if id(mat) not in zeros:
+                zeros[id(mat)] = _zeros_family(m, p, _scaled_minors(mat).values()).mask
+        failed = closed_before[r] & zeros[id(after)] & ~zeros[id(now)]
+        if failed:
+            return r, _laplace_plan(m, p)[0][(failed & -failed).bit_length() - 1]
     return None

@@ -234,7 +234,8 @@ def deletion_suite(m: int, p: int, n: int = 100, seed: int = 0) -> SuiteReport:
         # td.initial == tr.initial, so restore(td.initial) == tr == td.
         if td != tr:
             return f"inverse trace of the restored matrix of {C} differs"
-        # A zero pivot returns X itself: check each matrix object once.
+        # A step that writes nothing returns X itself: check each matrix
+        # object once.
         seen = set()
         for label, mat in td.items():
             if id(mat) in seen:

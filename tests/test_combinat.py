@@ -14,13 +14,38 @@ from tnncells import (
     enumerate_diagrams,
     enumerate_restricted_perms,
     index_set_leq,
-    is_cauchon,
     random_diagram,
     w_max,
 )
-from tnncells.combinat import as_index_set
+from tnncells.combinat import _black_mask, _mask_is_cauchon, as_index_set
 
 COUNTS = {(1, 1): 2, (2, 2): 14, (2, 3): 46, (3, 3): 230}
+
+
+def is_cauchon(m: int, p: int, black) -> bool:
+    """The left-or-above test on a black-cell set, through the package's
+    mask test; an off-grid cell raises ValueError."""
+    return _mask_is_cauchon(m, p, _black_mask(m, p, black))
+
+
+def cell_by_cell_is_cauchon(m: int, p: int, mask: int) -> bool:
+    """The left-or-above test one black cell at a time: the oracle for
+    the row-at-a-time `_mask_is_cauchon`."""
+    for i in range(1, m + 1):
+        row = (mask >> ((i - 1) * p)) & ((1 << p) - 1)
+        for a in range(1, p + 1):
+            if not row >> (a - 1) & 1:
+                continue
+            left_full = row & ((1 << (a - 1)) - 1) == (1 << (a - 1)) - 1
+            if left_full:
+                continue
+            above_full = all(mask >> ((k - 1) * p + a - 1) & 1 for k in range(1, i))
+            if not above_full:
+                return False
+    return True
+
+
+SMALL_GRIDS = [(m, p) for m in range(1, 13) for p in range(1, 13) if m * p <= 12]
 
 
 def longest_element(n: int) -> tuple[int, ...]:
@@ -58,6 +83,11 @@ class TestDiagrams:
             if is_cauchon(2, 3, black):
                 expected.add(mask)
         assert got == expected
+
+    @pytest.mark.parametrize("m,p", SMALL_GRIDS + [(4, 4)])
+    def test_mask_test_matches_the_cell_by_cell_oracle(self, m, p):
+        for mask in range(1 << (m * p)):
+            assert _mask_is_cauchon(m, p, mask) == cell_by_cell_is_cauchon(m, p, mask), mask
 
     def test_black_white_partition(self):
         C = CauchonDiagram.from_black(2, 2, [(1, 2), (2, 2)])
@@ -148,7 +178,7 @@ class TestRestrictedPerms:
     def test_w_max(self):
         wm = w_max(3, 4)
         assert wm.w == (4, 5, 6, 7, 1, 2, 3)
-        assert wm(1) == 4 and wm(7) == 3
+        assert wm.w[0] == 4 and wm.w[6] == 3
 
     def test_everything_below_w_max(self):
         for m, p in ((2, 2), (2, 3)):

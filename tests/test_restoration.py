@@ -1,5 +1,6 @@
 """Step engine: golden traces, inverseness, and the minor exchange laws."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from tnncells import (
 )
 from tnncells import restoration
 from tnncells.linalg import _scaled_minors, submatrix
-from tnncells.restoration import MatrixTrace, zero_pattern
+from tnncells.restoration import MatrixTrace, _apply_step, _zero_mask
 from tnncells.verify import _corpus
 
 N_START = (
@@ -180,6 +181,119 @@ class TestStepEntryPoints:
             assert delete_derivations(tr.final).matrices == self._stepped(tr.final, forward=False)
 
 
+def product_then_divide_step(X, r, direction):
+    """The step as a product, a quotient and a sum on every entry
+    above-left of the pivot, zeros included: the reference for the
+    rational kernel of `_apply_step`."""
+    j, b = r
+    pivot = X[j - 1][b - 1]
+    if not pivot:
+        return X
+    rows = list(X)
+    for i in range(j - 1):
+        row = list(X[i])
+        for a in range(b - 1):
+            correction = row[b - 1] * X[j - 1][a] / pivot
+            row[a] = row[a] + correction if direction > 0 else row[a] - correction
+        rows[i] = tuple(row)
+    return tuple(rows)
+
+
+def kept_objects(before, after):
+    """Positions whose entry object survived the step."""
+    return {
+        (i, a)
+        for i, (old, new) in enumerate(zip(before, after))
+        for a, (x, y) in enumerate(zip(old, new))
+        if x is y
+    }
+
+
+def zero_correction_positions(X, r):
+    """Positions a step leaves alone: outside the block above-left of the
+    pivot, or with a zero row multiplier or pivot-row factor."""
+    j, b = r
+    return {
+        (i, a)
+        for i in range(len(X))
+        for a in range(len(X[0]))
+        if i >= j - 1 or a >= b - 1 or not X[i][b - 1] or not X[j - 1][a]
+        or not X[j - 1][b - 1]
+    }
+
+
+class TestStepKernel:
+    """The rational kernel writes one normalised Fraction per changed
+    entry and leaves every entry with a zero correction alone."""
+
+    @staticmethod
+    def check_step(X, r, direction):
+        out = _apply_step(X, r, direction, operator.truediv)
+        assert out == product_then_divide_step(X, r, direction)
+        assert all(type(x) is Fraction for row in out for x in row)
+        assert kept_objects(X, out) == zero_correction_positions(X, r)
+        if kept_objects(X, out) == {(i, a) for i in range(len(X)) for a in range(len(X[0]))}:
+            assert out is X
+        return out
+
+    @pytest.mark.parametrize("m,p", [(3, 3), (4, 4)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_product_then_divide_on_corpus_traces(self, m, p, seed):
+        for _, X in _corpus(m, p, 100, seed):
+            tr = restore(X)
+            td = delete_derivations(tr.final)
+            for k, r in enumerate(tr.labels[:-1]):
+                assert self.check_step(tr.matrices[k], r, +1) == tr.matrices[k + 1]
+                assert self.check_step(td.matrices[k + 1], r, -1) == td.matrices[k]
+
+    def test_equals_product_then_divide_with_negative_pivots(self, rng):
+        negative = 0
+        for _ in range(60):
+            m, p = rng.randint(2, 4), rng.randint(2, 4)
+            X = as_matrix(rand_matrix(rng, m, p, span=4))
+            for direction in (+1, -1):
+                M = X
+                for r in step_sequence(m, p)[:-1]:
+                    negative += M[r[0] - 1][r[1] - 1] < 0
+                    M = self.check_step(M, r, direction)
+        assert negative > 100
+
+    def test_public_steps_agree_with_the_kernel(self, rng):
+        for _ in range(20):
+            m, p = rng.randint(2, 4), rng.randint(2, 4)
+            X = as_matrix(rand_matrix(rng, m, p, span=4))
+            for r in step_sequence(m, p)[:-1]:
+                for step, direction in ((restore_step, +1), (delete_step, -1)):
+                    out = step(X, r)
+                    assert out == _apply_step(X, r, direction, operator.truediv)
+                    assert kept_objects(X, out) == zero_correction_positions(X, r)
+
+    def test_step_that_writes_nothing_returns_x(self):
+        frac = as_matrix(((1, 0, 2), (3, 0, 4), (5, 6, 7)))
+        ints = ((1, 0, 2), (3, 0, 4), (5, 6, 7))
+        reg, _ = symbolic_cauchon_matrix(CauchonDiagram.from_black(3, 3, ()))
+        t = [reg.gen(k) for k in range(9)]
+        laurent = as_matrix(((t[0], 0, t[2]), (t[3], 0, t[5]), (t[6], t[7], t[8])))
+        for X, div in ((frac, operator.truediv), (ints, operator.floordiv), (laurent, operator.truediv)):
+            for direction in (+1, -1):
+                # every multiplier above the pivot (3,2) is zero
+                assert _apply_step(X, (3, 2), direction, div) is X
+        # every pivot-row factor left of the pivot (2,2) is zero
+        X = as_matrix(((1, 2), (0, 3)))
+        assert _apply_step(X, (2, 2), +1, operator.truediv) is X
+
+    def test_entry_with_zero_correction_keeps_its_object(self):
+        X = as_matrix(((1, 2, 3), (4, 5, 6), (0, 7, 8)))
+        out = _apply_step(X, (3, 3), +1, operator.truediv)
+        assert out[0][0] is X[0][0] and out[1][0] is X[1][0]
+        assert out[0][1] == 2 + Fraction(3 * 7, 8) and out[1][1] == 5 + Fraction(6 * 7, 8)
+        assert out[2] is X[2]
+        Y = as_matrix(((1, 2, 3), (4, 5, 0), (1, 7, 8)))
+        out = _apply_step(Y, (3, 3), -1, operator.truediv)
+        assert out[1] is Y[1] and out[0] is not Y[0]
+        assert out[0] == (1 - Fraction(3, 8), 2 - Fraction(21, 8), 3)
+
+
 class TestSymbolic:
     def test_generic_two_by_two(self):
         _, M = symbolic_cauchon_matrix(CauchonDiagram.from_black(2, 2, ()))
@@ -220,7 +334,11 @@ class TestInverseness:
 
 class TestZeroPatterns:
     def test_zero_pattern(self):
-        assert zero_pattern(((0, 1), (2, 0))) == frozenset({(1, 1), (2, 2)})
+        # row-major bits, the layout of CauchonDiagram.mask
+        assert _zero_mask(((0, 1), (2, 0))) == 0b1001
+        assert _zero_mask(((1, 0, 0), (0, 2, 3))) == 0b001110
+        C = random_diagram(3, 4, random.Random(5))
+        assert _zero_mask(random_cauchon_matrix(C, 5)) == C.mask
 
     def test_cauchon_matrix_detection(self):
         assert is_cauchon_matrix(((0, 1), (2, 3)))
