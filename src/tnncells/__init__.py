@@ -53,7 +53,6 @@ from .minors import (
     all_minor_ids,
     all_minors_table,
     eval_minor,
-    minor,
     vanishing_family,
 )
 from .poisson import (
@@ -132,7 +131,6 @@ __all__ = [
     "mat_mul",
     "match_families",
     "matrix_bracket_table",
-    "minor",
     "parse_laurent",
     "parse_matrix_csv",
     "parse_rational",

@@ -294,17 +294,6 @@ def block_decompose(w, m: int, p: int) -> BlockDecomposition:
     return BlockDecomposition(w11, w12, w21, w22)
 
 
-def as_index_set(values: Iterable[int]) -> tuple[int, ...]:
-    """Sorted tuple of distinct positive integers."""
-    vals = [int(v) for v in values]
-    out = tuple(sorted(set(vals)))
-    if len(out) != len(vals):
-        raise ValueError("duplicate indices")
-    if out and out[0] < 1:
-        raise ValueError("indices must be positive")
-    return out
-
-
 def index_set_leq(I: Iterable[int], J: Iterable[int]) -> bool:
     """Componentwise order after ascending sort; sizes must agree."""
     a = sorted(I)

@@ -13,12 +13,14 @@ enter as they are, with exact Laurent division for the Bareiss quotients.
 The all-minors kernel runs a Laplace plan built once per grid shape and
 cached (bounded): the canonical ids, each row set's first row and the
 block of its other rows, and per minor size one shared list of first-row
-terms as positions in that block, so no key is built per term.  `all_minors`
-divides the integer table back to exact Fractions; sign-and-zero readers
-(`cells.is_tnn`, `minors.vanishing_family` on rational input, the
-h-invariance check and the tnn round trip) use the integer table from
-`_scaled_minors` directly, since scaling a row by a positive integer keeps
-every minor's sign and zero-ness.
+terms as positions in that block, so no key is built per term.  The plan
+also keeps each size's stretch of the canonical order (its first position,
+row sets and column sets), from which `minors` builds family masks.
+`all_minors` divides the integer table back to exact Fractions;
+sign-and-zero readers (`cells.is_tnn`, `minors.vanishing_family` on
+rational input, the h-invariance check and the tnn round trip) use the
+integer table from `_scaled_minors` directly, since scaling a row by a
+positive integer keeps every minor's sign and zero-ness.
 """
 
 from __future__ import annotations
@@ -63,26 +65,14 @@ def as_matrix(rows: Sequence[Sequence]) -> Matrix:
     width = len(data[0])
     if any(len(r) != width for r in data):
         raise ValueError("ragged rows")
-    registry = None
-    for r in data:
-        for x in r:
-            if isinstance(x, LaurentPoly):
-                registry = x.registry
-                break
-        if registry is not None:
-            break
-    out = []
-    for r in data:
-        row = []
-        for x in r:
-            if isinstance(x, LaurentPoly):
-                row.append(x)
-            elif registry is not None:
-                row.append(registry.const(x))
-            else:
-                row.append(x if type(x) is Fraction else Fraction(x))
-        out.append(tuple(row))
-    return tuple(out)
+    registry = next(
+        (x.registry for r in data for x in r if isinstance(x, LaurentPoly)), None
+    )
+    if registry is None:
+        return tuple([tuple([x if type(x) is Fraction else Fraction(x) for x in r]) for r in data])
+    return tuple(
+        [tuple([x if isinstance(x, LaurentPoly) else registry.const(x) for x in r]) for r in data]
+    )
 
 
 def dims(M: Matrix) -> tuple[int, int]:
@@ -231,8 +221,16 @@ def _det_bareiss(rows: Sequence[Sequence], zero, div):
     return -d if sign < 0 else d
 
 
+class _LaplacePlan(NamedTuple):
+    """The all-minors layout of one grid shape; see `_laplace_plan`."""
+
+    ids: tuple[MinorId, ...]
+    expansions: tuple
+    sizes: tuple[tuple[int, tuple, tuple], ...]
+
+
 @lru_cache(maxsize=64)
-def _laplace_plan(m: int, p: int) -> tuple[tuple[MinorId, ...], tuple]:
+def _laplace_plan(m: int, p: int) -> _LaplacePlan:
     """The all-minors expansion of an m x p grid, shared by every matrix of
     that shape.
 
@@ -241,16 +239,23 @@ def _laplace_plan(m: int, p: int) -> tuple[tuple[MinorId, ...], tuple]:
     single rows are the matrix rows.  The first-row Laplace terms of a
     size-k minor depend only on its columns, so each size has one shared
     tuple over column sets of terms (column, position of the complementary
-    columns in the block below, negate).  Returns the MinorIds in canonical
-    order and, for every row set of size >= 2, (first row, index of the
-    block of the other rows, terms of its size), all 0-based.
+    columns in the block below, negate).  Holds the MinorIds in canonical
+    order (`ids`); for every row set of size >= 2, (first row, index of the
+    block of the other rows, terms of its size), all 0-based
+    (`expansions`); and per size k = 1, 2, ..., (position in `ids` of its
+    first minor, its row sets, its column sets) (`sizes`).
     """
-    ids = [MinorId((i,), (a,)) for i in range(1, m + 1) for a in range(1, p + 1)]
-    block_of = {(i,): i - 1 for i in range(1, m + 1)}
-    position = {(a,): a - 1 for a in range(1, p + 1)}
+    row_sets = tuple((i,) for i in range(1, m + 1))
+    col_sets = tuple((a,) for a in range(1, p + 1))
+    ids = [MinorId(rows, cols) for rows in row_sets for cols in col_sets]
+    sizes = [(0, row_sets, col_sets)]
+    block_of = {rows: n for n, rows in enumerate(row_sets)}
+    position = {cols: n for n, cols in enumerate(col_sets)}
     expansions = []
     for k in range(2, min(m, p) + 1):
-        col_sets = list(combinations(range(1, p + 1), k))
+        row_sets = tuple(combinations(range(1, m + 1), k))
+        col_sets = tuple(combinations(range(1, p + 1), k))
+        sizes.append((len(ids), row_sets, col_sets))
         terms = tuple(
             tuple(
                 (cols[t] - 1, position[cols[:t] + cols[t + 1:]], t % 2 == 1)
@@ -258,12 +263,12 @@ def _laplace_plan(m: int, p: int) -> tuple[tuple[MinorId, ...], tuple]:
             )
             for cols in col_sets
         )
-        for rows in combinations(range(1, m + 1), k):
+        for rows in row_sets:
             expansions.append((rows[0] - 1, block_of[rows[1:]], terms))
             block_of[rows] = len(block_of)
             ids.extend(MinorId(rows, cols) for cols in col_sets)
         position = {cols: n for n, cols in enumerate(col_sets)}
-    return tuple(ids), tuple(expansions)
+    return _LaplacePlan(tuple(ids), tuple(expansions), tuple(sizes))
 
 
 def _all_minors(mat: Sequence[Sequence], zero) -> dict[MinorId, object]:
@@ -274,9 +279,9 @@ def _all_minors(mat: Sequence[Sequence], zero) -> dict[MinorId, object]:
     values already present.  A zero entry or a zero sub-minor contributes
     no term; `zero` is the entries' zero.
     """
-    ids, expansions = _laplace_plan(len(mat), len(mat[0]))
+    plan = _laplace_plan(len(mat), len(mat[0]))
     blocks = list(mat)
-    for r, b, terms in expansions:
+    for r, b, terms in plan.expansions:
         row, below = mat[r], blocks[b]
         block = []
         for col_terms in terms:
@@ -289,4 +294,4 @@ def _all_minors(mat: Sequence[Sequence], zero) -> dict[MinorId, object]:
                         acc = acc - x * sub if negate else acc + x * sub
             block.append(acc)
         blocks.append(block)
-    return dict(zip(ids, chain.from_iterable(blocks)))
+    return dict(zip(plan.ids, chain.from_iterable(blocks)))

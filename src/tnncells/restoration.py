@@ -32,7 +32,7 @@ from typing import Callable, Iterator
 
 from .combinat import CauchonDiagram, _mask_is_cauchon
 from .linalg import Matrix, _laplace_plan, _scaled_minors, as_matrix, dims
-from .minors import MinorId, _zeros_family
+from .minors import MinorId, _vanishing_mask
 
 Step = tuple[int, int]
 
@@ -195,7 +195,7 @@ def _closed_before(m: int, p: int) -> dict[Step, int]:
     """Non-final label of the m x p grid -> the mask, over the canonical
     minor order, of the minors that close strictly before it (their
     largest row and largest column, as a pair, precede the label)."""
-    corners = [(mid.rows[-1], mid.cols[-1]) for mid in _laplace_plan(m, p)[0]]
+    corners = [(mid.rows[-1], mid.cols[-1]) for mid in _laplace_plan(m, p).ids]
     return {
         r: sum(1 << bit for bit, corner in enumerate(corners) if corner < r)
         for r in step_sequence(m, p)[:-1]
@@ -228,8 +228,8 @@ def trace_h_invariance_counterexample(
             continue
         for mat in (now, after):
             if id(mat) not in zeros:
-                zeros[id(mat)] = _zeros_family(m, p, _scaled_minors(mat).values()).mask
+                zeros[id(mat)] = _vanishing_mask(_scaled_minors(mat).values())
         failed = closed_before[r] & zeros[id(after)] & ~zeros[id(now)]
         if failed:
-            return r, _laplace_plan(m, p)[0][(failed & -failed).bit_length() - 1]
+            return r, _laplace_plan(m, p).ids[(failed & -failed).bit_length() - 1]
     return None

@@ -34,7 +34,7 @@ from .families import (
 )
 from .laurent import LaurentPoly, VarRegistry
 from .linalg import _scaled_minors, as_matrix, mat_mul
-from .minors import _zeros_family, all_minor_ids, eval_minor
+from .minors import _vanishing_mask, all_minor_ids, eval_minor
 from .poisson import (
     bracket,
     cell_bracket_table,
@@ -203,12 +203,12 @@ def tnn_roundtrip_suite(m: int, p: int, n: int = 100, seed: int = 0) -> SuiteRep
         for mid, value in table.items():
             if value < 0:
                 return f"negative minor {mid} on the restored matrix of {C}"
-        observed = _zeros_family(m, p, table.values())
-        expected = family_of_diagram(C)
+        observed = _vanishing_mask(table.values())
+        expected = family_of_diagram(C).mask
         if observed != expected:
             return (
                 f"vanishing family of the restored matrix of {C} has "
-                f"{len(observed)} minors, the diagram family {len(expected)}"
+                f"{observed.bit_count()} minors, the diagram family {expected.bit_count()}"
             )
         return None
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from tnncells import MinorFamily, VarRegistry
+from tnncells import MinorFamily, VarRegistry, all_minor_ids
 from tnncells.families import _condition_masks
 
 settings.register_profile("suite", max_examples=60, deadline=None)
@@ -30,6 +30,15 @@ def rand_fraction(rng: random.Random, span: int = 30, allow_zero: bool = True) -
 
 def rand_matrix(rng: random.Random, m: int, p: int, span: int = 30) -> list:
     return [[rand_fraction(rng, span) for _ in range(p)] for _ in range(m)]
+
+
+def family_of_ids(m: int, p: int, ids) -> MinorFamily:
+    """The family of the m x p grid holding exactly the given MinorIds."""
+    order = all_minor_ids(m, p)
+    mask = 0
+    for mid in ids:
+        mask |= 1 << order.index(mid)
+    return MinorFamily(m, p, mask)
 
 
 def stripe_column_sets(w) -> set[tuple[int, ...]]:

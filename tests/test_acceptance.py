@@ -9,13 +9,13 @@ from time import perf_counter
 
 from tnncells import (
     CauchonDiagram,
+    MinorId,
     RestrictedPermutation,
     all_minor_ids,
     eval_minor,
     family_of_diagram,
     family_of_perm,
     match_families,
-    minor,
     restore,
 )
 from tnncells.verify import (
@@ -52,7 +52,7 @@ def test_criterion_01_restoration_golden_trace():
         for label, want in states.items():
             got = tr[label]
             assert got == want, f"state before step {label} is off"
-        assert eval_minor(tr[(4, 4)], minor([1, 3, 4], [1, 3, 4])) == -4
+        assert eval_minor(tr[(4, 4)], MinorId((1, 3, 4), (1, 3, 4))) == -4
 
     timed(1, check)
 

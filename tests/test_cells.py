@@ -7,6 +7,7 @@ import pytest
 from tnncells import cells, restoration
 from tnncells import (
     CauchonDiagram,
+    MinorId,
     NotTotallyNonnegativeError,
     RestrictedPermutation,
     SelfCheckError,
@@ -17,7 +18,6 @@ from tnncells import (
     family_of_perm,
     is_tnn,
     match_families,
-    minor,
     perm_of_diagram,
     random_cauchon_matrix,
     restore,
@@ -65,19 +65,19 @@ class TestIsTnn:
     def test_witness_is_first_in_canonical_order(self):
         verdict = is_tnn(((0, 1), (1, 0)))
         assert not verdict.is_tnn
-        assert verdict.witness == minor([1, 2], [1, 2])
+        assert verdict.witness == MinorId((1, 2), (1, 2))
         assert verdict.witness_value == -1
 
     def test_entry_witness(self):
         verdict = is_tnn(((1, -3), (0, 1)))
-        assert verdict.witness == minor([1], [2])
+        assert verdict.witness == MinorId((1,), (2,))
         assert verdict.witness_value == -3
 
     def test_witness_value_is_exact_under_row_scaling(self):
         # rows scale by 6 and 35 to integers; the scaled [12|12] is -1
         X = ((Fraction(1, 3), Fraction(1, 2), 1), (Fraction(1, 7), Fraction(1, 5), 1))
         verdict = is_tnn(X)
-        assert verdict.witness == minor([1, 2], [1, 2])
+        assert verdict.witness == MinorId((1, 2), (1, 2))
         sub = submatrix(as_matrix(X), [0, 1], [0, 1])
         assert verdict.witness_value == det_exact(sub) == Fraction(-1, 210)
 
@@ -239,7 +239,7 @@ class TestClassify:
     def test_rejects_negative_input(self):
         with pytest.raises(NotTotallyNonnegativeError) as exc:
             classify(((0, 1), (1, 0)))
-        assert exc.value.witness == minor([1, 2], [1, 2])
+        assert exc.value.witness == MinorId((1, 2), (1, 2))
         assert exc.value.value == -1
 
     def test_scaling_keeps_the_cell(self):

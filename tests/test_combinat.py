@@ -17,7 +17,7 @@ from tnncells import (
     random_diagram,
     w_max,
 )
-from tnncells.combinat import _black_mask, _mask_is_cauchon, as_index_set
+from tnncells.combinat import _black_mask, _mask_is_cauchon
 
 COUNTS = {(1, 1): 2, (2, 2): 14, (2, 3): 46, (3, 3): 230}
 
@@ -282,11 +282,6 @@ class TestBlocksAndHelpers:
         assert compose(longest_element(4), longest_element(4)) == (1, 2, 3, 4)
 
     def test_index_sets(self):
-        assert as_index_set([3, 1, 2]) == (1, 2, 3)
-        with pytest.raises(ValueError):
-            as_index_set([1, 1])
-        with pytest.raises(ValueError):
-            as_index_set([0, 1])
         assert index_set_leq((1, 2), (2, 3))
         assert not index_set_leq((1, 3), (2, 2))
         with pytest.raises(ValueError):

@@ -12,8 +12,8 @@ from tnncells import (
     enumerate_restricted_perms,
     family_of_perm,
     index_set_leq,
-    minor,
     MinorFamily,
+    MinorId,
     all_minor_ids,
     perm_of_diagram,
     random_diagram,
@@ -21,12 +21,12 @@ from tnncells import (
 )
 from tnncells.families import _bounded_subsets, _condition_masks
 
-from conftest import stripe_column_sets, stripe_row_sets
+from conftest import family_of_ids, stripe_column_sets, stripe_row_sets
 
 
 def condition_flags(w, mid) -> tuple[bool, bool, bool, bool]:
     """Which of the four membership conditions hold for this minor."""
-    return tuple(mid in MinorFamily(w.m, w.p, mask) for mask in _condition_masks(w))
+    return tuple(mid in set(MinorFamily(w.m, w.p, mask)) for mask in _condition_masks(w))
 
 
 def witness_matrix(mid, m, p):
@@ -92,7 +92,7 @@ class TestWorked34Example:
             "[1,3|3,4]",
         }
         # the single full-size member is forced by the column-stripe condition
-        assert flags[minor((1, 2, 3), (1, 2, 3))][2]
+        assert flags[MinorId((1, 2, 3), (1, 2, 3))][2]
 
     def test_stripes(self):
         assert stripe_column_sets(W34) == {(1, 2, 3)}
@@ -165,7 +165,7 @@ class TestStripeCondition:
     @pytest.mark.parametrize("m,p", [(2, 3), (3, 4), (4, 3), (2, 5)])
     def test_cond3_matches_the_recount(self, m, p):
         for w in enumerate_restricted_perms(m, p):
-            cond3 = MinorFamily.of(
+            cond3 = family_of_ids(
                 m, p, (mid for mid in all_minor_ids(m, p) if cond3_by_recount(w, mid.cols))
             )
             assert MinorFamily(m, p, _condition_masks(w)[2]) == cond3, w.w
@@ -173,7 +173,7 @@ class TestStripeCondition:
     @pytest.mark.parametrize("m,p", [(3, 2), (4, 3), (3, 4), (5, 2)])
     def test_cond4_matches_the_recount(self, m, p):
         for w in enumerate_restricted_perms(m, p):
-            cond4 = MinorFamily.of(
+            cond4 = family_of_ids(
                 m, p, (mid for mid in all_minor_ids(m, p) if cond4_by_recount(w, mid.rows))
             )
             assert MinorFamily(m, p, _condition_masks(w)[3]) == cond4, w.w
@@ -213,7 +213,7 @@ def reference_conditions(w):
 def reference_family_of_perm(w) -> MinorFamily:
     """The minors of `all_minor_ids` meeting at least one reference condition."""
     conditions = reference_conditions(w)
-    return MinorFamily.of(w.m, w.p, (
+    return family_of_ids(w.m, w.p, (
         mid
         for mid in all_minor_ids(w.m, w.p)
         if any(cond(mid) for cond in conditions)
@@ -229,7 +229,7 @@ class TestDominanceConditions:
         for w in enumerate_restricted_perms(m, p):
             masks = _condition_masks(w)
             for k, cond in enumerate(reference_conditions(w)[:2]):
-                reference = MinorFamily.of(m, p, (mid for mid in ids if cond(mid)))
+                reference = family_of_ids(m, p, (mid for mid in ids if cond(mid)))
                 assert MinorFamily(m, p, masks[k]) == reference, (w.w, k + 1)
 
 
@@ -296,7 +296,7 @@ class TestRankConditionShadow:
             assert closure_rank_conditions_hold(w, zero)
 
     def test_witness_matrix_shape(self):
-        x = witness_matrix(minor((1, 3), (2, 3)), 3, 3)
+        x = witness_matrix(MinorId((1, 3), (2, 3)), 3, 3)
         assert [[int(v) for v in row] for row in x] == [
             [0, 1, 0],
             [0, 0, 0],
@@ -346,24 +346,24 @@ class TestBruhatCellPredicate:
     def test_identity_goldens(self):
         # products a.I.b with upper-triangular a, b are upper triangular
         ident = PartialPermutation(2, 2, ((1, 1), (2, 2)))
-        assert bruhat_cell_vanishes(ident, minor((2,), (1,)), "plus")
-        assert not bruhat_cell_vanishes(ident, minor((1,), (2,)), "plus")
-        assert not bruhat_cell_vanishes(ident, minor((1, 2), (1, 2)), "plus")
+        assert bruhat_cell_vanishes(ident, MinorId((2,), (1,)), "plus")
+        assert not bruhat_cell_vanishes(ident, MinorId((1,), (2,)), "plus")
+        assert not bruhat_cell_vanishes(ident, MinorId((1, 2), (1, 2)), "plus")
         # and the minus side is the mirror image
-        assert bruhat_cell_vanishes(ident, minor((1,), (2,)), "minus")
-        assert not bruhat_cell_vanishes(ident, minor((2,), (1,)), "minus")
+        assert bruhat_cell_vanishes(ident, MinorId((1,), (2,)), "minus")
+        assert not bruhat_cell_vanishes(ident, MinorId((2,), (1,)), "minus")
 
     def test_rank_bound_forces_vanishing(self):
         pp = PartialPermutation(2, 2, ((1, 1),))  # rank 1
-        assert bruhat_cell_vanishes(pp, minor((1, 2), (1, 2)), "plus")
-        assert bruhat_cell_vanishes(pp, minor((1, 2), (1, 2)), "minus")
+        assert bruhat_cell_vanishes(pp, MinorId((1, 2), (1, 2)), "plus")
+        assert bruhat_cell_vanishes(pp, MinorId((1, 2), (1, 2)), "minus")
 
     def test_minus_via_inverse_unsupported(self):
         pp = PartialPermutation(2, 2, ((1, 1), (2, 2)))
         with pytest.raises(ValueError):
-            bruhat_cell_vanishes(pp, minor((1,), (1,)), "minus", via_inverse=True)
+            bruhat_cell_vanishes(pp, MinorId((1,), (1,)), "minus", via_inverse=True)
 
     def test_bad_sign_rejected(self):
         pp = PartialPermutation(1, 1, ((1, 1),))
         with pytest.raises(ValueError):
-            bruhat_cell_vanishes(pp, minor((1,), (1,)), "sideways")
+            bruhat_cell_vanishes(pp, MinorId((1,), (1,)), "sideways")

@@ -1,15 +1,15 @@
 """Source hygiene: every name a module imports is used in that module,
-every module-level private function or class is used somewhere in the
-package outside its own definition, every name the package exports is
-used by some module of the package, every public method is referenced by
-some module of the package, no module-level function or
-method is wrapped in a cache that grows for the life of the process,
-every function and method the benchmark's tracer binds by name still
-exists, and the README's Library example runs.
+every module-level function or class the package does not export is used
+somewhere in the package outside its own definition, every name the
+package exports is used by some module of the package, every public
+method is referenced by some module of the package, no module-level
+function or method is wrapped in a cache that grows for the life of the
+process, every function and method the benchmark's tracer binds by name
+still exists, and the README's Library example runs.
 
 Stdlib only (`ast`), so it runs wherever the suite does.  For imports,
 `__init__.py` is exempt (its imports are the package's re-exports), and so
-are `from __future__` imports.  For private definitions and exports,
+are `from __future__` imports.  For unexported definitions and exports,
 references from the tests do not count: a helper that only a test calls
 belongs in the test.  `__init__.py`'s `__all__` must be exactly the names
 it imports, listed once each.
@@ -47,8 +47,6 @@ EXPORT_EXCEPTIONS = {
 METHOD_EXCEPTIONS = {
     "LaurentPoly.partial": "the benchmark's tracer binds it by name (`METHODS` in "
     "perfbench/tracing.py); it moves into the tests when that binding goes, ROADMAP item 1",
-    "MinorFamily.from_json_obj": "the only caller in the package of `MinorFamily.of`, "
-    "which the tests use to write out expected families",
 }
 
 
@@ -108,16 +106,18 @@ def mentioned_names(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
     return names
 
 
-def dead_private_definitions(trees: dict[str, ast.Module]) -> dict[str, list[str]]:
-    """Module -> its module-level private functions and classes that no
-    module mentions outside the definition itself."""
+def dead_definitions(trees: dict[str, ast.Module], exports: list[str]) -> dict[str, list[str]]:
+    """Module -> its module-level functions and classes, outside `exports`
+    and dunder names, that no module mentions outside the definition
+    itself.  A leading underscore does not matter: a helper whose last
+    caller went is dead whatever its name."""
     everywhere = {name: mentioned_names(tree) for name, tree in trees.items()}
     dead = {}
     for name, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, DEFINITIONS):
                 continue
-            if not node.name.startswith("_") or node.name.endswith("__"):
+            if node.name in exports or node.name.endswith("__"):
                 continue
             used = node.name in mentioned_names(tree, skip=node) or any(
                 node.name in names for other, names in everywhere.items() if other != name
@@ -247,8 +247,9 @@ def test_detector_flags_an_unused_import():
 
 
 def test_no_dead_private_definitions():
+    # private to the package: every definition `__all__` does not export
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
-    assert dead_private_definitions(trees) == {}
+    assert dead_definitions(trees, exported_names(_init_tree())) == {}
 
 
 def test_detector_flags_a_dead_private_helper():
@@ -259,11 +260,12 @@ def test_detector_flags_a_dead_private_helper():
             "class _Annotated:\n    pass\n\n"
             "def _called():\n    pass\n\n"
             "def public():\n    return _called()\n\n"
+            "def unexported_helper():\n    pass\n\n"
             "def __getattr__(name):\n    pass\n"
         ),
         "b.py": ast.parse("from .a import _imported\nx: '_Annotated | None' = None\n"),
     }
-    assert dead_private_definitions(trees) == {"a.py": ["_dead"]}
+    assert dead_definitions(trees, ["public"]) == {"a.py": ["_dead", "unexported_helper"]}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

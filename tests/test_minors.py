@@ -13,32 +13,38 @@ from tnncells import (
     all_minors_table,
     as_matrix,
     eval_minor,
-    minor,
     vanishing_family,
 )
+from tnncells import linalg
+from tnncells.minors import COLS, ROWS, _mask_by
 
-from conftest import rand_matrix
+from conftest import family_of_ids, rand_matrix
 
 
 class TestMinorId:
     def test_text_and_parse(self):
-        mid = minor((1, 2), (1, 3))
+        mid = MinorId((1, 2), (1, 3))
         assert mid.text() == "[1,2|1,3]"
         assert str(mid) == "[1,2|1,3]"
-        assert minor((3,), (2,)).text() == "[3|2]"
-
-    def test_sorts_inputs(self):
-        assert minor((2, 1), (3, 1)) == minor((1, 2), (1, 3))
+        assert MinorId((3,), (2,)).text() == "[3|2]"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            minor((1, 2), (1,))
-        with pytest.raises(ValueError):
-            minor((), ())
-        with pytest.raises(ValueError):
-            minor((1, 1), (1, 2))
-        with pytest.raises(ValueError):
-            minor((0, 1), (1, 2))
+        # eval_minor is the package's one reader of an id from outside; a
+        # nonpositive index would wrap to the last row and an unsorted one
+        # would permute the rows, so each is refused, not read
+        M = as_matrix([[1, 2], [3, 4]])
+        bad = (
+            MinorId((0,), (1,)),
+            MinorId((2, 1), (1, 2)),
+            MinorId((1, 2), (1,)),
+            MinorId((1,), ()),
+            MinorId((), ()),
+            MinorId((1, 1), (1, 2)),
+            MinorId((0, 1), (1, 2)),
+        )
+        for mid in bad:
+            with pytest.raises(ValueError, match="malformed minor"):
+                eval_minor(M, mid)
 
     def test_canonical_id_order(self):
         ids = all_minor_ids(2, 2)
@@ -61,45 +67,23 @@ class TestMinorId:
 
 class TestMinorFamily:
     def test_json_is_sorted_canonically(self):
-        fam = MinorFamily.of(2, 2, [minor((1, 2), (1, 2)), minor((2,), (1,))])
+        fam = family_of_ids(2, 2, [MinorId((1, 2), (1, 2)), MinorId((2,), (1,))])
         obj = fam.to_json_obj()
         assert obj == [
             {"rows": [2], "cols": [1]},
             {"rows": [1, 2], "cols": [1, 2]},
         ]
-        assert MinorFamily.from_json_obj(2, 2, json.loads(json.dumps(obj))) == fam
-
-    @pytest.mark.parametrize(
-        "arr, message",
-        [
-            ([{}], "a minor needs the field 'rows'"),
-            ([{"rows": [1]}], "a minor needs the field 'cols'"),
-            ({"rows": [1], "cols": [1]}, "a family is a JSON list of minors, got dict"),
-            ([[1, 1]], r"minor \[1, 1\] is not a JSON object"),
-            ([{"rows": 1, "cols": [1]}], "rows of minor .* is not a list of integers"),
-            ([{"rows": [1], "cols": [True]}], "cols of minor .* is not a list of integers"),
-            ([{"rows": [1, 2], "cols": [1]}], "equal nonzero numbers"),
-            ([{"rows": [3], "cols": [1]}], r"minor \[3\|1\] outside the 2x2 grid"),
-        ],
-    )
-    def test_json_errors_are_value_errors_naming_the_fault(self, arr, message):
-        with pytest.raises(ValueError, match=message):
-            MinorFamily.from_json_obj(2, 2, arr)
 
     def test_membership_iteration(self):
-        fam = MinorFamily.of(2, 2, [minor((1,), (2,)), minor((2,), (1,))])
-        assert minor((1,), (2,)) in fam
-        assert minor((1,), (1,)) not in fam
+        fam = family_of_ids(2, 2, [MinorId((1,), (2,)), MinorId((2,), (1,))])
+        assert MinorId((1,), (2,)) in set(fam)
+        assert MinorId((1,), (1,)) not in set(fam)
         assert len(fam) == 2
         assert [x.text() for x in fam] == ["[1|2]", "[2|1]"]
 
-    def test_out_of_grid_rejected(self):
-        with pytest.raises(ValueError):
-            MinorFamily.of(2, 2, [minor((3,), (1,))])
-
     def test_subset(self):
-        small = MinorFamily.of(2, 2, [minor((1,), (2,))])
-        big = MinorFamily.of(2, 2, [minor((1,), (2,)), minor((2,), (1,))])
+        small = family_of_ids(2, 2, [MinorId((1,), (2,))])
+        big = family_of_ids(2, 2, [MinorId((1,), (2,)), MinorId((2,), (1,))])
         assert frozenset(small) <= frozenset(big)
         assert not frozenset(big) <= frozenset(small)
         assert not small.mask & ~big.mask
@@ -114,17 +98,6 @@ class TestMinorFamily:
         for m, p in ((0, 2), (2, 0), (-1, 1)):
             with pytest.raises(ValueError, match="positive"):
                 MinorFamily(m, p, 0)
-
-    def test_of_names_a_malformed_minor(self):
-        for bad in (MinorId((1, 2), (1,)), MinorId((), ()), MinorId((2, 1), (1, 2))):
-            with pytest.raises(ValueError, match="malformed minor"):
-                MinorFamily.of(3, 3, [bad])
-
-    def test_of_names_a_minor_outside_the_grid(self):
-        with pytest.raises(ValueError, match=r"minor \[3\|1\] outside the 2x2 grid"):
-            MinorFamily.of(2, 2, [minor((3,), (1,))])
-        with pytest.raises(ValueError, match="outside the 1x3 grid"):
-            MinorFamily.of(1, 3, [minor((1, 2), (1, 2))])
 
 
 GRIDS = st.sampled_from([(1, 1), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)])
@@ -141,42 +114,45 @@ class TestMinorFamilyProperties:
     @given(grid_and_ids())
     def test_members_are_the_ids(self, case):
         m, p, ids = case
-        assert frozenset(MinorFamily.of(m, p, ids)) == frozenset(ids)
+        assert frozenset(family_of_ids(m, p, ids)) == frozenset(ids)
 
     @given(grid_and_ids())
     def test_iteration_is_by_size_rows_then_columns(self, case):
         m, p, ids = case
         expected = sorted(set(ids), key=lambda mid: (len(mid.rows), mid.rows, mid.cols))
-        assert list(MinorFamily.of(m, p, ids)) == expected
+        assert list(family_of_ids(m, p, ids)) == expected
 
     @given(grid_and_ids())
     def test_len_and_membership(self, case):
         m, p, ids = case
-        fam = MinorFamily.of(m, p, ids)
+        fam = family_of_ids(m, p, ids)
         assert len(fam) == len(set(ids))
+        members = set(fam)
         for mid in all_minor_ids(m, p):
-            assert (mid in fam) == (mid in ids)
-        assert minor((m + 1,), (1,)) not in fam
+            assert (mid in members) == (mid in ids)
+        assert MinorId((m + 1,), (1,)) not in members
 
     @given(grid_and_ids())
     def test_json_round_trip(self, case):
         m, p, ids = case
-        fam = MinorFamily.of(m, p, ids)
+        fam = family_of_ids(m, p, ids)
         obj = json.loads(json.dumps(fam.to_json_obj()))
-        assert MinorFamily.from_json_obj(m, p, obj) == fam
-        assert [minor(item["rows"], item["cols"]) for item in obj] == list(fam)
+        read = [MinorId(tuple(item["rows"]), tuple(item["cols"])) for item in obj]
+        assert family_of_ids(m, p, read) == fam
+        assert read == list(fam)
 
 
 class TestEvaluation:
     def test_eval_golden(self):
         M = as_matrix([[1, 2], [3, 4]])
-        assert eval_minor(M, minor((1,), (2,))) == 2
-        assert eval_minor(M, minor((1, 2), (1, 2))) == -2
+        assert eval_minor(M, MinorId((1,), (2,))) == 2
+        assert eval_minor(M, MinorId((1, 2), (1, 2))) == -2
 
     def test_eval_bounds_check(self):
-        M = as_matrix([[1, 2], [3, 4]])
-        with pytest.raises(ValueError):
-            eval_minor(M, minor((3,), (1,)))
+        with pytest.raises(ValueError, match=r"minor \[3\|1\] outside the 2x2 matrix"):
+            eval_minor(as_matrix([[1, 2], [3, 4]]), MinorId((3,), (1,)))
+        with pytest.raises(ValueError, match=r"minor \[1,2\|1,2\] outside the 1x3 matrix"):
+            eval_minor(as_matrix([[1, 2, 3]]), MinorId((1, 2), (1, 2)))
 
     def test_table_matches_eval(self, rng):
         M = as_matrix(rand_matrix(rng, 3, 3))
@@ -209,3 +185,41 @@ class TestEvaluation:
         fam = vanishing_family(M)
         expected = {mid for mid in all_minor_ids(3, 3) if len(mid.rows) >= 2}
         assert set(fam) == expected
+
+
+# Every grid with at most 16 cells, plus (5,5).
+LAYOUT_GRIDS = [(m, p) for m in range(1, 17) for p in range(1, 17) if m * p <= 16] + [(5, 5)]
+
+
+class TestLayout:
+    """The per-size layout of the Laplace plan against the canonical ids."""
+
+    def test_blocks_fold_the_ids(self):
+        for m, p in LAYOUT_GRIDS:
+            plan = linalg._laplace_plan(m, p)
+            assert len(plan.sizes) == min(m, p), (m, p)
+            seen = 0
+            for k, (offset, row_sets, col_sets) in enumerate(plan.sizes, 1):
+                assert offset == seen, (m, p, k)
+                assert row_sets == tuple(combinations(range(1, m + 1), k)), (m, p, k)
+                assert col_sets == tuple(combinations(range(1, p + 1), k)), (m, p, k)
+                for r, rows in enumerate(row_sets):
+                    for c, cols in enumerate(col_sets):
+                        mid = MinorId(rows, cols)
+                        assert plan.ids[offset + r * len(col_sets) + c] == mid, (m, p)
+                seen += len(row_sets) * len(col_sets)
+            assert seen == len(plan.ids), (m, p)
+
+    def test_mask_by_matches_a_scan_of_the_ids(self):
+        predicates = (lambda S: 1 in S, lambda S: sum(S) % 2 == 0)
+        for m, p in LAYOUT_GRIDS:
+            ids = all_minor_ids(m, p)
+            for axis in (ROWS, COLS):
+                for keep in predicates:
+                    for k in range(1, min(m, p) + 1):
+                        scan = sum(
+                            1 << bit
+                            for bit, mid in enumerate(ids)
+                            if len(mid.rows) == k and keep(mid[axis])
+                        )
+                        assert _mask_by(m, p, axis, k, keep) == scan, (m, p, axis, k)

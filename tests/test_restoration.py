@@ -10,6 +10,7 @@ from conftest import rand_matrix
 from tnncells import (
     CauchonDiagram,
     InexactDivisionError,
+    MinorId,
     all_minor_ids,
     all_minors_table,
     as_matrix,
@@ -19,7 +20,6 @@ from tnncells import (
     eval_minor,
     is_cauchon_matrix,
     is_tnn,
-    minor,
     random_cauchon_matrix,
     random_diagram,
     restore,
@@ -99,7 +99,7 @@ class TestGoldenTrace:
 
     def test_intermediate_minor_can_be_negative(self):
         tr = restore(N_START)
-        assert eval_minor(tr[(4, 4)], minor([1, 3, 4], [1, 3, 4])) == -4
+        assert eval_minor(tr[(4, 4)], MinorId((1, 3, 4), (1, 3, 4))) == -4
 
     def test_final_is_tnn_here(self):
         assert is_tnn(restore(N_START).final).is_tnn
@@ -403,7 +403,7 @@ class TestExchangeLaws:
                 if (rows[-1], cols[-1]) == (j, b):
                     if u:
                         dropped = (
-                            now[minor(rows[:-1], cols[:-1])] if l > 1 else Fraction(1)
+                            now[MinorId(rows[:-1], cols[:-1])] if l > 1 else Fraction(1)
                         )
                         assert new[d] == dropped * u
                         fired["pivot"] += 1
@@ -419,7 +419,7 @@ class TestExchangeLaws:
                 if cols[-1] < b:
                     want = sum(
                         (-1) ** ((k + 1) + l)
-                        * now[minor(rows[:k] + rows[k + 1 :] + (j,), cols)]
+                        * now[MinorId(rows[:k] + rows[k + 1 :] + (j,), cols)]
                         * tr[r][rows[k] - 1][b - 1]
                         for k in range(l)
                     )
@@ -428,14 +428,14 @@ class TestExchangeLaws:
                 h = sum(1 for a in cols if a < b)
                 want = sum(
                     (-1) ** ((t + 1) + h)
-                    * now[minor(rows, sorted(cols[:t] + cols[t + 1 :] + (b,)))]
+                    * now[MinorId(rows, tuple(sorted(cols[:t] + cols[t + 1 :] + (b,))))]
                     * tr[r][j - 1][cols[t] - 1]
                     for t in range(h)
                 )
                 assert delta == want / u
                 fired["colsum"] += 1
                 ah = cols[h - 1]
-                swapped = minor(rows, sorted(cols[:h - 1] + cols[h:] + (b,)))
+                swapped = MinorId(rows, tuple(sorted(cols[:h - 1] + cols[h:] + (b,))))
                 one = eval_minor(tr[(j, ah)], swapped) * tr[r][j - 1][ah - 1]
                 assert delta == one / u
                 fired["oneterm"] += 1
@@ -465,7 +465,7 @@ class TestExchangeLaws:
                     if (d.rows[-1], d.cols[-1]) != (j, b):
                         continue
                     dropped = (
-                        tables[r][minor(d.rows[:-1], d.cols[:-1])]
+                        tables[r][MinorId(d.rows[:-1], d.cols[:-1])]
                         if len(d.rows) > 1
                         else Fraction(1)
                     )
@@ -524,7 +524,7 @@ class TestRestoredShape:
 class TestVanishingPropagation:
     def test_counterexample_on_sign_mixed_input(self):
         hit = trace_h_invariance_counterexample(restore(((-1, 1), (1, 1))))
-        assert hit == ((2, 2), minor([1], [1]))
+        assert hit == ((2, 2), MinorId((1,), (1,)))
 
     def test_holds_on_diagram_patterned_input(self, rng):
         for seed in range(5):
@@ -579,7 +579,7 @@ class TestTableReuse:
     def test_repeated_object_then_a_failing_step(self):
         B = as_matrix(((0, 1), (1, 1)))
         trace = two_by_two_trace(ONES, ONES, B, B)
-        expected = ((2, 1), minor([1], [1]))
+        expected = ((2, 1), MinorId((1,), (1,)))
         assert all_tables_counterexample(trace) == expected
         assert trace_h_invariance_counterexample(trace) == expected
 
@@ -588,14 +588,14 @@ class TestTableReuse:
             *map(as_matrix, (((1, 1), (1, 1)), ((2, 1), (1, 1)), ((1, 1), (1, 1)), ((1, 1), (0, 1))))
         )
         assert len({id(mat) for mat in trace.matrices}) == 4
-        expected = ((2, 2), minor([2], [1]))
+        expected = ((2, 2), MinorId((2,), (1,)))
         assert all_tables_counterexample(trace) == expected
         assert trace_h_invariance_counterexample(trace) == expected
 
     def test_object_repeated_out_of_order(self):
         B, D = as_matrix(((2, 1), (1, 1))), as_matrix(((1, 1), (0, 1)))
         trace = two_by_two_trace(ONES, B, ONES, D)
-        expected = ((2, 2), minor([2], [1]))
+        expected = ((2, 2), MinorId((2,), (1,)))
         assert all_tables_counterexample(trace) == expected
         assert trace_h_invariance_counterexample(trace) == expected
 
