@@ -99,6 +99,24 @@ class TestMinorFamily:
             with pytest.raises(ValueError, match="positive"):
                 MinorFamily(m, p, 0)
 
+    # eval_minor reads a minor id given from outside the package, so its
+    # errors must name the offending minor by its text
+    def test_of_names_a_malformed_minor(self):
+        M = as_matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        for bad, text in (
+            (MinorId((1, 2), (1,)), r"\[1,2\|1\]"),
+            (MinorId((), ()), r"\[\|\]"),
+            (MinorId((2, 1), (1, 2)), r"\[2,1\|1,2\]"),
+        ):
+            with pytest.raises(ValueError, match="malformed minor " + text):
+                eval_minor(M, bad)
+
+    def test_of_names_a_minor_outside_the_grid(self):
+        with pytest.raises(ValueError, match=r"minor \[3\|1\] outside the 2x2"):
+            eval_minor(as_matrix([[1, 2], [3, 4]]), MinorId((3,), (1,)))
+        with pytest.raises(ValueError, match="outside the 1x3"):
+            eval_minor(as_matrix([[1, 2, 3]]), MinorId((1, 2), (1, 2)))
+
 
 GRIDS = st.sampled_from([(1, 1), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)])
 
