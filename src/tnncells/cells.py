@@ -10,9 +10,10 @@ restoration pivot is an untouched diagram entry, so the 0/1 run is the
 image of the symbolic run.  Every nonzero pivot of that run is an
 untouched 1, so floor division is exact and every restored entry is a
 nonnegative integer (it counts paths of the Cauchon graph).  Every
-restored generic minor is a sum over vertex-disjoint path systems of the
-Cauchon graph with positive coefficients (Lindstrom-Gessel-Viennot), so
-it vanishes identically exactly when it vanishes at the point.
+restored generic minor [I|L] sums the weights of the graph's
+vertex-disjoint path systems from rows I to columns L
+(Lindstrom-Gessel-Viennot, checked by the tests), so it vanishes
+identically exactly when it vanishes at the point.
 `classify` sends a tnn matrix to its cell by running the inverse
 algorithm and reading the zero pattern, then cross-checks the family.  With
 `find_perm`, it reads the cell's restricted permutation straight off the

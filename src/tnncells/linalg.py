@@ -1,14 +1,15 @@
-"""Exact matrices: fraction-free determinants, all-minors tables, rank.
+"""Exact rational matrices: fraction-free determinants, all-minors tables, rank.
 
 Matrices are immutable tuples of row tuples.  `submatrix` selects rows and
 columns by 0-based index; the all-minors table is keyed by 1-based
 :class:`MinorId`, the package's one name for a minor, in canonical order
-(by size, then rows, then columns).  Entries are either all
-rational (int/Fraction) or all :class:`~tnncells.laurent.LaurentPoly`
-over one registry.  Both are integral domains, so one Bareiss kernel and
-one Laplace all-minors kernel serve both: rational matrices enter them as
-integer rows after clearing denominators row by row, and Laurent matrices
-enter as they are, with exact Laurent division for the Bareiss quotients.
+(by size, then rows, then columns).  `as_matrix` also freezes matrices of
+:class:`~tnncells.laurent.LaurentPoly` entries, which restoration and the
+Poisson checks use, but minors, determinants and ranks are defined for
+rational (int/Fraction) matrices only and refuse a Laurent one with
+`TypeError`.  One Bareiss kernel and one Laplace all-minors kernel run on
+plain integer rows: a rational matrix enters them after clearing
+denominators row by row (`_scaled_int_rows`, which also holds the guard).
 
 The all-minors kernel runs a Laplace plan built once per grid shape and
 cached (bounded): the canonical ids, each row set's first row and the
@@ -17,22 +18,21 @@ terms as positions in that block, so no key is built per term.  The plan
 also keeps each size's stretch of the canonical order (its first position,
 row sets and column sets), from which `minors` builds family masks.
 `all_minors` divides the integer table back to exact Fractions;
-sign-and-zero readers (`cells.is_tnn`, `minors.vanishing_family` on
-rational input, the h-invariance check and the tnn round trip) use the
-integer table from `_scaled_minors` directly, since scaling a row by a
-positive integer keeps every minor's sign and zero-ness.
+sign-and-zero readers (`cells.is_tnn`, `minors.vanishing_family`, the
+h-invariance check and the tnn round trip) use the integer table from
+`_scaled_minors` directly, since scaling a row by a positive integer keeps
+every minor's sign and zero-ness.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from typing import NamedTuple, Sequence
 
-from .laurent import LaurentPoly, laurent_div_exact
+from .laurent import LaurentPoly
 
 Matrix = tuple[tuple, ...]
 
@@ -100,7 +100,13 @@ def submatrix(M: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
 
 
 def _scaled_int_rows(M: Matrix) -> tuple[list[list[int]], list[int]]:
-    """Clear denominators row by row; returns (int rows, positive scales)."""
+    """Clear denominators row by row; returns (int rows, positive scales).
+
+    Every minor, determinant and rank reader enters the integer kernels
+    here, so this is where a Laurent matrix is refused.
+    """
+    if is_symbolic(M):
+        raise TypeError("minors, determinants and ranks are defined for rational matrices only")
     ints, scales = [], []
     for row in M:
         scale = math.lcm(*[x.denominator for x in row])
@@ -109,45 +115,37 @@ def _scaled_int_rows(M: Matrix) -> tuple[list[list[int]], list[int]]:
     return ints, scales
 
 
-def det_exact(M: Matrix):
-    """Exact determinant of a square matrix over either entry domain."""
+def det_exact(M: Matrix) -> Fraction:
+    """Exact determinant of a square rational matrix."""
     n, w = dims(M)
     if n != w:
         raise ValueError(f"matrix is {n}x{w}, not square")
-    if is_symbolic(M):
-        return _det_bareiss(M, M[0][0].registry.zero(), laurent_div_exact)
     ints, scales = _scaled_int_rows(M)
-    return Fraction(_det_bareiss(ints, 0, operator.floordiv), math.prod(scales))
+    return Fraction(_det_bareiss(ints), math.prod(scales))
 
 
-def all_minors(M: Matrix) -> dict[MinorId, object]:
+def all_minors(M: Matrix) -> dict[MinorId, Fraction]:
     """Every nonempty minor's exact value, keyed by MinorId in canonical order."""
-    if is_symbolic(M):
-        return _all_minors(M, M[0][0].registry.zero())
     ints, scales = _scaled_int_rows(M)
     return {
         mid: Fraction(d, math.prod(scales[i - 1] for i in mid.rows))
-        for mid, d in _all_minors(ints, 0).items()
+        for mid, d in _all_minors(ints).items()
     }
 
 
-def _scaled_minors(M: Matrix) -> dict[MinorId, object]:
+def _scaled_minors(M: Matrix) -> dict[MinorId, int]:
     """Every nonempty minor up to a positive factor, keyed like `all_minors`.
 
-    A rational matrix enters as its denominator-cleared integer rows, so
-    each value is the minor times a positive integer: its sign and whether
-    it is zero are exact, its size is not.  A Laurent matrix enters as it
-    is (factor 1).  This is the table for sign-and-zero questions.
+    The matrix enters as its denominator-cleared integer rows, so each
+    value is the minor times a positive integer: its sign and whether it
+    is zero are exact, its size is not.  This is the table for
+    sign-and-zero questions.
     """
-    if is_symbolic(M):
-        return _all_minors(M, M[0][0].registry.zero())
-    return _all_minors(_scaled_int_rows(M)[0], 0)
+    return _all_minors(_scaled_int_rows(M)[0])
 
 
 def rank_exact(M: Matrix) -> int:
     """Rank of a rational matrix by fraction-free elimination."""
-    if is_symbolic(M):
-        raise TypeError("rank_exact is defined for rational matrices only")
     ints, _ = _scaled_int_rows(M)
     return _rank_int(ints)
 
@@ -186,19 +184,18 @@ def _rank_int(rows: list[list[int]]) -> int:
     return rank
 
 
-def _det_bareiss(rows: Sequence[Sequence], zero, div):
-    """Determinant of a square matrix by fraction-free elimination.
+def _det_bareiss(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination.
 
-    `zero` is the zero of the entries' integral domain and `div` its exact
-    division.  Row swaps supply pivots; every Bareiss quotient exists in an
-    integral domain, so every division is exact.
+    Row swaps supply pivots; every Bareiss quotient is an integer, so every
+    floor division is exact.  The empty determinant is 1.
     """
     a = [list(r) for r in rows]
     n = len(a)
     if n == 0:
-        return zero + 1
+        return 1
     sign = 1
-    prev = None
+    prev = 1
     for k in range(n - 1):
         if not a[k][k]:
             for r in range(k + 1, n):
@@ -207,15 +204,14 @@ def _det_bareiss(rows: Sequence[Sequence], zero, div):
                     sign = -sign
                     break
             else:
-                return zero
+                return 0
         rk = a[k]
         pivot = rk[k]
         for i in range(k + 1, n):
             ri = a[i]
             aik = ri[k]
             for j in range(k + 1, n):
-                num = pivot * ri[j] - aik * rk[j]
-                ri[j] = num if prev is None else div(num, prev)
+                ri[j] = (pivot * ri[j] - aik * rk[j]) // prev
         prev = pivot
     d = a[n - 1][n - 1]
     return -d if sign < 0 else d
@@ -271,13 +267,14 @@ def _laplace_plan(m: int, p: int) -> _LaplacePlan:
     return _LaplacePlan(tuple(ids), tuple(expansions), tuple(sizes))
 
 
-def _all_minors(mat: Sequence[Sequence], zero) -> dict[MinorId, object]:
-    """Determinants of every nonempty square submatrix, keyed by MinorId.
+def _all_minors(mat: Sequence[Sequence[int]]) -> dict[MinorId, int]:
+    """Determinants of every nonempty square submatrix of an integer
+    matrix, keyed by MinorId.
 
     Runs the shape's cached Laplace plan: blocks are filled in canonical
     order, size by size, so each first-row expansion reads size-(k-1)
     values already present.  A zero entry or a zero sub-minor contributes
-    no term; `zero` is the entries' zero.
+    no term.
     """
     plan = _laplace_plan(len(mat), len(mat[0]))
     blocks = list(mat)
@@ -285,7 +282,7 @@ def _all_minors(mat: Sequence[Sequence], zero) -> dict[MinorId, object]:
         row, below = mat[r], blocks[b]
         block = []
         for col_terms in terms:
-            acc = zero
+            acc = 0
             for c, s, negate in col_terms:
                 x = row[c]
                 if x:

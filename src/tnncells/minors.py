@@ -11,7 +11,8 @@ minor belongs.  Equality, hashing and size are integer operations, and
 iteration walks the set bits in canonical order, so serialized families
 are byte-stable.  `_mask_by` builds the mask of the minors whose row set,
 or column set, passes a test, one block of the plan's per-size layout at
-a time; :mod:`tnncells.families` combines such masks.
+a time; :mod:`tnncells.families` combines such masks.  Minors are
+evaluated on rational matrices only; a Laurent matrix raises `TypeError`.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def _vanishing_mask(values: Iterable) -> int:
 
 
 def eval_minor(M: linalg.Matrix, mid: MinorId):
-    """Exact value of the minor on a matrix over either entry domain.
+    """Exact value of the minor on a rational matrix.
 
     The row and column sets must be nonempty, of one size, positive and
     strictly increasing, and the minor must fit in the matrix.
@@ -117,13 +118,11 @@ def all_minors_table(M: linalg.Matrix) -> dict[MinorId, object]:
 
 
 def vanishing_family(M: linalg.Matrix) -> MinorFamily:
-    """The set of minors of M that are exactly zero.
+    """The set of minors of a rational matrix M that are exactly zero.
 
-    A rational M is read from the integer table of `linalg._scaled_minors`,
-    whose zeros are exactly the minors' zeros; a Laurent M from
-    `all_minors_table`.  Both tables are in canonical order, so each value
-    sets its own bit.
+    Read from the integer table of `linalg._scaled_minors`, whose zeros are
+    exactly the minors' zeros; the table is in canonical order, so each
+    value sets its own bit.
     """
     m, p = linalg.dims(M)
-    table = all_minors_table(M) if linalg.is_symbolic(M) else linalg._scaled_minors(M)
-    return MinorFamily(m, p, _vanishing_mask(table.values()))
+    return MinorFamily(m, p, _vanishing_mask(linalg._scaled_minors(M).values()))

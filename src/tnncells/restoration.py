@@ -5,10 +5,10 @@ Steps are indexed by grid positions (j, b) running lexicographically from
 is the state *before* that step runs.  One step engine serves both
 directions - they differ in a sign and in traversal order - and every entry
 domain: the correction is ``div(X[i][b] * X[j][a], pivot)``, where ``div``
-is the domain's exact division, passed in as `linalg._det_bareiss` takes
-it.  A step writes only the entries whose correction is nonzero: a row
-with a zero multiplier X[i][b] keeps its row tuple, an entry with a zero
-pivot-row factor X[j][a] keeps its object, and a step that writes nothing
+is the domain's exact division, passed in by the caller.  A step writes
+only the entries whose correction is nonzero: a row with a zero
+multiplier X[i][b] keeps its row tuple, an entry with a zero pivot-row
+factor X[j][a] keeps its object, and a step that writes nothing
 (a zero pivot among them) returns its input matrix itself, so the
 h-invariance check, the deletion suite and the step-bracket checks can
 skip what a step left alone.  A Fraction pivot takes a rational kernel

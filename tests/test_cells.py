@@ -11,7 +11,6 @@ from tnncells import (
     NotTotallyNonnegativeError,
     RestrictedPermutation,
     SelfCheckError,
-    all_minors,
     classify,
     enumerate_diagrams,
     family_of_diagram,
@@ -26,6 +25,8 @@ from tnncells import (
     w_max,
 )
 from tnncells.linalg import as_matrix, det_exact, submatrix
+
+from conftest import path_family, path_sums
 
 NBAR = ((11, 7, 4, 1), (7, 5, 3, 1), (4, 3, 2, 1), (1, 1, 1, 1))
 
@@ -107,11 +108,21 @@ class TestSymbolicMatrix:
         ]
 
 
-def symbolic_family(C):
-    """The diagram family from the generic matrix itself: restore it
-    symbolically and read off the identically vanishing minors."""
-    _, M = symbolic_cauchon_matrix(C)
-    return vanishing_family(restore(M).final)
+# Every grid with at most 12 cells.
+PATH_GRIDS = [(m, p) for m in range(1, 13) for p in range(1, 13) if m * p <= 12]
+
+
+class TestCauchonGraph:
+    """Restoring the generic matrix sums the paths of the Cauchon graph:
+    each restored entry (i, a), term for term, is the weight sum of the
+    paths from row i to column a."""
+
+    @pytest.mark.parametrize("m,p", PATH_GRIDS)
+    def test_path_sums_equal_the_restored_generic_matrix(self, m, p):
+        for C in enumerate_diagrams(m, p):
+            X = restore(symbolic_cauchon_matrix(C)[1]).final
+            for (i, a), weights in path_sums(C).items():
+                assert X[i - 1][a - 1].terms == weights, (C, (i, a))
 
 
 # Every grid with at most 9 cells, plus (2,5), (3,4) and (4,3).
@@ -121,20 +132,18 @@ POSITIVE_POINT_GRIDS = [
 
 
 class TestPositivePoint:
-    """`family_of_diagram` reads the 0/1 matrix; the generic matrix is the
-    oracle, and its minors' positivity is what makes the point enough."""
+    """`family_of_diagram` reads the 0/1 matrix; the symbolic family, the
+    minors vanishing identically on the restored generic matrix, is the
+    oracle.  By Lindstrom-Gessel-Viennot a restored generic minor [I|L] is
+    a sum, with positive coefficients, over the vertex-disjoint path
+    systems of the Cauchon graph from rows I to columns L (checked against
+    sympy in test_sympy_oracle.py), so the symbolic family is the set of
+    minors with no such system."""
 
     @pytest.mark.parametrize("m,p", POSITIVE_POINT_GRIDS)
     def test_equals_the_symbolic_family(self, m, p):
         for C in enumerate_diagrams(m, p):
-            assert family_of_diagram(C) == symbolic_family(C), C
-
-    @pytest.mark.parametrize("m,p", [(2, 3), (3, 3), (3, 4), (4, 3)])
-    def test_restored_generic_minors_have_positive_coefficients(self, m, p):
-        for C in enumerate_diagrams(m, p):
-            _, M = symbolic_cauchon_matrix(C)
-            for mid, value in all_minors(restore(M).final).items():
-                assert all(c > 0 for c in value.terms.values()), (C, mid)
+            assert family_of_diagram(C) == path_family(C), C
 
 
 class TestIntegerRoute:

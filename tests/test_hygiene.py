@@ -4,8 +4,9 @@ somewhere in the package outside its own definition, every name the
 package exports is used by some module of the package, every public
 method is referenced by some module of the package, no module-level
 function or method is wrapped in a cache that grows for the life of the
-process, every function and method the benchmark's tracer binds by name
-still exists, and the README's Library example runs.
+process, every function and method the benchmark's tracer binds by name,
+and every package name its micro rows import, still exists, and the
+README's Library example runs.
 
 Stdlib only (`ast`), so it runs wherever the suite does.  For imports,
 `__init__.py` is exempt (its imports are the package's re-exports), and so
@@ -41,6 +42,8 @@ EXPORT_EXCEPTIONS = {
     "matrix_bracket_table": "the standard Poisson structure on matrices, named in the README",
     "restore_step": "one step of the restoration algorithm, the per-layer unit of aim 1",
     "delete_step": "one step of deleting derivations, the per-layer unit of aim 1",
+    "all_minors_table": "the benchmark's tracer binds it by name (`FUNCTIONS` in "
+    "perfbench/tracing.py); it goes when that binding does, ROADMAP item 1",
 }
 
 # Public methods no module references, each kept for a stated reason.
@@ -365,6 +368,7 @@ def test_detector_flags_an_unreferenced_method():
 
 
 TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"
+ROUND = PACKAGE.parent.parent / "perfbench" / "round.py"
 
 
 def traced_bindings(tree: ast.Module, table: str) -> list[tuple[str, str]]:
@@ -379,10 +383,28 @@ def traced_bindings(tree: ast.Module, table: str) -> list[tuple[str, str]]:
     raise LookupError(f"no list {table}")
 
 
-@pytest.mark.parametrize("table", ["FUNCTIONS", "GENERATORS", "METHODS"])
+def package_imports(tree: ast.Module) -> list[str]:
+    """Every name a `from tnncells import ...` in the module imports."""
+    return [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "tnncells"
+        for alias in node.names
+    ]
+
+
+@pytest.mark.parametrize("table", ["FUNCTIONS", "GENERATORS", "METHODS", "round.py"])
 def test_traced_names_resolve(table):
-    # the benchmark's tracer binds these by name; parsed, not imported, so
-    # the check needs nothing from the benchmark's own imports
+    # the benchmark's tracer binds these by name, and its micro rows
+    # (perfbench/round.py) import them from the package; parsed, not
+    # imported, so the check needs nothing from the benchmark's own imports
+    if table == "round.py":
+        names = package_imports(ast.parse(ROUND.read_text(), filename=str(ROUND)))
+        assert names
+        package = importlib.import_module("tnncells")
+        for name in names:
+            assert callable(getattr(package, name, None)), f"tnncells.{name} is gone"
+        return
     bindings = traced_bindings(ast.parse(TRACING.read_text(), filename=str(TRACING)), table)
     assert bindings
     if table == "METHODS":
@@ -405,6 +427,8 @@ def test_detector_reads_traced_bindings():
         ("__mul__", "laurent.mul"),
         ("partial", "laurent.partial"),
     ]
+    tree = ast.parse("def f():\n    from tnncells import a, b as c\n    from os import d\n")
+    assert package_imports(tree) == ["a", "b"]
 
 
 README = PACKAGE.parent.parent / "README.md"

@@ -1,18 +1,20 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from tnncells import (
+    MinorId,
     VarRegistry,
     all_minor_ids,
     all_minors,
     as_matrix,
     det_exact,
-    enumerate_diagrams,
+    eval_minor,
     mat_mul,
     rank_exact,
     restore,
-    symbolic_cauchon_matrix,
+    vanishing_family,
 )
 from tnncells.linalg import _all_minors, _scaled_minors, is_symbolic, submatrix
 from tnncells.verify import _corpus
@@ -76,55 +78,6 @@ class TestDet:
             B = as_matrix(rand_matrix(rng, 4, 4))
             assert det_exact(mat_mul(A, B)) == det_exact(A) * det_exact(B)
 
-    def test_symbolic_2x2(self):
-        M = as_matrix([[T11, T12], [T21, T22]])
-        assert det_exact(M) == T11 * T22 - T12 * T21
-
-    def test_symbolic_with_laurent_entries(self):
-        # entries straight out of a restoration trace: y11 has a t22^{-1} term
-        y11 = T11 + T12 * T21 / T22
-        M = as_matrix([[y11, T12], [T21, T22]])
-        assert det_exact(M) == T11 * T22
-
-    def test_symbolic_3x3_matches_cofactor(self):
-        reg = VarRegistry.grid(3, 3)
-        M = as_matrix([[reg.var(i, a) for a in range(1, 4)] for i in range(1, 4)])
-        d = det_exact(M)
-        # brute-force Leibniz expansion
-        from itertools import permutations
-
-        acc = reg.zero()
-        for perm in permutations(range(3)):
-            sgn = 1
-            for i in range(3):
-                for j in range(i):
-                    if perm[j] > perm[i]:
-                        sgn = -sgn
-            term = reg.const(Fraction(sgn))
-            for i in range(3):
-                term = term * M[i][perm[i]]
-            acc = acc + term
-        assert d == acc
-
-    @pytest.mark.parametrize("m,p", [(2, 3), (3, 3)])
-    def test_symbolic_bareiss_on_restored_cells(self, m, p):
-        # Restored generic matrices carry multi-term Laurent entries with
-        # negative exponents, so Bareiss divides by non-monomials.  Its
-        # quotients must be exact, and agree with the Laplace table.
-        multi_term_laurent = 0
-        for C in enumerate_diagrams(m, p):
-            X = restore(symbolic_cauchon_matrix(C)[1]).final
-            multi_term_laurent += sum(
-                len(x.terms) > 1 and any(e < 0 for ex in x.terms for e in ex)
-                for row in X
-                for x in row
-            )
-            for (rows, cols), d in all_minors(X).items():
-                if len(rows) >= 2:
-                    sub = submatrix(X, [i - 1 for i in rows], [a - 1 for a in cols])
-                    assert det_exact(sub) == d
-        assert multi_term_laurent
-
 
 class TestAllMinors:
     def test_matches_per_minor_dets(self, rng):
@@ -139,23 +92,14 @@ class TestAllMinors:
                     assert table[key] == det_exact(submatrix(M, rows, cols))
 
     def test_keys_are_minor_ids_in_canonical_order(self, rng):
-        rational = as_matrix(rand_matrix(rng, 3, 4))
-        laurent = as_matrix([[T11, T12, 1], [T21, 0, T22]])
-        for M in (rational, laurent):
-            ids = all_minor_ids(len(M), len(M[0]))
-            table = all_minors(M)
-            assert list(table) == ids
-            assert [mid.text() for mid in table] == [mid.text() for mid in ids]
-
-    def test_symbolic_matches(self):
-        M = as_matrix([[T11, T12], [T21, T22]])
+        M = as_matrix(rand_matrix(rng, 3, 4))
+        ids = all_minor_ids(3, 4)
         table = all_minors(M)
-        assert table[((1,), (2,))] == T12
-        assert table[((1, 2), (1, 2))] == T11 * T22 - T12 * T21
+        assert list(table) == ids
+        assert [mid.text() for mid in table] == [mid.text() for mid in ids]
 
 
 PLAN_SHAPES = [(1, 6), (6, 1), (2, 5), (5, 2), (3, 5), (4, 4)]
-LAURENT_ENTRIES = (R.zero(), R.const(1), -2 * T11, T12 / T21, T11 + T22, T12 - 3 * T21)
 
 
 def _sign(x) -> int:
@@ -165,8 +109,8 @@ def _sign(x) -> int:
 class TestPlannedKernel:
     """The per-shape Laplace plan against one Bareiss determinant per minor."""
 
-    def _check(self, rows, zero):
-        table = _all_minors(rows, zero)
+    def _check(self, rows):
+        table = _all_minors(rows)
         M = as_matrix(rows)
         assert list(table) == all_minor_ids(len(rows), len(rows[0]))
         for mid, value in table.items():
@@ -177,13 +121,7 @@ class TestPlannedKernel:
     def test_integer_rows(self, rng, m, p):
         rows = [[rng.randint(-9, 9) for _ in range(p)] for _ in range(m)]
         rows[rng.randrange(m)] = [0] * p
-        self._check(rows, 0)
-
-    @pytest.mark.parametrize("m,p", PLAN_SHAPES)
-    def test_laurent_rows(self, rng, m, p):
-        rows = [[rng.choice(LAURENT_ENTRIES) for _ in range(p)] for _ in range(m)]
-        rows[rng.randrange(m)] = [R.zero()] * p
-        self._check(rows, R.zero())
+        self._check(rows)
 
 
 class TestScaledMinors:
@@ -206,10 +144,6 @@ class TestScaledMinors:
         assert scaled[((1, 2), (1, 2))] == -1
         assert scaled[((2,), (1,))] == 5
 
-    def test_laurent_input_is_the_exact_table(self):
-        M = as_matrix([[T11, T12], [T21, T22]])
-        assert _scaled_minors(M) == all_minors(M)
-
 
 class TestRank:
     def test_golden(self):
@@ -223,9 +157,23 @@ class TestRank:
             M = as_matrix(rand_matrix(rng, 3, 5, span=4))
             assert rank_exact(M) == rank_exact(tuple(zip(*M)))
 
-    def test_rejects_symbolic(self):
-        with pytest.raises(TypeError):
-            rank_exact(as_matrix([[T11]]))
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        rank_exact,
+        det_exact,
+        all_minors,
+        vanishing_family,
+        partial(eval_minor, mid=MinorId((1, 2), (1, 2))),
+    ],
+    ids=["rank_exact", "det_exact", "all_minors", "vanishing_family", "eval_minor"],
+)
+def test_rejects_laurent_matrices(read):
+    # minors, determinants and ranks are rational-only: one guard refuses
+    # a Laurent matrix for every reader
+    with pytest.raises(TypeError, match="rational matrices only"):
+        read(as_matrix([[T11, T12], [T21, T22]]))
 
 
 class TestMatMul:

@@ -1,14 +1,15 @@
-"""Exact Laurent division and symbolic determinants against sympy.
+"""Exact Laurent division, and the path-system sums of restored generic
+minors, against sympy.
 
 sympy is an independent computer algebra system: it shares no arithmetic
 with the package, so agreement here checks the int-while-integral
-coefficient rule and the division algorithm from outside.
+coefficient rule and the division algorithm from outside, and ties the
+Cauchon-graph oracle of the tests to real determinants.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
-from math import comb
 
 import pytest
 
@@ -18,13 +19,14 @@ from tnncells import (  # noqa: E402
     InexactDivisionError,
     LaurentPoly,
     VarRegistry,
-    det_exact,
+    all_minor_ids,
     enumerate_diagrams,
     laurent_div_exact,
     restore,
     symbolic_cauchon_matrix,
 )
-from tnncells.linalg import submatrix  # noqa: E402
+
+from conftest import cauchon_paths, disjoint_systems  # noqa: E402
 
 
 def symbols_of(registry: VarRegistry):
@@ -96,6 +98,11 @@ class TestDivision:
 
 
 class TestSymbolicDeterminants:
+    """Lindstrom-Gessel-Viennot on the Cauchon graph: every restored
+    generic minor [I|L] is the weight sum of the vertex-disjoint path
+    systems that pair I[t] with L[t].  The sum is subtraction-free, so
+    every coefficient of the minor is a positive path count."""
+
     @pytest.mark.parametrize("m,p", [(2, 3), (3, 3)])
     def test_restored_generic_matrices(self, m, p):
         checked = 0
@@ -103,15 +110,15 @@ class TestSymbolicDeterminants:
             registry, M = symbolic_cauchon_matrix(C)
             syms = symbols_of(registry)
             X = restore(M).final
-            for k in range(2, min(m, p) + 1):
-                for rows in combinations(range(m), k):
-                    for cols in combinations(range(p), k):
-                        sub = submatrix(X, rows, cols)
-                        expected = sympy.Matrix(
-                            [[to_sympy(x, syms) for x in row] for row in sub]
-                        ).det()
-                        assert same(to_sympy(det_exact(sub), syms), expected)
-                        checked += 1
-        assert checked == sum(1 for _ in enumerate_diagrams(m, p)) * sum(
-            comb(m, k) * comb(p, k) for k in range(2, min(m, p) + 1)
-        )
+            paths = cauchon_paths(C)
+            for mid in all_minor_ids(m, p):
+                counts = Counter()
+                for system in disjoint_systems(paths, mid.rows, mid.cols):
+                    # disjoint paths cannot cross, so each system keeps the order
+                    assert tuple(end for _, end, _, _ in system) == mid.cols, (C, mid)
+                    counts[tuple(map(sum, zip(*(w for _, _, _, w in system))))] += 1
+                lgv = to_sympy(LaurentPoly(registry, counts), syms)
+                rows = [[to_sympy(X[i - 1][a - 1], syms) for a in mid.cols] for i in mid.rows]
+                assert same(lgv, sympy.Matrix(rows).det()), (C, mid)
+                checked += 1
+        assert checked == sum(1 for _ in enumerate_diagrams(m, p)) * len(all_minor_ids(m, p))
