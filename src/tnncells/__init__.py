@@ -66,11 +66,9 @@ from .poisson import (
 from .restoration import (
     MatrixTrace,
     delete_derivations,
-    delete_step,
     diagram_of_matrix,
     is_cauchon_matrix,
     restore,
-    restore_step,
     step_sequence,
     trace_h_invariance_counterexample,
 )
@@ -113,7 +111,6 @@ __all__ = [
     "closure_rank_conditions_hold",
     "count_diagrams",
     "delete_derivations",
-    "delete_step",
     "det_exact",
     "diagram_of_matrix",
     "enumerate_diagrams",
@@ -139,7 +136,6 @@ __all__ = [
     "random_diagram",
     "rank_exact",
     "restore",
-    "restore_step",
     "step_sequence",
     "symbolic_cauchon_matrix",
     "trace_h_invariance_counterexample",

@@ -26,7 +26,6 @@ the two-sided cross-check of that construction.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +43,7 @@ from .families import family_of_perm
 from .laurent import VarRegistry
 from .linalg import Matrix, _scaled_minors, as_matrix
 from .minors import MinorFamily, MinorId, eval_minor, vanishing_family
-from .restoration import _restore, delete_derivations, diagram_of_matrix
+from .restoration import _run, delete_derivations, diagram_of_matrix
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,7 @@ def family_of_diagram(C: CauchonDiagram) -> MinorFamily:
         tuple(0 if C.is_black(i, a) else 1 for a in range(1, C.p + 1))
         for i in range(1, C.m + 1)
     )
-    return vanishing_family(_restore(M, operator.floordiv).final)
+    return vanishing_family(_run(M, +1).final)
 
 
 def random_cauchon_matrix(C: CauchonDiagram, seed: int) -> Matrix:
@@ -154,19 +153,18 @@ def classify(Xbar: Matrix, *, find_perm: bool = False) -> CellDescriptor:
     read off its pipe dream; its family must equal the diagram's, or
     `SelfCheckError` is raised.
     """
-    Xbar = as_matrix(Xbar)
     verdict = is_tnn(Xbar)
     if not verdict.is_tnn:
         raise NotTotallyNonnegativeError(verdict.witness, verdict.witness_value)
-    X = delete_derivations(Xbar).initial
+    trace = delete_derivations(Xbar)
     try:
-        diagram = diagram_of_matrix(X)
+        diagram = diagram_of_matrix(trace.initial)
     except ValueError as exc:
         raise SelfCheckError(
             f"inverse algorithm produced a non-diagram zero pattern: {exc}"
         ) from None
     family = family_of_diagram(diagram)
-    observed = vanishing_family(Xbar)
+    observed = vanishing_family(trace.final)  # the validated Xbar
     if observed != family:
         raise SelfCheckError(
             "vanishing family disagrees with the diagram family: "

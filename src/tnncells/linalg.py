@@ -6,9 +6,10 @@ columns by 0-based index; the all-minors table is keyed by 1-based
 (by size, then rows, then columns).  `as_matrix` also freezes matrices of
 :class:`~tnncells.laurent.LaurentPoly` entries, which restoration and the
 Poisson checks use, but minors, determinants and ranks are defined for
-rational (int/Fraction) matrices only and refuse a Laurent one with
-`TypeError`.  One Bareiss kernel and one Laplace all-minors kernel run on
-plain integer rows: a rational matrix enters them after clearing
+rational (int/Fraction) matrices only and refuse a matrix with any
+Laurent entry with `TypeError`.  One Bareiss kernel (`_bareiss`, rank and
+determinant from one elimination) and one Laplace all-minors kernel run
+on plain integer rows: a rational matrix enters them after clearing
 denominators row by row (`_scaled_int_rows`, which also holds the guard).
 
 The all-minors kernel runs a Laplace plan built once per grid shape and
@@ -103,15 +104,19 @@ def _scaled_int_rows(M: Matrix) -> tuple[list[list[int]], list[int]]:
     """Clear denominators row by row; returns (int rows, positive scales).
 
     Every minor, determinant and rank reader enters the integer kernels
-    here, so this is where a Laurent matrix is refused.
+    here, so this is where a matrix with any Laurent entry is refused: it
+    has no `denominator`.
     """
-    if is_symbolic(M):
-        raise TypeError("minors, determinants and ranks are defined for rational matrices only")
     ints, scales = [], []
-    for row in M:
-        scale = math.lcm(*[x.denominator for x in row])
-        ints.append([x.numerator * (scale // x.denominator) for x in row])
-        scales.append(scale)
+    try:
+        for row in M:
+            scale = math.lcm(*[x.denominator for x in row])
+            ints.append([x.numerator * (scale // x.denominator) for x in row])
+            scales.append(scale)
+    except AttributeError:
+        raise TypeError(
+            "minors, determinants and ranks are defined for rational matrices only"
+        ) from None
     return ints, scales
 
 
@@ -121,7 +126,7 @@ def det_exact(M: Matrix) -> Fraction:
     if n != w:
         raise ValueError(f"matrix is {n}x{w}, not square")
     ints, scales = _scaled_int_rows(M)
-    return Fraction(_det_bareiss(ints), math.prod(scales))
+    return Fraction(_bareiss(ints)[1], math.prod(scales))
 
 
 def all_minors(M: Matrix) -> dict[MinorId, Fraction]:
@@ -146,18 +151,26 @@ def _scaled_minors(M: Matrix) -> dict[MinorId, int]:
 
 def rank_exact(M: Matrix) -> int:
     """Rank of a rational matrix by fraction-free elimination."""
-    ints, _ = _scaled_int_rows(M)
-    return _rank_int(ints)
+    return _bareiss(_scaled_int_rows(M)[0])[0]
 
 
-def _rank_int(rows: list[list[int]]) -> int:
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(rank, determinant) of an integer matrix by fraction-free elimination.
+
+    Full pivoting: each step takes the first nonzero entry of the trailing
+    submatrix, in row-major order, and swaps it into place, flipping the
+    sign once per row swap and once per column swap.  Every Bareiss
+    quotient is an integer, so every floor division is exact.  The
+    determinant is 0 unless the matrix is square and of full rank; the
+    empty determinant is 1.
+    """
     a = [list(r) for r in rows]
     m = len(a)
-    n = len(a[0])
+    n = len(a[0]) if a else 0
     rank = 0
+    sign = 1
     prev = 1
     while rank < m and rank < n:
-        # full pivot search in the trailing submatrix
         pr = pc = -1
         for i in range(rank, m):
             for j in range(rank, n):
@@ -170,51 +183,22 @@ def _rank_int(rows: list[list[int]]) -> int:
             break
         if pr != rank:
             a[rank], a[pr] = a[pr], a[rank]
+            sign = -sign
         if pc != rank:
             for row in a:
                 row[rank], row[pc] = row[pc], row[rank]
-        pivot = a[rank][rank]
+            sign = -sign
+        rk = a[rank]
+        pivot = rk[rank]
         for i in range(rank + 1, m):
-            air = a[i][rank]
+            ri = a[i]
+            air = ri[rank]
             for j in range(rank + 1, n):
-                a[i][j] = (pivot * a[i][j] - air * a[rank][j]) // prev
-            a[i][rank] = 0
+                ri[j] = (pivot * ri[j] - air * rk[j]) // prev
         prev = pivot
         rank += 1
-    return rank
-
-
-def _det_bareiss(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination.
-
-    Row swaps supply pivots; every Bareiss quotient is an integer, so every
-    floor division is exact.  The empty determinant is 1.
-    """
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            for r in range(k + 1, n):
-                if a[r][k]:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        rk = a[k]
-        pivot = rk[k]
-        for i in range(k + 1, n):
-            ri = a[i]
-            aik = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (pivot * ri[j] - aik * rk[j]) // prev
-        prev = pivot
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
+    det = sign * prev if rank == m == n else 0
+    return rank, det
 
 
 class _LaplacePlan(NamedTuple):

@@ -2,33 +2,33 @@
 
 Steps are indexed by grid positions (j, b) running lexicographically from
 (1,2) to (m,p), plus a final label (m, p+1); the matrix stored at a label
-is the state *before* that step runs.  One step engine serves both
-directions - they differ in a sign and in traversal order - and every entry
-domain: the correction is ``div(X[i][b] * X[j][a], pivot)``, where ``div``
-is the domain's exact division, passed in by the caller.  A step writes
-only the entries whose correction is nonzero: a row with a zero
-multiplier X[i][b] keeps its row tuple, an entry with a zero pivot-row
-factor X[j][a] keeps its object, and a step that writes nothing
-(a zero pivot among them) returns its input matrix itself, so the
-h-invariance check, the deletion suite and the step-bracket checks can
-skip what a step left alone.  A Fraction pivot takes a rational kernel
-that builds each written entry as one normalised ``Fraction(n, d)``.
+is the state *before* that step runs.  One step engine and one driver
+serve both directions - they differ in a sign and in traversal order -
+and every entry domain: the correction is X[i][b] * X[j][a] / pivot, in
+the pivot's own exact division.  A step writes only the entries whose
+correction is nonzero: a row with a zero multiplier X[i][b] keeps its row
+tuple, an entry with a zero pivot-row factor X[j][a] keeps its object,
+and a step that writes nothing (a zero pivot among them) returns its
+input matrix itself, so the h-invariance check, the deletion suite and
+the step-bracket checks can skip what a step left alone.
+
+The pivot's type picks the division.  A Fraction pivot takes a rational
+kernel that builds each written entry as one normalised ``Fraction(n, d)``.
+A Laurent pivot takes ``/``, exact Laurent division, so a non-exact pivot
+division can never pass silently.  An int pivot takes ``//``: only
+`cells.family_of_diagram` restores plain ints, a 0/1 matrix whose every
+nonzero pivot is an untouched entry 1, so floor division is exact there.
 The public entry points validate their matrix once with
-:func:`~tnncells.linalg.as_matrix` (int entries become Fraction) and pass
-``operator.truediv``: exact on rationals and exact Laurent division on
-Laurent polynomials, so a non-exact pivot division can never pass
-silently.  The third domain is plain int: `cells.family_of_diagram`
-restores a 0/1 matrix with ``operator.floordiv``, exact there because
-every nonzero pivot of that run is an untouched entry 1.
+:func:`~tnncells.linalg.as_matrix`, so int input reaches the engine as
+Fraction.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .combinat import CauchonDiagram, _mask_is_cauchon
 from .linalg import Matrix, _laplace_plan, _scaled_minors, as_matrix, dims
@@ -51,15 +51,15 @@ def step_sequence(m: int, p: int) -> list[Step]:
     return labels
 
 
-def _apply_step(X: Matrix, r: Step, direction: int, div: Callable) -> Matrix:
-    """One step on a validated matrix; `div` is its entries' exact division.
+def _apply_step(X: Matrix, r: Step, direction: int) -> Matrix:
+    """One step on a validated matrix, in its pivot's exact division.
 
     Only entries with a nonzero correction are written (see the module
     docstring).  A Fraction pivot forms xib/pivot once per row as an
     unreduced integer pair, so each written entry costs one normalisation,
-    in `Fraction(n, d)`.  Any other pivot (int, Laurent) takes
-    ``div(xib * X[j][a], pivot)``, the exact form where xib/pivot need not
-    lie in the domain.
+    in `Fraction(n, d)`.  An int pivot takes ``xib * X[j][a] // pivot``
+    and any other (Laurent) pivot ``xib * X[j][a] / pivot``, the exact
+    forms where xib/pivot need not lie in the domain.
     """
     m, p = dims(X)
     j, b = r
@@ -72,8 +72,8 @@ def _apply_step(X: Matrix, r: Step, direction: int, div: Callable) -> Matrix:
     cols = [a for a in range(b - 1) if pivot_row[a]]
     if not cols:
         return X
-    rational = type(pivot) is Fraction
-    if rational:
+    kind = type(pivot)
+    if kind is Fraction:
         factors = [(a, pivot_row[a].numerator, pivot_row[a].denominator) for a in cols]
     rows = None
     for i in range(j - 1):
@@ -81,7 +81,7 @@ def _apply_step(X: Matrix, r: Step, direction: int, div: Callable) -> Matrix:
         if not xib:
             continue
         row = list(X[i])
-        if rational:
+        if kind is Fraction:
             # row[a] + direction * (n / d) * y, over one common denominator
             n = direction * xib.numerator * pivot.denominator
             d = xib.denominator * pivot.numerator
@@ -91,24 +91,13 @@ def _apply_step(X: Matrix, r: Step, direction: int, div: Callable) -> Matrix:
                 row[a] = Fraction(x.numerator * dy + n * yn * x.denominator, x.denominator * dy)
         else:
             for a in cols:
-                correction = div(xib * pivot_row[a], pivot)
+                y = xib * pivot_row[a]
+                correction = y // pivot if kind is int else y / pivot
                 row[a] = row[a] + correction if direction > 0 else row[a] - correction
         if rows is None:
             rows = list(X)
         rows[i] = tuple(row)
     return X if rows is None else tuple(rows)
-
-
-def restore_step(X: Matrix, r: Step) -> Matrix:
-    """One forward step: entries above-left of the pivot gain the
-    pivot-scaled rank-one correction; a zero pivot leaves X unchanged."""
-    return _apply_step(as_matrix(X), r, +1, operator.truediv)
-
-
-def delete_step(X: Matrix, r: Step) -> Matrix:
-    """The inverse step (subtraction form), keyed on the same pivot
-    position read from its own input."""
-    return _apply_step(as_matrix(X), r, -1, operator.truediv)
 
 
 @dataclass(frozen=True)
@@ -140,29 +129,26 @@ class MatrixTrace:
 
 def restore(X: Matrix) -> MatrixTrace:
     """Run all forward steps; the final matrix sits at label (m, p+1)."""
-    return _restore(as_matrix(X), operator.truediv)
-
-
-def _restore(X: Matrix, div: Callable) -> MatrixTrace:
-    """`restore` without validation or coercion: X is a tuple of row
-    tuples whose entries `div` divides exactly."""
-    m, p = dims(X)
-    labels = step_sequence(m, p)
-    mats = [X]
-    for r in labels[:-1]:
-        mats.append(_apply_step(mats[-1], r, +1, div))
-    return MatrixTrace(m, p, tuple(labels), tuple(mats))
+    return _run(as_matrix(X), +1)
 
 
 def delete_derivations(Xbar: Matrix) -> MatrixTrace:
     """Run all inverse steps from the final label back to (1,2)."""
-    Xbar = as_matrix(Xbar)
-    m, p = dims(Xbar)
+    return _run(as_matrix(Xbar), -1)
+
+
+def _run(X: Matrix, direction: int) -> MatrixTrace:
+    """The whole run without validation or coercion: X is a tuple of row
+    tuples, the initial matrix when `direction` is +1 and the final one
+    when it is -1; the trace is keyed by label either way."""
+    m, p = dims(X)
     labels = step_sequence(m, p)
-    mats = [Xbar]
-    for r in reversed(labels[:-1]):
-        mats.append(_apply_step(mats[-1], r, -1, operator.truediv))
-    mats.reverse()
+    steps = labels[:-1] if direction > 0 else reversed(labels[:-1])
+    mats = [X]
+    for r in steps:
+        mats.append(_apply_step(mats[-1], r, direction))
+    if direction < 0:
+        mats.reverse()
     return MatrixTrace(m, p, tuple(labels), tuple(mats))
 
 

@@ -147,18 +147,19 @@ class TestPositivePoint:
 
 
 class TestIntegerRoute:
-    """`family_of_diagram` restores the 0/1 matrix in plain ints with floor
-    division; the Fraction route of `restore` is the oracle."""
+    """`family_of_diagram` restores the 0/1 matrix in plain ints, where the
+    int pivots take floor division; the Fraction route of `restore` is the
+    oracle."""
 
     @pytest.mark.parametrize("m,p", POSITIVE_POINT_GRIDS)
     def test_int_route_equals_the_fraction_route(self, m, p, monkeypatch):
         traces = []
 
-        def spy(X, div):
-            traces.append(restoration._restore(X, div))
+        def spy(X, direction):
+            traces.append(restoration._run(X, direction))
             return traces[-1]
 
-        monkeypatch.setattr(cells, "_restore", spy)
+        monkeypatch.setattr(cells, "_run", spy)
         for C in enumerate_diagrams(m, p):
             family_of_diagram.__wrapped__(C)
             (trace,) = traces

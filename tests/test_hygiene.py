@@ -5,8 +5,9 @@ package exports is used by some module of the package, every public
 method is referenced by some module of the package, no module-level
 function or method is wrapped in a cache that grows for the life of the
 process, every function and method the benchmark's tracer binds by name,
-and every package name its micro rows import, still exists, and the
-README's Library example runs.
+and every package name its micro rows import, still exists, every
+exception kept for the tracer names a binding it has, and the README's
+Library example runs.
 
 Stdlib only (`ast`), so it runs wherever the suite does.  For imports,
 `__init__.py` is exempt (its imports are the package's re-exports), and so
@@ -40,8 +41,6 @@ EXPORT_EXCEPTIONS = {
     "ROADMAP item 3 makes them a verify suite",
     "w_max": "the top of the Bruhat interval of restricted permutations; ROADMAP item 5",
     "matrix_bracket_table": "the standard Poisson structure on matrices, named in the README",
-    "restore_step": "one step of the restoration algorithm, the per-layer unit of aim 1",
-    "delete_step": "one step of deleting derivations, the per-layer unit of aim 1",
     "all_minors_table": "the benchmark's tracer binds it by name (`FUNCTIONS` in "
     "perfbench/tracing.py); it goes when that binding does, ROADMAP item 1",
 }
@@ -429,6 +428,46 @@ def test_detector_reads_traced_bindings():
     ]
     tree = ast.parse("def f():\n    from tnncells import a, b as c\n    from os import d\n")
     assert package_imports(tree) == ["a", "b"]
+
+
+def unbound_citations(reasons: dict[str, str], tree: ast.Module) -> list[str]:
+    """Exception keys whose reason cites perfbench/tracing.py without
+    naming, in backquotes, a table of `tree` that binds the excepted name:
+    an export by its function name in `FUNCTIONS` or `GENERATORS`, a
+    `Class.method` by its method name in `METHODS`."""
+    out = []
+    for key, reason in reasons.items():
+        if "perfbench/tracing.py" not in reason:
+            continue
+        names = [
+            binding[0] if table == "METHODS" else binding[1]
+            for table in ("FUNCTIONS", "GENERATORS", "METHODS")
+            if f"`{table}`" in reason
+            for binding in traced_bindings(tree, table)
+        ]
+        if key.rsplit(".", 1)[-1] not in names:
+            out.append(key)
+    return out
+
+
+def test_exception_reasons_cite_live_bindings():
+    # an exception kept because the benchmark's tracer binds it must be
+    # bound there, or the reason claims a role no harness gives it
+    tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
+    assert unbound_citations({**EXPORT_EXCEPTIONS, **METHOD_EXCEPTIONS}, tree) == []
+
+
+def test_detector_flags_an_unbound_citation():
+    tree = ast.parse("FUNCTIONS = [('minors', 'a', 'x')]\nMETHODS = [('partial', 'p')]\n")
+    reasons = {
+        "a": "binds it (`FUNCTIONS` in perfbench/tracing.py)",
+        "b": "binds it (`FUNCTIONS` in perfbench/tracing.py)",
+        "K.partial": "binds it (`METHODS` in perfbench/tracing.py)",
+        "K.mul": "binds it (`METHODS` in perfbench/tracing.py)",
+        "c": "perfbench/tracing.py binds it",
+        "d": "ROADMAP item 3",
+    }
+    assert unbound_citations(reasons, tree) == ["b", "K.mul", "c"]
 
 
 README = PACKAGE.parent.parent / "README.md"

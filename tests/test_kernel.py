@@ -1,13 +1,14 @@
-"""The arithmetic kernels behind Laurent products and exact determinants,
-checked against the Leibniz formula.  The Bareiss and Laplace kernels run
-on integer rows only; symbolic minors are checked against Cauchon-graph
-path systems instead (test_cells.py, test_sympy_oracle.py)."""
+"""The arithmetic kernels behind Laurent products, exact determinants and
+ranks, checked against the Leibniz formula and the nonzero minors.  The
+Bareiss and Laplace kernels run on integer rows only; symbolic minors are
+checked against Cauchon-graph path systems instead (test_cells.py,
+test_sympy_oracle.py)."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from tnncells.laurent import _term_map_mul
-from tnncells.linalg import _all_minors, _det_bareiss
+from tnncells.linalg import _all_minors, _bareiss
 
 
 def _det_leibniz(rows):
@@ -54,14 +55,36 @@ class TestLane:
         for n in range(5):
             for _ in range(12):
                 rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-                assert _det_bareiss(rows) == _det_leibniz(rows)
+                assert _bareiss(rows)[1] == _det_leibniz(rows)
 
     def test_det_needs_row_swap(self):
         rows = [[0, 1, 2], [3, 0, 1], [1, 1, 1]]
-        assert _det_bareiss(rows) == _det_leibniz(rows)
+        assert _bareiss(rows)[1] == _det_leibniz(rows)
 
     def test_det_zero_column(self):
-        assert _det_bareiss([[0, 1], [0, 2]]) == 0
+        assert _bareiss([[0, 1], [0, 2]])[1] == 0
+
+    def test_rank_against_nonzero_minors(self, rng):
+        # the rank is the largest k with a nonzero k-minor; planted
+        # dependent rows and all-zero leading columns make most matrices
+        # rank-deficient and force row and column swaps
+        deficient = full = 0
+        for _ in range(300):
+            m, n = rng.randint(1, 4), rng.randint(1, 5)
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+            for i in range(1, m):
+                if rng.random() < 0.4:
+                    u, v = rows[rng.randrange(i)], rows[rng.randrange(i)]
+                    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                    rows[i] = [a * x + b * y for x, y in zip(u, v)]
+            for j in range(rng.randint(0, n - 1)):
+                for row in rows:
+                    row[j] = 0
+            rank = max((len(mid.rows) for mid, d in _all_minors(rows).items() if d), default=0)
+            assert _bareiss(rows)[0] == rank, rows
+            deficient += rank < min(m, n)
+            full += rank == min(m, n)
+        assert deficient > 100 and full > 50
 
     def test_all_minors_table(self, rng):
         mat = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(3)]

@@ -171,9 +171,11 @@ class TestRank:
 )
 def test_rejects_laurent_matrices(read):
     # minors, determinants and ranks are rational-only: one guard refuses
-    # a Laurent matrix for every reader
-    with pytest.raises(TypeError, match="rational matrices only"):
-        read(as_matrix([[T11, T12], [T21, T22]]))
+    # a matrix with any Laurent entry for every reader, also when the
+    # corner entry is rational
+    for M in (as_matrix([[T11, T12], [T21, T22]]), ((Fraction(1), T12), (T21, T22))):
+        with pytest.raises(TypeError, match="rational matrices only"):
+            read(M)
 
 
 class TestMatMul:
