@@ -20,9 +20,13 @@ the minors:
 The per-shape masks are built on demand from the shape's row-set and
 column-set blocks and kept in bounded caches.
 
-`bruhat_cell_vanishes` and `closure_rank_conditions_hold` realize the
-same vanishing data through partial permutations and rank inequalities;
-they exist as independent cross-checking oracles for the test suites.
+`bruhat_cell_vanishes` is the per-minor form of the dominance test on a
+partial permutation: one search over the witnesses, where the minus sign
+is the plus search on the transposes.  The `verify bruhat-cell` suite
+checks it against the masks of `_undominated`, the code behind
+conditions 1 and 2, on both signs.  `closure_rank_conditions_hold`
+realizes the vanishing data through rank inequalities, an independent
+oracle for the tests.
 """
 
 from __future__ import annotations
@@ -65,20 +69,16 @@ class PartialPermutation:
     def domain(self) -> tuple[int, ...]:
         return tuple(c for c, _ in self.assignment)
 
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted(r for _, r in self.assignment))
-
     def apply(self, col: int) -> int | None:
         for c, r in self.assignment:
             if c == col:
                 return r
         return None
 
-    def preimage(self, row: int) -> int | None:
-        for c, r in self.assignment:
-            if r == row:
-                return c
-        return None
+    def transpose(self) -> PartialPermutation:
+        """The inverse injection, from rows to columns, sorted by row."""
+        pairs = tuple(sorted((r, c) for c, r in self.assignment))
+        return PartialPermutation(self.size_cols, self.size_rows, pairs)
 
     def to_matrix(self) -> tuple[tuple[int, ...], ...]:
         """0/1 matrix of shape size_rows x size_cols."""
@@ -115,41 +115,22 @@ def _bounded_subsets(
             yield L
 
 
-def bruhat_cell_vanishes(
-    w: PartialPermutation, mid: MinorId, sign: str = "plus", *, via_inverse: bool = False
-) -> bool:
+def bruhat_cell_vanishes(w: PartialPermutation, mid: MinorId, sign: str = "plus") -> bool:
     """Does the minor vanish identically on the (signed) triangular sweep
     of the partial permutation matrix?
 
     plus: no L inside the domain with L <= cols maps onto a row set
-    dominating rows.  minus: the mirrored condition with rows and the
-    inverse map.  `via_inverse` evaluates the plus condition through the
-    inverse assignment instead; both formulations must always agree.
+    dominating rows.  minus: the plus condition on the transposes of the
+    partial permutation and of the minor.
     """
-    rows, cols = mid.rows, mid.cols
-    k = len(rows)
-    if sign == "plus":
-        if via_inverse:
-            for L2 in combinations(w.image(), k):
-                if all(x >= y for x, y in zip(L2, rows)):
-                    pre = sorted(w.preimage(r) for r in L2)
-                    if index_set_leq(pre, cols):
-                        return False
-            return True
-        for L in _bounded_subsets(w.domain(), k, cols):
-            img = sorted(w.apply(c) for c in L)
-            if index_set_leq(rows, img):
-                return False
-        return True
     if sign == "minus":
-        if via_inverse:
-            raise ValueError("via_inverse is defined for the plus form only")
-        for L in _bounded_subsets(w.image(), k, rows):
-            pre = sorted(w.preimage(r) for r in L)
-            if index_set_leq(cols, pre):
-                return False
-        return True
-    raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
+        return bruhat_cell_vanishes(w.transpose(), MinorId(mid.cols, mid.rows), "plus")
+    if sign != "plus":
+        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    for L in _bounded_subsets(w.domain(), len(mid.rows), mid.cols):
+        if index_set_leq(mid.rows, sorted(w.apply(c) for c in L)):
+            return False
+    return True
 
 
 # -- the four membership conditions ----------------------------------------
@@ -182,7 +163,11 @@ def _undominated(m: int, p: int, axis: int, image: dict[int, int]) -> int:
     """The minors that no witness dominates.  A witness is a nonempty subset
     L of the pool `image` (indices on `axis`) with the sorted image of L on
     the other axis; it dominates [I|J] when the index set on `axis` is >= L
-    and the other one is <= the image, both componentwise."""
+    and the other one is <= the image, both componentwise.
+
+    The pool's keys must ascend: L is drawn with `combinations` over them
+    and compared as it comes, unsorted.  A pool in any other order gives a
+    wrong mask with no error."""
     other = COLS - axis
     dominated = 0
     for k in range(1, len(image) + 1):

@@ -24,6 +24,7 @@ present and zero exponents omitted, e.g.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -162,20 +163,15 @@ class LaurentPoly:
         n = len(registry)
         normalized: dict[Exponents, int | Fraction] = {}
         for e, c in terms.items():
-            e = tuple(int(x) for x in e)
+            try:
+                e = tuple(map(operator.index, e))
+            except TypeError:
+                raise TypeError(f"exponent vector {e!r} is not a tuple of integers") from None
             if len(e) != n:
                 raise ValueError(f"exponent vector {e} has length {len(e)}, expected {n}")
             c = _canonical(Fraction(c))
             if c:
-                acc = normalized.get(e)
-                if acc is None:
-                    normalized[e] = c
-                else:
-                    acc = _canonical(Fraction(acc + c))
-                    if acc:
-                        normalized[e] = acc
-                    else:
-                        del normalized[e]
+                normalized[e] = c
         object.__setattr__(self, "registry", registry)
         object.__setattr__(self, "terms", normalized)
 

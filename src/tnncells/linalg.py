@@ -163,6 +163,13 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     quotient is an integer, so every floor division is exact.  The
     determinant is 0 unless the matrix is square and of full rank; the
     empty determinant is 1.
+
+    The row-swap sign never reaches a returned determinant.  The search is
+    row-major, so a row swap happens only when the whole leading row of the
+    trailing submatrix is zero; that submatrix is then singular, and so is
+    a square matrix, whose determinant is returned as 0.  The flip stays:
+    it keeps `sign * prev` the determinant under any pivot search, such as
+    a column-major one, that can swap rows of a nonsingular matrix.
     """
     a = [list(r) for r in rows]
     m = len(a)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import permutations as iter_permutations
 from typing import Iterable
 
@@ -28,13 +27,14 @@ from .combinat import (
 )
 from .errors import SelfCheckError
 from .families import (
+    _undominated,
     bruhat_cell_vanishes,
     enumerate_partial_permutations,
     family_of_perm,
 )
 from .laurent import LaurentPoly, VarRegistry
-from .linalg import _scaled_minors, as_matrix, mat_mul
-from .minors import _vanishing_mask, all_minor_ids
+from .linalg import _scaled_minors, mat_mul
+from .minors import COLS, ROWS, MinorFamily, _vanishing_mask, all_minor_ids
 from .poisson import (
     bracket,
     cell_bracket_table,
@@ -271,8 +271,7 @@ def random_laurent(registry: VarRegistry, rng: random.Random) -> LaurentPoly:
     terms = {}
     for _ in range(rng.randint(1, 3)):
         e = tuple(rng.randint(-2, 2) for _ in range(len(registry)))
-        c = Fraction(rng.randint(-9, 9))
-        terms[e] = terms.get(e, 0) + c
+        terms[e] = terms.get(e, 0) + rng.randint(-9, 9)
     return LaurentPoly(registry, terms)
 
 
@@ -336,44 +335,49 @@ def _random_triangular(n: int, rng: random.Random, upper: bool):
         for j in range(n):
             inside = j >= i if upper else j <= i
             if not inside:
-                row.append(Fraction(0))
+                row.append(0)
             elif i == j:
-                row.append(Fraction(rng.randint(1, 20)))
+                row.append(rng.randint(1, 20))
             else:
-                row.append(Fraction(rng.choice([-1, 1]) * rng.randint(0, 20)))
-        rows.append(row)
-    return as_matrix(rows)
+                row.append(rng.choice([-1, 1]) * rng.randint(0, 20))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def bruhat_cell_suite(
     m: int, p: int, samples: int = 20, seed: int = 0
 ) -> SuiteReport:
-    """Two formulations of the vanishing predicate agree on every partial
-    permutation and minor; sampled triangular sweeps never contradict it."""
+    """The vanishing predicate agrees with `family_of_perm`'s dominance
+    masks on every partial permutation, minor and sign; sampled triangular
+    sweeps never contradict it."""
     ids = all_minor_ids(m, p)
     pps = list(enumerate_partial_permutations(m, p))
     mismatches = []
     contradictions = []
     rng = random.Random(seed)
     for pp in pps:
-        W = as_matrix(pp.to_matrix())
-        for mid in ids:
-            direct = bruhat_cell_vanishes(pp, mid, "plus")
-            inverse = bruhat_cell_vanishes(pp, mid, "plus", via_inverse=True)
-            if direct != inverse:
-                mismatches.append({"pp": list(pp.assignment), "minor": mid.text()})
-        for sign in ("plus", "minus"):
+        W = pp.to_matrix()
+        # both pools ascend, as `_undominated` requires: an assignment is
+        # sorted by its domain, and the transpose's domain is the rows
+        pools = (
+            ("plus", COLS, dict(pp.assignment)),
+            ("minus", ROWS, dict(pp.transpose().assignment)),
+        )
+        for sign, axis, pool in pools:
+            predicted = _undominated(m, p, axis, pool)
+            where = {"pp": list(pp.assignment), "sign": sign}
+            for i, mid in enumerate(ids):
+                if bruhat_cell_vanishes(pp, mid, sign) != bool(predicted >> i & 1):
+                    mismatches.append({**where, "minor": mid.text()})
             upper = sign == "plus"
-            predicted = [mid for mid in ids if bruhat_cell_vanishes(pp, mid, sign)]
             for _ in range(samples):
                 a = _random_triangular(m, rng, upper)
                 b = _random_triangular(p, rng, upper)
-                table = _scaled_minors(mat_mul(mat_mul(a, W), b))
-                for mid in predicted:
-                    if table[mid]:
-                        contradictions.append(
-                            {"pp": list(pp.assignment), "sign": sign, "minor": mid.text()}
-                        )
+                zeros = _vanishing_mask(_scaled_minors(mat_mul(mat_mul(a, W), b)).values())
+                contradictions.extend(
+                    {**where, "minor": mid.text()}
+                    for mid in MinorFamily(m, p, predicted & ~zeros)
+                )
     ok = not mismatches and not contradictions
     return SuiteReport(
         "bruhat-cell",

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import settings
 
 from tnncells import CauchonDiagram, MinorFamily, VarRegistry, all_minor_ids
-from tnncells.families import _condition_masks
+from tnncells.families import _condition_masks, _undominated
+from tnncells.minors import ROWS
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -137,3 +138,11 @@ def path_family(C: CauchonDiagram) -> MinorFamily:
         if next(disjoint_systems(paths, mid.rows, mid.cols), None) is None:
             mask |= 1 << n
     return MinorFamily(C.m, C.p, mask)
+
+
+def descending_row_pool(m: int, p: int, axis: int, pool: dict[int, int]) -> int:
+    """`families._undominated` with a row pool's keys reversed: a planted
+    fault, since `_undominated` requires ascending keys."""
+    if axis == ROWS:
+        pool = dict(reversed(pool.items()))
+    return _undominated(m, p, axis, pool)

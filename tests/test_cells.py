@@ -7,6 +7,7 @@ import pytest
 from tnncells import cells, restoration
 from tnncells import (
     CauchonDiagram,
+    MinorFamily,
     MinorId,
     NotTotallyNonnegativeError,
     RestrictedPermutation,
@@ -256,6 +257,26 @@ class TestClassify:
         scaled = tuple(tuple(Fraction(3, 7) * x for x in row) for row in NBAR)
         assert classify(scaled).family == classify(NBAR).family
 
+    def test_non_diagram_pattern_raises(self, monkeypatch):
+        def refuse(X):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(cells, "diagram_of_matrix", refuse)
+        with pytest.raises(SelfCheckError) as exc:
+            classify(NBAR)
+        assert str(exc.value) == "inverse algorithm produced a non-diagram zero pattern: planted"
+
+    def test_family_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(cells, "family_of_diagram", empty_family)
+        with pytest.raises(SelfCheckError) as exc:
+            classify(NBAR)
+        assert str(exc.value) == (
+            "vanishing family disagrees with the diagram family: matrix has "
+            "{[1,2,3|2,3,4], [1,2,4|2,3,4], [1,3,4|2,3,4], [2,3,4|1,2,3], "
+            "[2,3,4|1,2,4], [2,3,4|1,3,4], [2,3,4|2,3,4], [1,2,3,4|1,2,3,4]}, "
+            "diagram gives {}"
+        )
+
 
 class TestMatchFamilies:
     def test_two_by_two_catalogue(self):
@@ -282,6 +303,36 @@ class TestMatchFamilies:
                 "family_size": len(d.family),
             }
         assert classify(NBAR).to_json_obj()["perm"] is None
+
+    def test_shared_permutation_family_raises(self, monkeypatch):
+        monkeypatch.setattr(cells, "family_of_perm", empty_family)
+        with pytest.raises(SelfCheckError) as exc:
+            match_families(2, 2)
+        assert str(exc.value) == "permutations (1, 2, 3, 4) and (1, 2, 4, 3) share one family"
+
+    def test_shared_diagram_family_raises(self, monkeypatch):
+        monkeypatch.setattr(cells, "family_of_diagram", empty_family)
+        with pytest.raises(SelfCheckError) as exc:
+            match_families(2, 2)
+        first, second = list(enumerate_diagrams(2, 2))[:2]
+        assert str(exc.value) == f"diagrams {first} and {second} share one family"
+
+    def test_diagram_without_permutation_raises(self, monkeypatch):
+        monkeypatch.setattr(cells, "enumerate_restricted_perms", lambda m, p: iter(()))
+        with pytest.raises(SelfCheckError) as exc:
+            match_families(2, 2)
+        assert str(exc.value) == "diagram family {} has no matching permutation"
+
+    def test_permutation_without_diagram_raises(self, monkeypatch):
+        monkeypatch.setattr(cells, "enumerate_diagrams", lambda m, p: iter(()))
+        with pytest.raises(SelfCheckError) as exc:
+            match_families(2, 2)
+        assert str(exc.value) == "permutation family {} has no matching diagram"
+
+
+def empty_family(x):
+    """A stand-in family map: the empty family of x's grid."""
+    return MinorFamily(x.m, x.p, 0)
 
 
 # Every grid with at most 9 cells, plus (3,4): the pipe-dream permutation

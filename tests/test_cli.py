@@ -10,8 +10,10 @@ import sys
 
 import pytest
 
-from tnncells import RestrictedPermutation, cli, family_of_perm
+from tnncells import RestrictedPermutation, cells, cli, family_of_perm, verify
 from tnncells.verify import SuiteReport
+
+from conftest import descending_row_pool
 
 NBAR_CSV = "11,7,4,1\n7,5,3,1\n4,3,2,1\n1,1,1,1\n"
 N_CSV = "1,0,1,1\n0,0,1,1\n1,1,1,1\n1,1,1,1\n"
@@ -113,6 +115,12 @@ class TestFamilies:
         code, out, err = run(capsys, "match", "4", "4")
         assert code == 2 and "--force" in err and out == ""
 
+    def test_match_self_check_failure_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cells, "enumerate_diagrams", lambda m, p: iter(()))
+        code, out, err = run(capsys, "match", "2", "2")
+        assert (code, out) == (1, "")
+        assert err == "match failed: permutation family {} has no matching diagram\n"
+
 
 class TestClassify:
     def test_worked_matrix(self, capsys, tmp_path):
@@ -152,6 +160,19 @@ class TestClassify:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "classify", "--matrix", "/nonexistent.csv")
         assert code == 2 and "bad --matrix" in err
+
+    def test_self_check_failure_exits_one(self, capsys, monkeypatch):
+        def refuse(X):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(cells, "diagram_of_matrix", refuse)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(NBAR_CSV))
+        code, out, err = run(capsys, "classify", "--matrix", "-")
+        assert (code, out) == (1, "")
+        assert err == (
+            "classification self-check failed: "
+            "inverse algorithm produced a non-diagram zero pattern: planted\n"
+        )
 
 
 class TestTraces:
@@ -386,6 +407,21 @@ class TestVerify:
     def test_zero_samples_runs(self, capsys):
         code, obj, _ = run_json(capsys, "verify", "bruhat-cell", "2", "2", "--samples", "0")
         assert code == 0 and obj["ok"] is True
+
+    def test_planted_bruhat_cell_fault_exits_one(self, capsys, monkeypatch):
+        # a minus pool out of ascending row order gives wrong masks
+        monkeypatch.setattr(verify, "_undominated", descending_row_pool)
+        code, obj, err = run_json(capsys, "verify", "bruhat-cell", "3", "3")
+        assert (code, obj["ok"], err) == (1, False, "")
+        assert obj["summary"] == (
+            "(3,3): 34 partial permutations x 19 minors; 100 formulation mismatches, "
+            "1940 sampling contradictions (20 sweeps per sign, seed 0)"
+        )
+        assert obj["details"]["mismatches"][0] == {
+            "pp": [[1, 1], [2, 2]],
+            "sign": "minus",
+            "minor": "[1,2|1,2]",
+        }
 
     def test_zero_n_runs(self, capsys):
         code, obj, _ = run_json(capsys, "verify", "deletion", "2", "2", "--n", "0")

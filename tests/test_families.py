@@ -19,7 +19,8 @@ from tnncells import (
     random_diagram,
     w_max,
 )
-from tnncells.families import _bounded_subsets, _condition_masks
+from tnncells.families import _bounded_subsets, _condition_masks, _undominated
+from tnncells.minors import COLS, ROWS
 
 from conftest import family_of_ids, stripe_column_sets, stripe_row_sets
 
@@ -329,19 +330,28 @@ class TestPartialPermutations:
     def test_accessors(self):
         pp = PartialPermutation(2, 3, ((2, 1),))  # col 2 -> row 1
         assert pp.domain() == (2,)
-        assert pp.image() == (1,)
         assert pp.apply(2) == 1 and pp.apply(1) is None
-        assert pp.preimage(1) == 2 and pp.preimage(2) is None
+
+    def test_transpose(self):
+        pp = PartialPermutation(2, 3, ((1, 2), (3, 1)))  # cols 1, 3 -> rows 2, 1
+        assert pp.transpose() == PartialPermutation(3, 2, ((1, 3), (2, 1)))
+        assert pp.transpose().transpose() == pp
 
 
 class TestBruhatCellPredicate:
     def test_formulations_agree(self):
-        for m, p in ((2, 2), (2, 3)):
+        # the per-minor search against the dominance masks behind
+        # conditions 1 and 2 of `family_of_perm`, on both signs
+        for m, p in ((2, 2), (2, 3), (3, 2)):
             for pp in enumerate_partial_permutations(m, p):
-                for mid in all_minor_ids(m, p):
-                    direct = bruhat_cell_vanishes(pp, mid, "plus")
-                    via_inv = bruhat_cell_vanishes(pp, mid, "plus", via_inverse=True)
-                    assert direct == via_inv, (pp.assignment, mid.text())
+                masks = {
+                    "plus": _undominated(m, p, COLS, dict(pp.assignment)),
+                    "minus": _undominated(m, p, ROWS, dict(pp.transpose().assignment)),
+                }
+                for sign, mask in masks.items():
+                    for i, mid in enumerate(all_minor_ids(m, p)):
+                        vanishes = bruhat_cell_vanishes(pp, mid, sign)
+                        assert vanishes == bool(mask >> i & 1), (pp.assignment, sign, mid.text())
 
     def test_identity_goldens(self):
         # products a.I.b with upper-triangular a, b are upper triangular
@@ -357,11 +367,6 @@ class TestBruhatCellPredicate:
         pp = PartialPermutation(2, 2, ((1, 1),))  # rank 1
         assert bruhat_cell_vanishes(pp, MinorId((1, 2), (1, 2)), "plus")
         assert bruhat_cell_vanishes(pp, MinorId((1, 2), (1, 2)), "minus")
-
-    def test_minus_via_inverse_unsupported(self):
-        pp = PartialPermutation(2, 2, ((1, 1), (2, 2)))
-        with pytest.raises(ValueError):
-            bruhat_cell_vanishes(pp, MinorId((1,), (1,)), "minus", via_inverse=True)
 
     def test_bad_sign_rejected(self):
         pp = PartialPermutation(1, 1, ((1, 1),))

@@ -4,7 +4,8 @@ somewhere in the package outside its own definition, every name the
 package exports is used by some module of the package, every public
 method is referenced by some module of the package, no module-level
 function or method is wrapped in a cache that grows for the life of the
-process, every function and method the benchmark's tracer binds by name,
+process, every defaulted parameter is passed by some call in the
+package, every function and method the benchmark's tracer binds by name,
 and every package name its micro rows import, still exists, every
 exception kept for the tracer names a binding it has, and the README's
 Library example runs.
@@ -20,6 +21,12 @@ A method is referenced by an attribute of its name outside its own
 definition.  The receiver narrows the class when it can: `self` and `cls`
 name the enclosing class, and a class of the package named directly names
 that class; any other receiver may be any class with that method.
+
+A defaulted parameter that no call sets is a knob that changes nothing.
+Calls are matched by the function's name, bare or as an attribute, outside
+the function's own definition; a parameter is passed by its keyword, by
+position (a method's call is taken as bound, so `self` or `cls` is not
+counted), or by any `*` or `**` argument that could reach it.
 """
 
 import ast
@@ -49,6 +56,13 @@ EXPORT_EXCEPTIONS = {
 METHOD_EXCEPTIONS = {
     "LaurentPoly.partial": "the benchmark's tracer binds it by name (`METHODS` in "
     "perfbench/tracing.py); it moves into the tests when that binding goes, ROADMAP item 1",
+}
+
+# Defaulted parameters no call in the package passes, each kept for a
+# stated reason.
+KNOB_EXCEPTIONS = {
+    "main.argv": "the tests pass it; the console script calls `main()`, which "
+    "reads `sys.argv`",
 }
 
 
@@ -227,6 +241,61 @@ def unbounded_caches(tree: ast.Module) -> list[str]:
     ]
 
 
+def defaulted_parameters(node: ast.AST) -> list[tuple[str, int | None]]:
+    """(name, position among the passable positionals, or None if
+    keyword-only) of every parameter of the function that has a default."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, n) for n, a in enumerate(positional) if n >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Does the call set the parameter, by keyword or by position?"""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    for n, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) or n == position:
+            return True
+    return False
+
+
+def unpassed_defaults(trees: dict[str, ast.Module]) -> list[str]:
+    """`function.param` or `Class.method.param` for every defaulted
+    parameter of a module-level function or method that no call in the
+    modules passes (see the module docstring)."""
+    functions = []
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, FUNCTIONS):
+                        decorators = [getattr(d, "id", None) for d in sub.decorator_list]
+                        bound = 0 if "staticmethod" in decorators else 1
+                        functions.append((f"{node.name}.", sub, bound))
+            elif isinstance(node, FUNCTIONS):
+                functions.append(("", node, 0))
+    out = []
+    for prefix, fn, bound in functions:
+        calls = [
+            call
+            for tree in trees.values()
+            for call in _walk_outside(tree, fn)
+            if isinstance(call, ast.Call)
+            and fn.name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+        ]
+        for name, position in defaulted_parameters(fn):
+            if position is not None:
+                position -= bound
+            if not any(passes(call, name, position) for call in calls):
+                out.append(f"{prefix}{fn.name}.{name}")
+    return out
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"cells.py", "combinat.py", "families.py"}
 
@@ -364,6 +433,40 @@ def test_detector_flags_an_unreferenced_method():
         "b.py": ast.parse("from .a import A\nA.by_class\nthing.by_instance()\nB.shadowed\n"),
     }
     assert unreferenced_methods(trees) == ["A.recursive", "A.shadowed"]
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    unpassed = unpassed_defaults(trees)
+    extra = set(unpassed) - set(KNOB_EXCEPTIONS)
+    assert not extra, f"defaulted parameters no call in the package passes: {sorted(extra)}"
+    stale = set(KNOB_EXCEPTIONS) - set(unpassed)
+    assert not stale, f"exceptions no longer needed: {sorted(stale)}"
+
+
+def test_detector_flags_a_knob():
+    trees = {
+        "a.py": ast.parse(
+            "def f(x, knob=False, used=1, *, kw=None, kw_used=0):\n"
+            "    return f(x, True, kw=1)\n\n"
+            "def g(x, y=2, z=3):\n    pass\n\n"
+            "def h(x, y=2):\n    pass\n\n"
+            "class K:\n"
+            "    def m(self, a=1, b=2):\n        pass\n\n"
+            "    @staticmethod\n    def s(a=1):\n        pass\n\n"
+            "    @classmethod\n    def c(cls, a=1):\n        pass\n"
+        ),
+        "b.py": ast.parse(
+            "from .a import K, f, g, h\n"
+            "f(1, used=2, kw_used=3)\n"
+            "g(*rest)\n"
+            "h(1, **options)\n"
+            "K().m(5)\n"
+            "K.s()\n"
+            "K.c(1)\n"
+        ),
+    }
+    assert unpassed_defaults(trees) == ["f.knob", "f.kw", "K.m.b", "K.s.a"]
 
 
 TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"

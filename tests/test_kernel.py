@@ -57,7 +57,9 @@ class TestLane:
                 rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
                 assert _bareiss(rows)[1] == _det_leibniz(rows)
 
-    def test_det_needs_row_swap(self):
+    def test_det_needs_column_swap(self):
+        # the first pivot is the (1,2) entry, so the first step swaps
+        # columns 1 and 2; the row-major search makes no row swap here
         rows = [[0, 1, 2], [3, 0, 1], [1, 1, 1]]
         assert _bareiss(rows)[1] == _det_leibniz(rows)
 

@@ -102,6 +102,15 @@ class TestArithmetic:
         with pytest.raises(RegistryMismatchError):
             T11 + other.var(1, 1)
 
+    def test_rejects_a_float_exponent(self):
+        # truncating it would make (1.5, ...) and (1, ...) one term
+        with pytest.raises(TypeError, match="not a tuple of integers"):
+            LaurentPoly(R, {(1.5, 0, 0, 0): 1, (1, 0, 0, 0): 1})
+
+    def test_rejects_a_string_exponent(self):
+        with pytest.raises(TypeError, match="not a tuple of integers"):
+            LaurentPoly(R, {("2", 0, 0, 0): 1})
+
     def test_immutable(self):
         with pytest.raises(AttributeError):
             T11.terms = {}

@@ -3,7 +3,11 @@
 import json
 import random
 
-from tnncells import restoration, verify
+import pytest
+
+from tnncells import cells, linalg, restoration, verify
+from tnncells.minors import MinorFamily, MinorId, _minor_count
+from tnncells.poisson import PairCheck, StepBracketReport
 from tnncells.verify import (
     SuiteReport,
     _count_perms_by_filter,
@@ -17,6 +21,8 @@ from tnncells.verify import (
     poisson_suite,
     tnn_roundtrip_suite,
 )
+
+from conftest import descending_row_pool
 
 
 class TestPlumbing:
@@ -102,3 +108,102 @@ class TestSuiteSmoke:
         a = deletion_suite(2, 2, n=6, seed=9)
         b = deletion_suite(2, 2, n=6, seed=9)
         assert a.to_json_obj() == b.to_json_obj()
+
+
+def negated_minors(M):
+    return {mid: -value for mid, value in linalg._scaled_minors(M).items()}
+
+
+def every_minor(C):
+    return MinorFamily(C.m, C.p, (1 << _minor_count(C.m, C.p)) - 1)
+
+
+def negated_restore(X):
+    # restoration is homogeneous of degree 1, so the trace of -X is the
+    # negated trace and still inverts; only the sign check can fail
+    return restoration.restore(tuple(tuple(-x for x in row) for row in X))
+
+
+class TestFailureRows:
+    """One planted fault per failure path: the suite fails, counts the
+    fault in its summary and reports it as its first detail row."""
+
+    @pytest.mark.parametrize(
+        "suite,name,fault,message",
+        [
+            (tnn_roundtrip_suite, "_scaled_minors", negated_minors,
+             "negative minor [1|1] on the restored matrix of {C}"),
+            (tnn_roundtrip_suite, "family_of_diagram", every_minor,
+             "vanishing family of the restored matrix of {C} has 1 minors, the diagram family 5"),
+            (deletion_suite, "restore", negated_restore,
+             "negative entry at label (1, 2) for {C}"),
+            (deletion_suite, "is_cauchon_matrix", lambda M: False,
+             "non-Cauchon zero pattern at label (1, 2) for {C}"),
+            (deletion_suite, "trace_h_invariance_counterexample",
+             lambda td: ((2, 2), MinorId((1,), (1,))),
+             "vanishing of [1|1] fails to propagate at (2, 2) for {C}"),
+        ],
+        ids=["negative-minor", "family-mismatch", "negative-entry", "non-cauchon", "h-invariance"],
+    )
+    def test_corpus_failure(self, monkeypatch, suite, name, fault, message):
+        monkeypatch.setattr(verify, name, fault)
+        rep = suite(2, 2, n=6, seed=1)
+        assert not rep.ok and rep.summary.endswith("; 6 failures")
+        first_diagram = _corpus(2, 2, 6, 1)[0][0]
+        assert rep.details["failures"][0] == message.format(C=first_diagram)
+
+    def test_poisson_bracket_failures(self, monkeypatch):
+        def one_miss(C):
+            return [StepBracketReport(C, (1, 2), (PairCheck((1, 1), (2, 2), False),))]
+
+        monkeypatch.setattr(verify, "verify_all_step_brackets", one_miss)
+        rep = poisson_suite(2, 2, triples=3, seed=1)
+        assert not rep.ok and "; 14 bracket failures;" in rep.summary
+        rows = rep.details["bracket_failures"]
+        assert len(rows) == 10
+        assert rows[0] == {
+            "diagram": {"m": 2, "p": 2, "black": []},
+            "step": [1, 2],
+            "pair": [[1, 1], [2, 2]],
+        }
+
+    def test_poisson_leibniz_count(self, monkeypatch):
+        monkeypatch.setattr(verify, "leibniz_holds", lambda f, g, h, table: False)
+        rep = poisson_suite(2, 2, triples=3, seed=1)
+        assert not rep.ok and "Jacobi ok and Leibniz FAILED on 3 random triples" in rep.summary
+        assert rep.details["leibniz_failures"] == 3
+        assert rep.details["bracket_failures"] == []
+
+    def test_bruhat_monotone_violations(self, monkeypatch):
+        monkeypatch.setattr(verify, "bruhat_leq", lambda w, z: True)
+        rep = bruhat_monotone_suite(2, 2)
+        assert not rep.ok and rep.summary == "(2,2): all 196 pairs; 127 violations"
+        assert rep.details["violations"][0] == {
+            "w": [1, 2, 4, 3],
+            "z": [1, 2, 3, 4],
+            "contained": False,
+            "bruhat": True,
+        }
+
+    def test_bruhat_cell_unsorted_minus_pool(self, monkeypatch):
+        # `_undominated` requires ascending pool keys; a minus pool in
+        # descending row order gives wrong masks, which both the per-minor
+        # comparison and the sweeps catch
+        monkeypatch.setattr(verify, "_undominated", descending_row_pool)
+        rep = bruhat_cell_suite(2, 2, samples=5, seed=1)
+        assert not rep.ok
+        assert rep.summary == (
+            "(2,2): 7 partial permutations x 5 minors; 2 formulation mismatches, "
+            "10 sampling contradictions (5 sweeps per sign, seed 1)"
+        )
+        row = {"pp": [(1, 1), (2, 2)], "sign": "minus", "minor": "[1,2|1,2]"}
+        assert rep.details["mismatches"][0] == row
+        assert rep.details["contradictions"][0] == row
+
+    def test_match_disagreement(self, monkeypatch):
+        monkeypatch.setattr(cells, "enumerate_diagrams", lambda m, p: iter(()))
+        rep = match_suite(2, 2)
+        assert not rep.ok and rep.details == {}
+        assert rep.summary == (
+            "family collections disagree: permutation family {} has no matching diagram"
+        )
