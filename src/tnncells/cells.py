@@ -41,8 +41,8 @@ from .combinat import (
 from .errors import NotTotallyNonnegativeError, SelfCheckError
 from .families import family_of_perm
 from .laurent import VarRegistry
-from .linalg import Matrix, _scaled_minors, as_matrix
-from .minors import MinorFamily, MinorId, eval_minor, vanishing_family
+from .linalg import Matrix, as_matrix
+from .minors import MinorFamily, MinorId, _sign_masks, eval_minor, vanishing_family
 from .restoration import _run, delete_derivations, diagram_of_matrix
 
 
@@ -79,15 +79,15 @@ def is_tnn(X: Matrix) -> TnnVerdict:
     """Check the sign of every minor exactly; report the first negative
     one in canonical order with its exact value.
 
-    Signs are read from the integer table of `linalg._scaled_minors`
-    (each minor times a positive integer); only the witness is evaluated
-    as a Fraction.
+    Signs are read from the negative mask of `minors._sign_masks`; only
+    the witness is evaluated as a Fraction.
     """
     X = as_matrix(X)
-    for mid, value in _scaled_minors(X).items():
-        if value < 0:
-            return TnnVerdict(False, mid, eval_minor(X, mid))
-    return TnnVerdict(True)
+    negatives = _sign_masks(X)[1]
+    if not negatives:
+        return TnnVerdict(True)
+    mid = next(iter(MinorFamily(len(X), len(X[0]), negatives)))
+    return TnnVerdict(False, mid, eval_minor(X, mid))
 
 
 def symbolic_cauchon_matrix(C: CauchonDiagram) -> tuple[VarRegistry, Matrix]:

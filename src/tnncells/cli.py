@@ -67,18 +67,13 @@ def _emit(obj, fmt: str) -> None:
         print(obj)
 
 
-def _check_cells(
-    m: int, p: int, cap: int | None = None, force: bool = False, kind: str = "symbolic"
-) -> None:
+def _check_cells(m: int, p: int, cap: int | None = None, force: bool = False) -> None:
     if m < 1 or p < 1:
         raise UsageError(f"grid sizes must be positive, got ({m},{p})")
     if m * p > MAX_GRID_CELLS:
         raise UsageError(f"({m},{p}) exceeds the {MAX_GRID_CELLS}-cell bitmask limit")
     if cap is not None and m * p > cap and not force:
-        raise UsageError(
-            f"({m},{p}) exceeds the {cap}-cell {kind} cap; "
-            "pass --force to run anyway"
-        )
+        raise UsageError(f"({m},{p}) exceeds the {cap}-cell cap; pass --force to run anyway")
 
 
 def _read_text(spec: str) -> str:
@@ -112,7 +107,7 @@ def _cmd_enumerate(args) -> int:
     """``diagrams`` and ``perms``: the parser sets ``args.enumerate``.  The
     slowest grids under the cap: ``diagrams 16 1`` (7.7 s) and ``perms 1 16``
     (3.0 s) on a 2-core box."""
-    _check_cells(args.m, args.p, ENUMERATION_CELL_CAP, args.force, "enumeration")
+    _check_cells(args.m, args.p, ENUMERATION_CELL_CAP, args.force)
     items = args.enumerate(args.m, args.p)
     if args.count:
         _emit({"m": args.m, "p": args.p, "count": sum(1 for _ in items)}, args.format)

@@ -18,11 +18,9 @@ block of its other rows, and per minor size one shared list of first-row
 terms as positions in that block, so no key is built per term.  The plan
 also keeps each size's stretch of the canonical order (its first position,
 row sets and column sets), from which `minors` builds family masks.
-`all_minors` divides the integer table back to exact Fractions;
-sign-and-zero readers (`cells.is_tnn`, `minors.vanishing_family`, the
-h-invariance check and the tnn round trip) use the integer table from
-`_scaled_minors` directly, since scaling a row by a positive integer keeps
-every minor's sign and zero-ness.
+The kernel returns a plain list of values in that canonical order.
+`all_minors` divides it back to exact Fractions; questions of sign and
+zero are read from the integer values themselves, in :mod:`tnncells.minors`.
 """
 
 from __future__ import annotations
@@ -134,19 +132,8 @@ def all_minors(M: Matrix) -> dict[MinorId, Fraction]:
     ints, scales = _scaled_int_rows(M)
     return {
         mid: Fraction(d, math.prod(scales[i - 1] for i in mid.rows))
-        for mid, d in _all_minors(ints).items()
+        for mid, d in zip(_laplace_plan(*dims(M)).ids, _all_minors(ints))
     }
-
-
-def _scaled_minors(M: Matrix) -> dict[MinorId, int]:
-    """Every nonempty minor up to a positive factor, keyed like `all_minors`.
-
-    The matrix enters as its denominator-cleared integer rows, so each
-    value is the minor times a positive integer: its sign and whether it
-    is zero are exact, its size is not.  This is the table for
-    sign-and-zero questions.
-    """
-    return _all_minors(_scaled_int_rows(M)[0])
 
 
 def rank_exact(M: Matrix) -> int:
@@ -258,9 +245,9 @@ def _laplace_plan(m: int, p: int) -> _LaplacePlan:
     return _LaplacePlan(tuple(ids), tuple(expansions), tuple(sizes))
 
 
-def _all_minors(mat: Sequence[Sequence[int]]) -> dict[MinorId, int]:
+def _all_minors(mat: Sequence[Sequence[int]]) -> list[int]:
     """Determinants of every nonempty square submatrix of an integer
-    matrix, keyed by MinorId.
+    matrix, in the canonical order of the shape's plan ids.
 
     Runs the shape's cached Laplace plan: blocks are filled in canonical
     order, size by size, so each first-row expansion reads size-(k-1)
@@ -282,4 +269,4 @@ def _all_minors(mat: Sequence[Sequence[int]]) -> dict[MinorId, int]:
                         acc = acc - x * sub if negate else acc + x * sub
             block.append(acc)
         blocks.append(block)
-    return dict(zip(plan.ids, chain.from_iterable(blocks)))
+    return list(chain.from_iterable(blocks))

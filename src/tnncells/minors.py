@@ -11,7 +11,9 @@ minor belongs.  Equality, hashing and size are integer operations, and
 iteration walks the set bits in canonical order, so serialized families
 are byte-stable.  `_mask_by` builds the mask of the minors whose row set,
 or column set, passes a test, one block of the plan's per-size layout at
-a time; :mod:`tnncells.families` combines such masks.  Minors are
+a time; :mod:`tnncells.families` combines such masks.  `_sign_masks`
+reads the masks of a matrix's zero and negative minors from one integer
+all-minors table; every question of sign or zero asks it.  Minors are
 evaluated on rational matrices only; a Laurent matrix raises `TypeError`.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import linalg
 from .linalg import MinorId
@@ -88,13 +90,6 @@ class MinorFamily:
         return [{"rows": list(mid.rows), "cols": list(mid.cols)} for mid in self]
 
 
-def _vanishing_mask(values: Iterable) -> int:
-    """The mask of the minors whose value is zero, from the values of an
-    all-minors table in canonical order."""
-    digits = "".join("0" if value else "1" for value in values)
-    return int(digits[::-1], 2)
-
-
 def eval_minor(M: linalg.Matrix, mid: MinorId):
     """Exact value of the minor on a rational matrix.
 
@@ -117,12 +112,24 @@ def all_minors_table(M: linalg.Matrix) -> dict[MinorId, object]:
     return linalg.all_minors(M)
 
 
-def vanishing_family(M: linalg.Matrix) -> MinorFamily:
-    """The set of minors of a rational matrix M that are exactly zero.
+def _sign_masks(M: linalg.Matrix) -> tuple[int, int]:
+    """(zeros, negatives): the masks of the minors of a rational matrix M
+    that are 0 and that are below 0.
 
-    Read from the integer table of `linalg._scaled_minors`, whose zeros are
-    exactly the minors' zeros; the table is in canonical order, so each
-    value sets its own bit.
+    The one reader of signs and zeros.  It runs the integer all-minors
+    kernel on M's denominator-cleared rows: each value is the minor times
+    a positive integer, so its sign and whether it is zero are exact.  The
+    values come in canonical order, so the i-th sets bit i.
     """
+    values = linalg._all_minors(linalg._scaled_int_rows(M)[0])
+    # binary digits, the last minor first
+    zeros = "".join(["0" if value else "1" for value in reversed(values)])
+    negatives = "".join(["1" if value < 0 else "0" for value in reversed(values)])
+    return int(zeros, 2), int(negatives, 2)
+
+
+def vanishing_family(M: linalg.Matrix) -> MinorFamily:
+    """The set of minors of a rational matrix M that are exactly zero: the
+    zero mask of `_sign_masks`."""
     m, p = linalg.dims(M)
-    return MinorFamily(m, p, _vanishing_mask(linalg._scaled_minors(M).values()))
+    return MinorFamily(m, p, _sign_masks(M)[0])

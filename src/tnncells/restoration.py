@@ -31,8 +31,8 @@ from functools import lru_cache
 from typing import Iterator
 
 from .combinat import CauchonDiagram, _mask_is_cauchon
-from .linalg import Matrix, _laplace_plan, _scaled_minors, as_matrix, dims
-from .minors import MinorId, _vanishing_mask
+from .linalg import Matrix, _laplace_plan, as_matrix, dims
+from .minors import MinorFamily, MinorId, _sign_masks
 
 Step = tuple[int, int]
 
@@ -196,10 +196,9 @@ def trace_h_invariance_counterexample(
     For every non-final label r and minor closing strictly before r (its
     largest row and largest column, as a pair, precede r), a zero value at
     the successor label must force a zero value at r.  Each matrix is
-    read as the mask of its zero minors, from `linalg._scaled_minors`
-    (only zero-ness is read), so label r fails when
-    ``before(r) & zeros(after) & ~zeros(now)`` is nonzero, and its lowest
-    bit is the first such minor in canonical order.  A label whose
+    read as the zero mask of `minors._sign_masks`, so label r fails when
+    ``before(r) & zeros(after) & ~zeros(now)`` is nonzero, and the first
+    minor of that family, in canonical order, is the witness.  A label whose
     successor is the same matrix object cannot fail and is skipped (a
     step that writes nothing returns X itself); every other matrix gets
     one mask, keyed by object id while the trace keeps the matrices alive.
@@ -214,8 +213,8 @@ def trace_h_invariance_counterexample(
             continue
         for mat in (now, after):
             if id(mat) not in zeros:
-                zeros[id(mat)] = _vanishing_mask(_scaled_minors(mat).values())
+                zeros[id(mat)] = _sign_masks(mat)[0]
         failed = closed_before[r] & zeros[id(after)] & ~zeros[id(now)]
         if failed:
-            return r, _laplace_plan(m, p).ids[(failed & -failed).bit_length() - 1]
+            return r, next(iter(MinorFamily(m, p, failed)))
     return None

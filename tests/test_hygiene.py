@@ -5,7 +5,8 @@ package exports is used by some module of the package, every public
 method is referenced by some module of the package, no module-level
 function or method is wrapped in a cache that grows for the life of the
 process, every defaulted parameter is passed by some call in the
-package, every function and method the benchmark's tracer binds by name,
+package, only `linalg` and `minors` reach the integer all-minors table,
+every function and method the benchmark's tracer binds by name,
 and every package name its micro rows import, still exists, every
 exception kept for the tracer names a binding it has, and the README's
 Library example runs.
@@ -32,6 +33,7 @@ counted), or by any `*` or `**` argument that could reach it.
 import ast
 import importlib
 import inspect
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -64,6 +66,13 @@ KNOB_EXCEPTIONS = {
     "main.argv": "the tests pass it; the console script calls `main()`, which "
     "reads `sys.argv`",
 }
+
+
+# The integer all-minors kernel and the denominator-cleared rows it runs
+# on: only these modules name them.  Every other module asks
+# `minors._sign_masks` for signs and zeros or `linalg.all_minors` for values.
+TABLE_NAMES = {"_all_minors", "_scaled_int_rows"}
+TABLE_MODULES = {"linalg.py", "minors.py"}
 
 
 def _walk_outside(tree: ast.AST, skip: ast.AST | None):
@@ -264,10 +273,28 @@ def passes(call: ast.Call, name: str, position: int | None) -> bool:
     return False
 
 
+def calls_by_callee(trees: dict[str, ast.Module]) -> dict[str, list[tuple]]:
+    """Callee name -> (call, the function definitions enclosing it) for
+    every call in the modules whose callee is a bare name or an attribute."""
+    index = defaultdict(list)
+    todo = [(tree, ()) for tree in trees.values()]
+    while todo:
+        node, enclosing = todo.pop()
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name is not None:
+                index[name].append((node, enclosing))
+        if isinstance(node, FUNCTIONS):
+            enclosing = (*enclosing, node)
+        todo.extend((child, enclosing) for child in ast.iter_child_nodes(node))
+    return index
+
+
 def unpassed_defaults(trees: dict[str, ast.Module]) -> list[str]:
     """`function.param` or `Class.method.param` for every defaulted
     parameter of a module-level function or method that no call in the
     modules passes (see the module docstring)."""
+    index = calls_by_callee(trees)
     functions = []
     for tree in trees.values():
         for node in tree.body:
@@ -281,18 +308,23 @@ def unpassed_defaults(trees: dict[str, ast.Module]) -> list[str]:
                 functions.append(("", node, 0))
     out = []
     for prefix, fn, bound in functions:
-        calls = [
-            call
-            for tree in trees.values()
-            for call in _walk_outside(tree, fn)
-            if isinstance(call, ast.Call)
-            and fn.name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
-        ]
+        calls = [call for call, enclosing in index[fn.name] if fn not in enclosing]
         for name, position in defaulted_parameters(fn):
             if position is not None:
                 position -= bound
             if not any(passes(call, name, position) for call in calls):
                 out.append(f"{prefix}{fn.name}.{name}")
+    return out
+
+
+def table_readers(trees: dict[str, ast.Module]) -> dict[str, list[str]]:
+    """Module -> the `TABLE_NAMES` it mentions, for every module outside
+    `TABLE_MODULES`."""
+    out = {}
+    for name, tree in trees.items():
+        found = sorted(TABLE_NAMES & mentioned_names(tree))
+        if found and name not in TABLE_MODULES:
+            out[name] = found
     return out
 
 
@@ -467,6 +499,22 @@ def test_detector_flags_a_knob():
         ),
     }
     assert unpassed_defaults(trees) == ["f.knob", "f.kw", "K.m.b", "K.s.a"]
+
+
+def test_the_minors_table_stays_behind_two_modules():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    assert table_readers(trees) == {}
+
+
+def test_detector_flags_a_table_reader():
+    trees = {
+        "linalg.py": ast.parse("def _scaled_int_rows(M): pass\ndef _all_minors(r): pass\n"),
+        "minors.py": ast.parse("from . import linalg\nlinalg._all_minors(linalg._scaled_int_rows(M))\n"),
+        "cells.py": ast.parse("from .linalg import _all_minors\n"),
+        "verify.py": ast.parse("from . import linalg\nrows = linalg._scaled_int_rows(M)\n"),
+        "restoration.py": ast.parse("from .minors import _sign_masks\n_sign_masks(M)\n"),
+    }
+    assert table_readers(trees) == {"cells.py": ["_all_minors"], "verify.py": ["_scaled_int_rows"]}
 
 
 TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"

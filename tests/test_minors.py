@@ -13,12 +13,13 @@ from tnncells import (
     all_minors_table,
     as_matrix,
     eval_minor,
+    is_tnn,
     vanishing_family,
 )
 from tnncells import linalg
-from tnncells.minors import COLS, ROWS, _mask_by
+from tnncells.minors import COLS, ROWS, _mask_by, _sign_masks
 
-from conftest import family_of_ids, rand_matrix
+from conftest import family_of_ids, rand_fraction, rand_matrix
 
 
 class TestMinorId:
@@ -203,6 +204,63 @@ class TestEvaluation:
         fam = vanishing_family(M)
         expected = {mid for mid in all_minor_ids(3, 3) if len(mid.rows) >= 2}
         assert set(fam) == expected
+
+
+def planted_matrices(rng, m, p):
+    """Rational m x p matrices: a signed one as drawn, the same with a
+    zero row, the same with its last row a rational combination of two
+    earlier rows (or, with fewer than three rows, a multiple of the
+    first), and the tnn rank-one product of two nonnegative vectors."""
+    drawn = rand_matrix(rng, m, p, span=5)
+    zero_row = [list(row) for row in drawn]
+    zero_row[rng.randrange(m)] = [0] * p
+    dropped = [list(row) for row in drawn]
+    a, b = rand_fraction(rng, 3), rand_fraction(rng, 3)
+    first, second = drawn[0], drawn[min(1, m - 1)]
+    dropped[-1] = (
+        [a * x + b * y for x, y in zip(first, second)] if m >= 3 else [a * x for x in first]
+    )
+    u, v = ([abs(rand_fraction(rng, 5)) for _ in range(n)] for n in (m, p))
+    rank_one = [[x * y for y in v] for x in u]
+    return [as_matrix(rows) for rows in (drawn, zero_row, dropped, rank_one)]
+
+
+SIGN_SHAPES = [(1, 1), (1, 4), (3, 2), (3, 4), (4, 4)]
+
+
+class TestSignMasks:
+    """`_sign_masks` reads the Laplace kernel's integer table; `eval_minor`
+    is one Bareiss determinant of the submatrix, so it shares no
+    expansion with the masks."""
+
+    @pytest.mark.parametrize("m,p", SIGN_SHAPES)
+    def test_bits_are_the_zero_and_negative_minors(self, rng, m, p):
+        ids = all_minor_ids(m, p)
+        seen = {"zero": 0, "negative": 0, "positive": 0}
+        for _ in range(10):
+            for M in planted_matrices(rng, m, p):
+                zeros, negatives = _sign_masks(M)
+                assert zeros >> len(ids) == negatives >> len(ids) == 0
+                for i, mid in enumerate(ids):
+                    value = eval_minor(M, mid)
+                    assert (zeros >> i & 1, negatives >> i & 1) == (value == 0, value < 0), mid
+                    seen["zero" if value == 0 else "negative" if value < 0 else "positive"] += 1
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("m,p", SIGN_SHAPES)
+    def test_is_tnn_witness_is_the_first_negative_minor(self, rng, m, p):
+        ids = all_minor_ids(m, p)
+        verdicts = set()
+        for _ in range(10):
+            for M in planted_matrices(rng, m, p):
+                first = next((mid for mid in ids if eval_minor(M, mid) < 0), None)
+                verdict = is_tnn(M)
+                assert verdict.is_tnn == (first is None)
+                assert verdict.witness == first
+                if first is not None:
+                    assert verdict.witness_value == eval_minor(M, first)
+                verdicts.add(verdict.is_tnn)
+        assert verdicts == {True, False}
 
 
 # Every grid with at most 16 cells, plus (5,5).

@@ -26,7 +26,8 @@ from tnncells import (
     trace_h_invariance_counterexample,
 )
 from tnncells import restoration
-from tnncells.linalg import _scaled_minors, submatrix
+from tnncells.linalg import submatrix
+from tnncells.minors import _sign_masks
 from tnncells.restoration import MatrixTrace, _apply_step, _zero_mask
 from tnncells.verify import _corpus
 
@@ -499,9 +500,10 @@ class TestVanishingPropagation:
 
 
 def all_tables_counterexample(trace):
-    """The h-invariance check with one table per label and no skipping:
-    the oracle for the table reuse of `trace_h_invariance_counterexample`."""
-    tables = [_scaled_minors(mat) for mat in trace.matrices]
+    """The h-invariance check with one exact Fraction table per label and
+    no skipping: the oracle for the table reuse of
+    `trace_h_invariance_counterexample`."""
+    tables = [all_minors_table(mat) for mat in trace.matrices]
     for k, r in enumerate(trace.labels[:-1]):
         for (mid, now), after in zip(tables[k].items(), tables[k + 1].values()):
             if (mid.rows[-1], mid.cols[-1]) < r and not after and now:
@@ -569,9 +571,9 @@ class TestTableReuse:
 
         def spy(M):
             built.append(M)
-            return _scaled_minors(M)
+            return _sign_masks(M)
 
-        monkeypatch.setattr(restoration, "_scaled_minors", spy)
+        monkeypatch.setattr(restoration, "_sign_masks", spy)
         for _, X in _corpus(4, 4, 20, 1):
             trace = restore(X)
             built.clear()
