@@ -8,13 +8,15 @@ coefficients), which makes equality structural.  Division ``a / b`` is
 exact: it returns the Laurent polynomial q with q*b = a and raises
 :class:`InexactDivisionError` when there is none.
 
-A coefficient is an ``int`` whenever its value is integral and a
-``Fraction`` only when it is not.  Generic matrices, bracket tables and
-restoration by monomial pivots stay in the integers, so most arithmetic
-runs on plain ints; an operation checks for integral Fractions to demote
-only when one of its operands carries a Fraction.  Equal ints and
-Fractions compare and hash alike and print alike, so the rule changes no
-equality and no text form.
+Coefficients are ``int`` or ``Fraction``.  The entry points (the
+constructor, `VarRegistry.const` and `parse_laurent`) and exact division
+store an integral value as an ``int``; sums, products and partial
+derivatives keep the type exact arithmetic gives, so ints stay ints and
+a Fraction that cancels to an integer may stay a Fraction.  Generic
+matrices, bracket tables and restoration by monomial pivots stay in the
+integers, so most arithmetic runs on plain ints.  Equal ints and
+Fractions compare, hash and print alike, so the type changes no equality
+and no text form.
 
 Canonical text form: terms in descending lexicographic exponent order,
 each printed as ``coeff * t[i,a]^e * ...`` with the coefficient always
@@ -42,17 +44,6 @@ def _canonical(c: Fraction) -> "int | Fraction":
     return c.numerator if c.denominator == 1 else c
 
 
-def _has_fraction(terms: dict) -> bool:
-    return Fraction in map(type, terms.values())
-
-
-def _demote(terms: dict) -> None:
-    """Turn integral Fraction coefficients into ints, in place."""
-    for e, c in terms.items():
-        if type(c) is Fraction and c.denominator == 1:
-            terms[e] = c.numerator
-
-
 def _quotient(x, y) -> "int | Fraction":
     """x / y in coefficient form: an int quotient when it is exact."""
     if type(x) is int and type(y) is int:
@@ -65,8 +56,7 @@ def _term_map_mul(a: dict, b: dict) -> dict:
     """Product of two sparse exponent-vector -> coefficient maps.
 
     Keys are equal-length tuples of ints; zero coefficients are dropped so
-    the result is normalized whenever the inputs are, and its coefficients
-    are in int-while-integral form whenever the inputs' are.
+    the result is normalized whenever the inputs are.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -83,8 +73,6 @@ def _term_map_mul(a: dict, b: dict) -> dict:
                     out[e] = c
                 else:
                     del out[e]
-    if _has_fraction(a) or _has_fraction(b):
-        _demote(out)
     return out
 
 
@@ -231,8 +219,6 @@ class LaurentPoly:
                     out[e] = acc
                 else:
                     del out[e]
-        if _has_fraction(self.terms) or _has_fraction(o.terms):
-            _demote(out)
         return LaurentPoly._raw(self.registry, out)
 
     __radd__ = __add__
@@ -287,8 +273,6 @@ class LaurentPoly:
                     out[e2] = nc
                 else:
                     out.pop(e2, None)
-        if _has_fraction(self.terms):
-            _demote(out)
         return LaurentPoly._raw(self.registry, out)
 
     # -- text form -------------------------------------------------------
@@ -406,16 +390,9 @@ def parse_laurent(text: str, registry: VarRegistry) -> LaurentPoly:
     for term in prepared.split(" + "):
         coeff = Fraction(1)
         e = [0] * n
-        factors = [f.strip() for f in term.split("*")]
-        if factors and factors[0] == "-":
-            # a bare joined minus, as in "a - t[1,1]^1"
-            coeff = -coeff
-            factors[0] = ""
-        for pos, factor in enumerate(factors):
-            if not factor:
-                if pos == 0:
-                    continue
-                raise ValueError(f"malformed term {term!r}")
+        for factor in (f.strip() for f in term.split("*")):
+            if factor in ("", "-"):
+                raise ValueError(f"malformed term {term!r} in {text!r}")
             if factor.startswith("-t["):
                 coeff = -coeff
                 factor = factor[1:]

@@ -81,7 +81,7 @@ class MinorFamily:
     def __iter__(self) -> Iterator[MinorId]:
         # the binary digits read backwards: the i-th selects the i-th id
         ids = linalg._laplace_plan(self.m, self.p).ids
-        return compress(ids, map(int, reversed(f"{self.mask:b}")))
+        return compress(ids, map("1".__eq__, reversed(f"{self.mask:b}")))
 
     def __len__(self) -> int:
         return self.mask.bit_count()

@@ -54,7 +54,7 @@ from typing import Iterable, Mapping
 from .cells import symbolic_cauchon_matrix
 from .combinat import CauchonDiagram
 from .errors import RegistryMismatchError
-from .laurent import LaurentPoly, VarRegistry, _demote, _has_fraction
+from .laurent import LaurentPoly, VarRegistry
 from .restoration import Step, restore, step_sequence
 
 
@@ -186,8 +186,6 @@ def _monomial_bracket(f_terms: dict, g_weighted: list[tuple]) -> dict:
                     out[e] = c
                 else:
                     del out[e]
-    if _has_fraction(out):
-        _demote(out)
     return out
 
 

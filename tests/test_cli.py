@@ -27,6 +27,8 @@ NONDIVIDING_CSV = (
     '"1 * t[1,1]^1 + 1 * t[1,2]^1","1 * t[1,2]^1"\n'
     '"1 * t[2,1]^1","1 * t[2,2]^1 + 1 * t[1,1]^1"\n'
 )
+# a bare sign, and a term with no factor before its "*"
+MALFORMED_CSV = '"t[1,1]","-"\n"* t[2,1]","t[2,2]"\n'
 
 
 def run(capsys, *argv):
@@ -607,6 +609,9 @@ CHANGED = [
     # was: "... exceeds the 12-cell symbolic cap; ...", whatever the cap guards
     ("verify all 4 4", "", 2,
      EMPTY, "8e8171cb407719ec7452face41bb1c3e1370e8fa2192bb1d18a14ce53977fbdf"),
+    # was: exit 0, reading "-" as -1 and "* t[2,1]" as t[2,1]
+    ("restore --matrix -", MALFORMED_CSV, 2,
+     EMPTY, "d47b8f34a5e25d7ae8440592aaf6371400da00991a601423e36e840ea03b63c2"),
 ]
 
 

@@ -6,6 +6,7 @@ method is referenced by some module of the package, no module-level
 function or method is wrapped in a cache that grows for the life of the
 process, every defaulted parameter is passed by some call in the
 package, only `linalg` and `minors` reach the integer all-minors table,
+only `laurent` names the helpers that keep the Laurent coefficient form,
 every function and method the benchmark's tracer binds by name,
 and every package name its micro rows import, still exists, every
 exception kept for the tracer names a binding it has, and the README's
@@ -73,6 +74,12 @@ KNOB_EXCEPTIONS = {
 # `minors._sign_masks` for signs and zeros or `linalg.all_minors` for values.
 TABLE_NAMES = {"_all_minors", "_scaled_int_rows"}
 TABLE_MODULES = {"linalg.py", "minors.py"}
+
+# The coefficient form of a Laurent term map (an integral value stored as
+# an int) is kept by these helpers: only `laurent` names them, and every
+# other module does Laurent arithmetic through `LaurentPoly`.
+COEFFICIENT_NAMES = {"_canonical", "_quotient", "_term_map_mul"}
+COEFFICIENT_MODULES = {"laurent.py"}
 
 
 def _walk_outside(tree: ast.AST, skip: ast.AST | None):
@@ -317,13 +324,14 @@ def unpassed_defaults(trees: dict[str, ast.Module]) -> list[str]:
     return out
 
 
-def table_readers(trees: dict[str, ast.Module]) -> dict[str, list[str]]:
-    """Module -> the `TABLE_NAMES` it mentions, for every module outside
-    `TABLE_MODULES`."""
+def private_readers(
+    trees: dict[str, ast.Module], names: set[str], owners: set[str]
+) -> dict[str, list[str]]:
+    """Module -> the `names` it mentions, for every module outside `owners`."""
     out = {}
     for name, tree in trees.items():
-        found = sorted(TABLE_NAMES & mentioned_names(tree))
-        if found and name not in TABLE_MODULES:
+        found = sorted(names & mentioned_names(tree))
+        if found and name not in owners:
             out[name] = found
     return out
 
@@ -503,7 +511,7 @@ def test_detector_flags_a_knob():
 
 def test_the_minors_table_stays_behind_two_modules():
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
-    assert table_readers(trees) == {}
+    assert private_readers(trees, TABLE_NAMES, TABLE_MODULES) == {}
 
 
 def test_detector_flags_a_table_reader():
@@ -514,7 +522,28 @@ def test_detector_flags_a_table_reader():
         "verify.py": ast.parse("from . import linalg\nrows = linalg._scaled_int_rows(M)\n"),
         "restoration.py": ast.parse("from .minors import _sign_masks\n_sign_masks(M)\n"),
     }
-    assert table_readers(trees) == {"cells.py": ["_all_minors"], "verify.py": ["_scaled_int_rows"]}
+    assert private_readers(trees, TABLE_NAMES, TABLE_MODULES) == {
+        "cells.py": ["_all_minors"],
+        "verify.py": ["_scaled_int_rows"],
+    }
+
+
+def test_the_coefficient_form_stays_behind_laurent():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    assert private_readers(trees, COEFFICIENT_NAMES, COEFFICIENT_MODULES) == {}
+
+
+def test_detector_flags_a_coefficient_helper_outside_laurent():
+    trees = {
+        "laurent.py": ast.parse("def _canonical(c): pass\n_canonical(1)\n"),
+        "poisson.py": ast.parse("from .laurent import LaurentPoly, _term_map_mul\n"),
+        "restoration.py": ast.parse("from . import laurent\nq = laurent._quotient(x, y)\n"),
+        "cells.py": ast.parse("from .laurent import VarRegistry\nVarRegistry.grid(2, 2)\n"),
+    }
+    assert private_readers(trees, COEFFICIENT_NAMES, COEFFICIENT_MODULES) == {
+        "poisson.py": ["_term_map_mul"],
+        "restoration.py": ["_quotient"],
+    }
 
 
 TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"

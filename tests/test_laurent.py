@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from tnncells import (
     laurent_div_exact,
     parse_laurent,
 )
+from tnncells.laurent import _quotient
 
 R = VarRegistry.grid(2, 2)
 T11, T12, T21, T22 = (R.gen(k) for k in range(4))
@@ -25,6 +27,8 @@ coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 exponents = st.tuples(*[st.integers(min_value=-3, max_value=3)] * 4)
 polys = st.dictionaries(exponents, coeffs, max_size=5).map(lambda d: LaurentPoly(R, d))
 nonzero_polys = polys.filter(bool)
+int_coeffs = st.integers(min_value=-50, max_value=50)
+int_polys = st.dictionaries(exponents, int_coeffs, max_size=5).map(lambda d: LaurentPoly(R, d))
 
 
 class TestRegistry:
@@ -191,6 +195,16 @@ class TestEvaluateAndText:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_laurent("t[1,1] & t[1,2]", R)
+        # a term with an empty factor, or a sign and no factor
+        for text, term in (
+            ("-", "-"),
+            ("t[1,1] + -", "-"),
+            ("* t[1,1]", "* t[1,1]"),
+            ("- * t[1,1]", "- * t[1,1]"),
+            ("t[1,1] +  + t[1,2]", ""),
+        ):
+            with pytest.raises(ValueError, match=f"malformed term {re.escape(repr(term))}"):
+                parse_laurent(text, R)
         with pytest.raises(ValueError, match="zero denominator in '0/0'"):
             parse_laurent("t[1,1] + 0/0", R)
 
@@ -282,42 +296,48 @@ class TestTrueDivision:
 
 
 class TestCoefficientForm:
+    """The entry points and exact division store an integral value as an
+    int; sums, products and partials keep the type exact arithmetic gives,
+    which changes no value and no text form."""
+
     def test_fraction_becomes_integral_under_mul(self):
         for f in (HALF * (2 * T11), R.const(HALF) * (2 * T11), (2 * T11) * HALF):
+            assert f == T11
             assert f.terms == {(1, 0, 0, 0): 1}
-            assert_int_while_integral(f)
-        assert_int_while_integral((HALF * T11 + T12) * (HALF * T11 - T12))
+            assert str(f) == "1 * t[1,1]^1"
+        f = (HALF * T11 + T12) * (HALF * T11 - T12)
+        assert f == poly({(2, 0, 0, 0): Fraction(1, 4), (0, 2, 0, 0): -1})
+        assert str(f) == "1/4 * t[1,1]^2 + -1 * t[1,2]^2"
 
     def test_add_and_sub(self):
-        for f in (
-            HALF * T11 + HALF * T11,
-            Fraction(3, 2) * T11 - HALF * T11,
-            (HALF * T11 + T12) + (HALF * T11 - T12),
-            1 + (HALF * T11 + HALF) + HALF,
+        for f, want, text in (
+            (HALF * T11 + HALF * T11, T11, "1 * t[1,1]^1"),
+            (Fraction(3, 2) * T11 - HALF * T11, T11, "1 * t[1,1]^1"),
+            ((HALF * T11 + T12) + (HALF * T11 - T12), T11, "1 * t[1,1]^1"),
+            (1 + (HALF * T11 + HALF) + HALF, HALF * T11 + 2, "1/2 * t[1,1]^1 + 2"),
+            (HALF * T11 + T12, HALF * T11 + T12, "1/2 * t[1,1]^1 + 1 * t[1,2]^1"),
         ):
-            assert_int_while_integral(f)
-        assert (HALF * T11 + HALF * T11).terms == {(1, 0, 0, 0): 1}
-        assert_int_while_integral(HALF * T11 + T12)
+            assert f == want
+            assert str(f) == text
 
     def test_partial(self):
         k = R.index(1, 1)
         f = poly({(2, 0, 0, 0): HALF, (3, 1, 0, 0): Fraction(1, 3)}).partial(k)
         assert f == T11 + T11 * T11 * T12
-        assert_int_while_integral(f)
-        assert_int_while_integral(poly({(2, 0, 0, 0): Fraction(1, 3)}).partial(k))
+        assert str(f) == "1 * t[1,1]^2 * t[1,2]^1 + 1 * t[1,1]^1"
+        f = poly({(2, 0, 0, 0): Fraction(1, 3)}).partial(k)
+        assert f.terms == {(1, 0, 0, 0): Fraction(2, 3)}
+        assert str(f) == "2/3 * t[1,1]^1"
 
     def test_pow_and_inverse(self):
         one = R.const(1)
         assert (one / (HALF * T11)).terms == {(-1, 0, 0, 0): 2}
         assert (one / -T11).terms == {(-1, 0, 0, 0): -1}
         assert (one / (2 * T11)).terms == {(-1, 0, 0, 0): HALF}
-        for f in (
-            one / (HALF * T11),
-            one / (4 * T11 * T11),
-            (HALF * T11 + HALF * T12) * (HALF * T11 + HALF * T12),
-            poly({(3, 0, 0, -3): 8}),
-        ):
+        for f in (one / (HALF * T11), one / (4 * T11 * T11), poly({(3, 0, 0, -3): 8})):
             assert_int_while_integral(f)
+        f = (HALF * T11 + HALF * T12) * (HALF * T11 + HALF * T12)
+        assert str(f) == "1/4 * t[1,1]^2 + 1/2 * t[1,1]^1 * t[1,2]^1 + 1/4 * t[1,2]^2"
 
     def test_exact_division(self):
         cases = [
@@ -332,6 +352,13 @@ class TestCoefficientForm:
             got = laurent_div_exact(a, b)
             assert got == q
             assert_int_while_integral(got)
+
+    def test_quotient_of_ints_is_int_when_exact(self):
+        assert type(_quotient(6, 3)) is int and _quotient(6, 3) == 2
+        assert type(_quotient(-6, 3)) is int and _quotient(-6, 3) == -2
+        assert _quotient(7, 2) == Fraction(7, 2)
+        assert type(_quotient(Fraction(3, 2), HALF)) is int and _quotient(Fraction(3, 2), HALF) == 3
+        assert _quotient(1, Fraction(2, 3)) == Fraction(3, 2)
 
     def test_entry_points(self):
         e = (0, 0, 0, 0)
@@ -355,7 +382,20 @@ class TestCoefficientForm:
 
     @given(polys, nonzero_polys)
     def test_every_operation_keeps_the_form(self, a, b):
+        # every coefficient is a nonzero exact rational, and the result
+        # equals and prints as its entry-point form
         results = [a * b, a + b, a - b, -a, a * HALF, laurent_div_exact(a * b, b)]
         results += [a.partial(k) for k in range(4)]
         for f in results:
-            assert_int_while_integral(f)
+            assert all(type(c) in (int, Fraction) and c for c in f.terms.values()), f
+            canonical = LaurentPoly(R, f.terms)
+            assert f == canonical
+            assert str(f) == str(canonical)
+
+    @given(int_polys, int_polys.filter(bool), st.sampled_from([1, -1]), exponents)
+    def test_int_operands_give_int_results(self, a, b, sign, e):
+        unit = LaurentPoly(R, {e: sign})
+        results = [a * b, a + b, a - b, -a, a * 3, a / unit, (a * b) / b]
+        results += [a.partial(k) for k in range(4)]
+        for f in results:
+            assert all(type(c) is int for c in f.terms.values()), f

@@ -90,6 +90,16 @@ class TestMinorFamily:
         assert not small.mask & ~big.mask
         assert big.mask & ~small.mask
 
+    @pytest.mark.parametrize("m, p", [(1, 1), (2, 3), (3, 3), (4, 4)])
+    def test_iteration_selects_the_ids_of_the_set_bits(self, rng, m, p):
+        ids = all_minor_ids(m, p)
+        n = len(ids)
+        masks = [0, (1 << n) - 1, 1 << (n - 1), 1]
+        masks += [rng.getrandbits(n) for _ in range(20)]
+        for mask in masks:
+            want = [ids[i] for i in range(n) if mask >> i & 1]
+            assert list(MinorFamily(m, p, mask)) == want
+
     def test_mask_validation(self):
         MinorFamily(2, 2, (1 << 5) - 1)  # all five minors of the 2x2 grid
         with pytest.raises(ValueError, match="nonnegative"):

@@ -160,13 +160,36 @@ class TestLogCanonicalSkew:
         want[1][3], want[3][1] = -1, 1
         assert table.shifts == (((0, 0, 0, 0), nonzero_columns(want)),)
 
-    def test_fractional_skew_keeps_integral_coefficients_int(self, reg22):
+    def test_fractional_skew_gives_integral_values(self, reg22):
         t11, t12, _, _ = generators(reg22)
         table = BracketTable(reg22, {(0, 1): Fraction(3, 2) * t11 * t12})
         result = bracket(t11 * t11, t12, table)
         assert result == 3 * t11 * t11 * t12
-        assert [type(c) for c in result.terms.values()] == [int]
+        assert str(result) == "3 * t[1,1]^2 * t[1,2]^1"
         assert bracket(t11, t12, table) == per_pair_bracket(t11, t12, table)
+
+
+def int_coefficients(f) -> bool:
+    return all(type(c) is int for c in f.terms.values())
+
+
+class TestIntLane:
+    """Generic matrices, their restorations and their brackets stay in the
+    integers: Laurent arithmetic keeps int coefficients int."""
+
+    def test_every_restored_3x3_generic_matrix(self):
+        for C in enumerate_diagrams(3, 3):
+            _, M = symbolic_cauchon_matrix(C)
+            for _, Y in restore(M).items():
+                for x in (x for row in Y for x in row):
+                    assert int_coefficients(x), (C, x)
+
+    def test_brackets_of_the_restored_entries(self):
+        reg, M = symbolic_cauchon_matrix(CauchonDiagram.from_black(3, 3, ()))
+        entries = [x for row in restore(M).final for x in row]
+        for table in (cell_bracket_table(reg), matrix_bracket_table(reg)):
+            for x, y in combinations(entries, 2):
+                assert int_coefficients(bracket(x, y, table))
 
 
 class TestShifts:

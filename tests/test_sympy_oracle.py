@@ -2,8 +2,8 @@
 minors, against sympy.
 
 sympy is an independent computer algebra system: it shares no arithmetic
-with the package, so agreement here checks the int-while-integral
-coefficient rule and the division algorithm from outside, and ties the
+with the package, so agreement here checks the exact coefficients and
+the division algorithm from outside, and ties the
 Cauchon-graph oracle of the tests to real determinants.
 """
 
