@@ -27,10 +27,10 @@ the two-sided cross-check of that construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._value import _Value
 from .combinat import (
     CauchonDiagram,
     RestrictedPermutation,
@@ -46,23 +46,34 @@ from .minors import MinorFamily, MinorId, _sign_masks, eval_minor, vanishing_fam
 from .restoration import _run, delete_derivations, diagram_of_matrix
 
 
-@dataclass(frozen=True)
-class TnnVerdict:
+class TnnVerdict(_Value):
     """Outcome of the total-nonnegativity test."""
 
-    is_tnn: bool
-    witness: MinorId | None = None
-    witness_value: Fraction | None = None
+    __slots__ = ("is_tnn", "witness", "witness_value")
+
+    def __init__(
+        self, is_tnn: bool, witness: MinorId | None = None, witness_value: Fraction | None = None
+    ) -> None:
+        object.__setattr__(self, "is_tnn", is_tnn)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "witness_value", witness_value)
 
 
-@dataclass(frozen=True)
-class CellDescriptor:
+class CellDescriptor(_Value):
     """A cell named by its diagram, with its family and, when requested,
     the restricted permutation carrying the equal family."""
 
-    diagram: CauchonDiagram
-    family: MinorFamily
-    matched_perm: RestrictedPermutation | None = None
+    __slots__ = ("diagram", "family", "matched_perm")
+
+    def __init__(
+        self,
+        diagram: CauchonDiagram,
+        family: MinorFamily,
+        matched_perm: RestrictedPermutation | None,
+    ) -> None:
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "matched_perm", matched_perm)
 
     def to_json_obj(self) -> dict:
         """The cell as one matched (permutation, diagram) pair; "perm" is
@@ -84,8 +95,12 @@ def is_tnn(X: Matrix) -> TnnVerdict:
     """
     X = as_matrix(X)
     negatives = _sign_masks(X)[1]
-    if not negatives:
-        return TnnVerdict(True)
+    return _refuted(X, negatives) if negatives else TnnVerdict(True)
+
+
+def _refuted(X: Matrix, negatives: int) -> TnnVerdict:
+    """The verdict on X with a nonempty negative mask: its first negative
+    minor in canonical order, with the minor's exact value."""
     mid = next(iter(MinorFamily(len(X), len(X[0]), negatives)))
     return TnnVerdict(False, mid, eval_minor(X, mid))
 
@@ -151,12 +166,16 @@ def classify(Xbar: Matrix, *, find_perm: bool = False) -> CellDescriptor:
     equal the matrix's own vanishing family, or the package is broken.
     With `find_perm`, also attaches the diagram's restricted permutation,
     read off its pipe dream; its family must equal the diagram's, or
-    `SelfCheckError` is raised.
+    `SelfCheckError` is raised.  One `_sign_masks` call reads both the
+    negative minors, which refute total nonnegativity, and the matrix's
+    own vanishing family.
     """
-    verdict = is_tnn(Xbar)
-    if not verdict.is_tnn:
+    X = as_matrix(Xbar)
+    zeros, negatives = _sign_masks(X)
+    if negatives:
+        verdict = _refuted(X, negatives)
         raise NotTotallyNonnegativeError(verdict.witness, verdict.witness_value)
-    trace = delete_derivations(Xbar)
+    trace = delete_derivations(X)
     try:
         diagram = diagram_of_matrix(trace.initial)
     except ValueError as exc:
@@ -164,7 +183,7 @@ def classify(Xbar: Matrix, *, find_perm: bool = False) -> CellDescriptor:
             f"inverse algorithm produced a non-diagram zero pattern: {exc}"
         ) from None
     family = family_of_diagram(diagram)
-    observed = vanishing_family(trace.final)  # the validated Xbar
+    observed = MinorFamily(len(X), len(X[0]), zeros)
     if observed != family:
         raise SelfCheckError(
             "vanishing family disagrees with the diagram family: "

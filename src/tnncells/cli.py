@@ -2,9 +2,10 @@
 
 Every subcommand prints a stable machine-readable report (JSON by
 default) and exits 0 on success, 1 when a verification or assertion
-fails, and 2 on usage errors: bad sizes, flags or input, a grid over its
-cap without ``--force``, or a symbolic pivot that does not divide.  Input
-helpers raise :class:`UsageError`; only :func:`main` prints it and exits 2.
+fails, and 2 on usage errors: bad sizes, flags or input, a grid or a
+count over its cap without ``--force``, or a symbolic pivot that does not
+divide.  Input helpers raise :class:`UsageError`; only :func:`main`
+prints it and exits 2.
 The ``verify`` suites are the one table ``_SUITES``.  All randomness is
 seed-driven, so equal invocations produce byte-identical output.
 """
@@ -226,7 +227,12 @@ class _Suite(NamedTuple):
 # Every suite caps its sizes; --force lifts every cap.  The slowest sizes
 # they accept, each at most about 0.7 s of CLI wall time on a 2-core box:
 # bruhat-cell (4,3) and (3,4), poisson (1,9) and (9,1) with 512 diagrams
-# each, counting (4,4) and bruhat-monotone (6,2).
+# each, counting (4,4) and bruhat-monotone (6,2).  The counts are capped
+# too, so no count can hang a run.  The slowest accepted counts, at the
+# slowest sizes, on the same box: poisson (1,9) --n 10000 4.8 s, deletion
+# (4,4) --n 10000 3.7 s, tnn-roundtrip (4,4) --n 10000 2.1 s, bruhat-cell
+# (4,3) --samples 500 5.4 s, bruhat-monotone (2,6) --sample 100000 0.5 s.
+_COUNT_CAPS = {"n": 10_000, "samples": 500, "sample": 100_000}
 _SUITES = {
     "counting": _Suite(  # its filter oracle walks all (M+P)! permutations
         lambda a: verify_mod.counting_suite()
@@ -255,10 +261,16 @@ _SUITES = {
 def _cmd_verify(args) -> int:
     if (args.m is None) != (args.p is None):
         raise UsageError("verify needs both sizes or neither")
-    for flag in ("n", "samples", "sample"):
+    for flag, cap in _COUNT_CAPS.items():
         value = getattr(args, flag)
-        if value is not None and value < 0:
+        if value is None:
+            continue
+        if value < 0:
             raise UsageError(f"--{flag} must be nonnegative, got {value}")
+        if value > cap and not args.force:
+            raise UsageError(
+                f"--{flag} {value} exceeds the cap of {cap}; pass --force to run anyway"
+            )
     if args.cap is not None and args.cap < 1:
         raise UsageError(f"--cap must be positive, got {args.cap}")
     if args.suite == "all":

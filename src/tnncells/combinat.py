@@ -10,9 +10,9 @@ bijection itself: it reads a diagram's permutation off its pipe dream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ._value import _Ordered, _Value
 from .errors import SizeCapError
 
 MAX_GRID_CELLS = 64  # diagrams are stored as 64-bit row-major masks
@@ -54,19 +54,19 @@ def _black_mask(m: int, p: int, black: Iterable[tuple[int, int]]) -> int:
     return mask
 
 
-@dataclass(frozen=True, order=True)
-class CauchonDiagram:
+class CauchonDiagram(_Ordered):
     """An m x p diagram as a row-major bitmask (set bit = black cell)."""
 
-    m: int
-    p: int
-    mask: int
+    __slots__ = ("m", "p", "mask")
 
-    def __post_init__(self) -> None:
-        _check_grid(self.m, self.p)
-        if not 0 <= self.mask < (1 << (self.m * self.p)):
+    def __init__(self, m: int, p: int, mask: int) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "mask", mask)
+        _check_grid(m, p)
+        if not 0 <= mask < (1 << (m * p)):
             raise ValueError("mask out of range for the grid")
-        if not _mask_is_cauchon(self.m, self.p, self.mask):
+        if not _mask_is_cauchon(m, p, mask):
             raise ValueError("black cells violate the left-or-above condition")
 
     @classmethod
@@ -140,24 +140,24 @@ def random_diagram(m: int, p: int, rng) -> CauchonDiagram:
             return CauchonDiagram(m, p, mask)
 
 
-@dataclass(frozen=True, order=True)
-class RestrictedPermutation:
+class RestrictedPermutation(_Ordered):
     """w in S_{m+p} with -p <= w(i) - i <= m, in one-line notation."""
 
-    m: int
-    p: int
-    w: tuple[int, ...]
+    __slots__ = ("m", "p", "w")
 
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.p < 1:
+    def __init__(self, m: int, p: int, w: tuple[int, ...]) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "w", w)
+        if m < 1 or p < 1:
             raise ValueError("m and p must be positive")
-        n = self.m + self.p
-        if sorted(self.w) != list(range(1, n + 1)):
-            raise ValueError(f"{self.w} is not a permutation of 1..{n}")
-        for j, v in enumerate(self.w, start=1):
-            if not -self.p <= v - j <= self.m:
+        n = m + p
+        if sorted(w) != list(range(1, n + 1)):
+            raise ValueError(f"{w} is not a permutation of 1..{n}")
+        for j, v in enumerate(w, start=1):
+            if not -p <= v - j <= m:
                 raise ValueError(
-                    f"w({j}) = {v} violates the shift bounds -{self.p} <= w(i)-i <= {self.m}"
+                    f"w({j}) = {v} violates the shift bounds -{p} <= w(i)-i <= {m}"
                 )
 
     @property
@@ -259,16 +259,24 @@ def bruhat_leq(w, z) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(_Value):
     """The four blocks of an (m+p) x (m+p) permutation matrix split after
     row m and column p; entries are 0/1, matrix convention P[i][j] = 1 iff
     w(j) = i."""
 
-    w11: tuple[tuple[int, ...], ...]  # m x p
-    w12: tuple[tuple[int, ...], ...]  # m x m
-    w21: tuple[tuple[int, ...], ...]  # p x p
-    w22: tuple[tuple[int, ...], ...]  # p x m
+    __slots__ = ("w11", "w12", "w21", "w22")
+
+    def __init__(
+        self,
+        w11: tuple[tuple[int, ...], ...],  # m x p
+        w12: tuple[tuple[int, ...], ...],  # m x m
+        w21: tuple[tuple[int, ...], ...],  # p x p
+        w22: tuple[tuple[int, ...], ...],  # p x m
+    ) -> None:
+        object.__setattr__(self, "w11", w11)
+        object.__setattr__(self, "w12", w12)
+        object.__setattr__(self, "w21", w21)
+        object.__setattr__(self, "w22", w22)
 
 
 def block_decompose(w, m: int, p: int) -> BlockDecomposition:

@@ -32,13 +32,13 @@ oracle for the tests.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from operator import le
 from typing import Iterable, Sequence
 
 from . import linalg
+from ._value import _Value
 from .combinat import (
     RestrictedPermutation,
     block_decompose,
@@ -47,23 +47,25 @@ from .combinat import (
 from .minors import COLS, ROWS, MinorFamily, MinorId, _mask_by, _minor_count
 
 
-@dataclass(frozen=True)
-class PartialPermutation:
+class PartialPermutation(_Value):
     """A partial injection from columns to rows, as sorted (col, row) pairs."""
 
-    size_rows: int
-    size_cols: int
-    assignment: tuple[tuple[int, int], ...]
+    __slots__ = ("size_rows", "size_cols", "assignment")
 
-    def __post_init__(self) -> None:
-        cols = [c for c, _ in self.assignment]
-        rows = [r for _, r in self.assignment]
+    def __init__(
+        self, size_rows: int, size_cols: int, assignment: tuple[tuple[int, int], ...]
+    ) -> None:
+        object.__setattr__(self, "size_rows", size_rows)
+        object.__setattr__(self, "size_cols", size_cols)
+        object.__setattr__(self, "assignment", assignment)
+        cols = [c for c, _ in assignment]
+        rows = [r for _, r in assignment]
         if cols != sorted(set(cols)):
             raise ValueError("assignment must be sorted by column, no duplicates")
         if len(set(rows)) != len(rows):
             raise ValueError("not injective")
-        for c, r in self.assignment:
-            if not (1 <= c <= self.size_cols and 1 <= r <= self.size_rows):
+        for c, r in assignment:
+            if not (1 <= c <= size_cols and 1 <= r <= size_rows):
                 raise ValueError(f"pair {(c, r)} out of range")
 
     def domain(self) -> tuple[int, ...]:

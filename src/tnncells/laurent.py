@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
+from ._value import _Value
 from .errors import InexactDivisionError, RegistryMismatchError
 
 Exponents = tuple[int, ...]
@@ -76,26 +76,26 @@ def _term_map_mul(a: dict, b: dict) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class VarRegistry:
+class VarRegistry(_Value):
     """The grid positions carrying a variable, in row-major order."""
 
-    m: int
-    p: int
-    positions: tuple[tuple[int, int], ...]
-    _index: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("m", "p", "positions", "_index")
+    _fields = ("m", "p", "positions")  # `_index` is derived from them
 
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.p < 1:
+    def __init__(self, m: int, p: int, positions: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "positions", positions)
+        if m < 1 or p < 1:
             raise ValueError("grid dimensions must be positive")
         index: dict[tuple[int, int], int] = {}
-        for k, (i, a) in enumerate(self.positions):
-            if not (1 <= i <= self.m and 1 <= a <= self.p):
-                raise ValueError(f"position {(i, a)} outside the {self.m}x{self.p} grid")
+        for k, (i, a) in enumerate(positions):
+            if not (1 <= i <= m and 1 <= a <= p):
+                raise ValueError(f"position {(i, a)} outside the {m}x{p} grid")
             if (i, a) in index:
                 raise ValueError(f"duplicate position {(i, a)}")
             index[(i, a)] = k
-        if list(self.positions) != sorted(self.positions):
+        if list(positions) != sorted(positions):
             raise ValueError("positions must be listed in row-major order")
         object.__setattr__(self, "_index", index)
 

@@ -19,12 +19,12 @@ evaluated on rational matrices only; a Laurent matrix raises `TypeError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import comb
 from typing import Iterator
 
 from . import linalg
+from ._value import _Value
 from .linalg import MinorId
 
 
@@ -59,23 +59,23 @@ def _mask_by(m: int, p: int, axis: int, k: int, keep) -> int:
     return int(digits, 2) << offset
 
 
-@dataclass(frozen=True)
-class MinorFamily:
+class MinorFamily(_Value):
     """A set of minors of an m x p grid: bit i of `mask` is the i-th minor
     in canonical order.  Equality and hashing are structural."""
 
-    m: int
-    p: int
-    mask: int
+    __slots__ = ("m", "p", "mask")
 
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.p < 1:
-            raise ValueError(f"grid dimensions must be positive, got {self.m}x{self.p}")
-        if self.mask < 0:
-            raise ValueError(f"family mask must be nonnegative, got {self.mask}")
-        if self.mask.bit_length() > _minor_count(self.m, self.p):
+    def __init__(self, m: int, p: int, mask: int) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "mask", mask)
+        if m < 1 or p < 1:
+            raise ValueError(f"grid dimensions must be positive, got {m}x{p}")
+        if mask < 0:
+            raise ValueError(f"family mask must be nonnegative, got {mask}")
+        if mask.bit_length() > _minor_count(m, p):
             raise ValueError(
-                f"family mask has a bit past the last minor of the {self.m}x{self.p} grid"
+                f"family mask has a bit past the last minor of the {m}x{p} grid"
             )
 
     def __iter__(self) -> Iterator[MinorId]:

@@ -45,12 +45,12 @@ label, and the passing check of each pair) is built once per shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, repeat
 from operator import add, mul
 from typing import Iterable, Mapping
 
+from ._value import _Value
 from .cells import symbolic_cauchon_matrix
 from .combinat import CauchonDiagram
 from .errors import RegistryMismatchError
@@ -58,8 +58,7 @@ from .laurent import LaurentPoly, VarRegistry
 from .restoration import Step, restore, step_sequence
 
 
-@dataclass(frozen=True)
-class BracketTable:
+class BracketTable(_Value):
     """Bracket values on generator pairs v < w (registry index order).
 
     `shifts` splits the values by shift: one pair (s, columns) per shift s
@@ -68,23 +67,24 @@ class BracketTable:
     `columns` maps u to column u of Lambda_s, for the nonzero columns only.
     """
 
-    registry: VarRegistry
-    entries: Mapping[tuple[int, int], LaurentPoly]
-    shifts: tuple[tuple[tuple[int, ...], dict[int, tuple]], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("registry", "entries", "shifts")
+    _fields = ("registry", "entries")  # `shifts` is derived from them
 
-    def __post_init__(self) -> None:
-        for (v, w), value in self.entries.items():
-            if not 0 <= v < w < len(self.registry):
+    def __init__(
+        self, registry: VarRegistry, entries: Mapping[tuple[int, int], LaurentPoly]
+    ) -> None:
+        object.__setattr__(self, "registry", registry)
+        object.__setattr__(self, "entries", entries)
+        for (v, w), value in entries.items():
+            if not 0 <= v < w < len(registry):
                 raise ValueError(f"pair {(v, w)} is not ordered or out of range")
-            if value.registry != self.registry:
+            if value.registry != registry:
                 raise RegistryMismatchError("table value from a foreign registry")
-        n = len(self.registry)
+        n = len(registry)
         # cols[u] is column u of Lambda_s: Lambda_s[v][w] = c lands in
         # column w at row v, and Lambda_s[w][v] = -c in column v at row w
         by_shift: dict[tuple[int, ...], list[list]] = {}
-        for (v, w), value in self.entries.items():
+        for (v, w), value in entries.items():
             for e, c in value.terms.items():
                 shift = list(e)
                 shift[v] -= 1
@@ -189,21 +189,31 @@ def _monomial_bracket(f_terms: dict, g_weighted: list[tuple]) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class PairCheck:
+class PairCheck(_Value):
     """One bracket comparison inside a step verification."""
 
-    first: tuple[int, int]
-    second: tuple[int, int]
-    ok: bool
-    difference: LaurentPoly | None = None
+    __slots__ = ("first", "second", "ok", "difference")
+
+    def __init__(
+        self,
+        first: tuple[int, int],
+        second: tuple[int, int],
+        ok: bool,
+        difference: LaurentPoly | None = None,
+    ) -> None:
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "difference", difference)
 
 
-@dataclass(frozen=True)
-class StepBracketReport:
-    diagram: CauchonDiagram
-    step: Step
-    checks: tuple[PairCheck, ...]
+class StepBracketReport(_Value):
+    __slots__ = ("diagram", "step", "checks")
+
+    def __init__(self, diagram: CauchonDiagram, step: Step, checks: tuple[PairCheck, ...]) -> None:
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:

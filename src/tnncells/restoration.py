@@ -25,11 +25,11 @@ Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
+from ._value import _Value
 from .combinat import CauchonDiagram, _mask_is_cauchon
 from .linalg import Matrix, _laplace_plan, as_matrix, dims
 from .minors import MinorFamily, MinorId, _sign_masks
@@ -100,14 +100,18 @@ def _apply_step(X: Matrix, r: Step, direction: int) -> Matrix:
     return X if rows is None else tuple(rows)
 
 
-@dataclass(frozen=True)
-class MatrixTrace:
+class MatrixTrace(_Value):
     """All intermediate matrices of one run, keyed by step label."""
 
-    m: int
-    p: int
-    labels: tuple[Step, ...]
-    matrices: tuple[Matrix, ...]
+    __slots__ = ("m", "p", "labels", "matrices")
+
+    def __init__(
+        self, m: int, p: int, labels: tuple[Step, ...], matrices: tuple[Matrix, ...]
+    ) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "matrices", matrices)
 
     def __getitem__(self, label: Step) -> Matrix:
         try:

@@ -9,10 +9,10 @@ suite run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import permutations as iter_permutations
 from typing import Iterable
 
+from ._value import _Value
 from .cells import (
     family_of_diagram,
     match_families,
@@ -49,12 +49,18 @@ from .restoration import (
 )
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    ok: bool
-    summary: str
-    details: dict = field(default_factory=dict)
+class SuiteReport(_Value):
+    __slots__ = ("suite", "ok", "summary", "details")
+    # mutable, so unhashable
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, suite: str, ok: bool, summary: str, details: dict | None = None) -> None:
+        self.suite = suite
+        self.ok = ok
+        self.summary = summary
+        self.details = {} if details is None else details
 
     def to_json_obj(self) -> dict:
         return {

@@ -26,6 +26,7 @@ from tnncells import (
     w_max,
 )
 from tnncells.linalg import as_matrix, det_exact, submatrix
+from tnncells.minors import _sign_masks
 
 from conftest import path_family, path_sums
 
@@ -252,6 +253,22 @@ class TestClassify:
             classify(((0, 1), (1, 0)))
         assert exc.value.witness == MinorId((1, 2), (1, 2))
         assert exc.value.value == -1
+
+    def test_one_sign_read_of_the_input(self, monkeypatch):
+        # the negative mask and the zero mask both come from one call
+        calls = []
+
+        def spy(M):
+            calls.append(M)
+            return _sign_masks(M)
+
+        monkeypatch.setattr(cells, "_sign_masks", spy)
+        desc = classify(NBAR, find_perm=True)
+        assert calls == [as_matrix(NBAR)]
+        assert desc.family == vanishing_family(NBAR)
+        with pytest.raises(NotTotallyNonnegativeError):
+            classify(((0, 1), (1, 0)))
+        assert len(calls) == 2
 
     def test_scaling_keeps_the_cell(self):
         scaled = tuple(tuple(Fraction(3, 7) * x for x in row) for row in NBAR)

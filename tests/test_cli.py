@@ -324,6 +324,31 @@ class TestVerify:
         assert err.strip() == "--sample must be nonnegative, got -9"
 
     @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("poisson", "2", "2", "--n", "10001"), "n"),
+            (("deletion", "2", "2", "--n", "99999999999999999999"), "n"),
+            (("bruhat-cell", "2", "2", "--samples", "501"), "samples"),
+            (("bruhat-monotone", "2", "3", "--sample", "100001"), "sample"),
+            (("all", "2", "2", "--samples", "1000"), "samples"),
+        ],
+    )
+    def test_count_over_its_cap_is_a_usage_error(self, capsys, argv, flag):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err.strip() == (
+            f"--{flag} {argv[-1]} exceeds the cap of {cli._COUNT_CAPS[flag]}; "
+            "pass --force to run anyway"
+        )
+
+    def test_force_lifts_the_count_cap(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._COUNT_CAPS, "n", 3)
+        assert run(capsys, "verify", "deletion", "2", "2", "--n", "3")[0] == 0
+        assert run(capsys, "verify", "deletion", "2", "2", "--n", "4")[0] == 2
+        code, obj, _ = run_json(capsys, "verify", "deletion", "2", "2", "--n", "4", "--force")
+        assert code == 0 and obj["ok"]
+
+    @pytest.mark.parametrize(
         "argv, poisson",
         [
             (("3", "3"), True),
@@ -612,6 +637,9 @@ CHANGED = [
     # was: exit 0, reading "-" as -1 and "* t[2,1]" as t[2,1]
     ("restore --matrix -", MALFORMED_CSV, 2,
      EMPTY, "d47b8f34a5e25d7ae8440592aaf6371400da00991a601423e36e840ea03b63c2"),
+    # was: still running after 20 s, building 3 * n random polynomials first
+    ("verify poisson 3 3 --n 99999999999999999999", "", 2,
+     EMPTY, "fc908ede1a6e5ba4eea77d58e712a4b8adf72932f3d4d8d5ada43e9ded43f46c"),
 ]
 
 

@@ -26,9 +26,11 @@ that class; any other receiver may be any class with that method.
 
 A defaulted parameter that no call sets is a knob that changes nothing.
 Calls are matched by the function's name, bare or as an attribute, outside
-the function's own definition; a parameter is passed by its keyword, by
-position (a method's call is taken as bound, so `self` or `cls` is not
-counted), or by any `*` or `**` argument that could reach it.
+the function's own definition; a class's `__init__` is also called by the
+class's name and by `cls(...)` inside the class's classmethods.  A
+parameter is passed by its keyword, by position (a method's call is taken
+as bound, so `self` or `cls` is not counted), or by any `*` or `**`
+argument that could reach it.
 """
 
 import ast
@@ -306,16 +308,30 @@ def unpassed_defaults(trees: dict[str, ast.Module]) -> list[str]:
     for tree in trees.values():
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                for sub in node.body:
-                    if isinstance(sub, FUNCTIONS):
-                        decorators = [getattr(d, "id", None) for d in sub.decorator_list]
-                        bound = 0 if "staticmethod" in decorators else 1
-                        functions.append((f"{node.name}.", sub, bound))
+                methods = [sub for sub in node.body if isinstance(sub, FUNCTIONS)]
+                decorators = {
+                    sub: [getattr(d, "id", None) for d in sub.decorator_list] for sub in methods
+                }
+                classmethods = {sub for sub in methods if "classmethod" in decorators[sub]}
+                # `C(...)`, and `cls(...)` inside C's classmethods, call C.__init__
+                constructions = index[node.name] + [
+                    (call, enclosing)
+                    for call, enclosing in index["cls"]
+                    if classmethods.intersection(enclosing)
+                ]
+                for sub in methods:
+                    bound = 0 if "staticmethod" in decorators[sub] else 1
+                    extra = constructions if sub.name == "__init__" else []
+                    functions.append((f"{node.name}.", sub, bound, extra))
             elif isinstance(node, FUNCTIONS):
-                functions.append(("", node, 0))
+                functions.append(("", node, 0, ()))
     out = []
-    for prefix, fn, bound in functions:
-        calls = [call for call, enclosing in index[fn.name] if fn not in enclosing]
+    for prefix, fn, bound, constructions in functions:
+        calls = [
+            call
+            for call, enclosing in [*index[fn.name], *constructions]
+            if fn not in enclosing
+        ]
         for name, position in defaulted_parameters(fn):
             if position is not None:
                 position -= bound
@@ -507,6 +523,22 @@ def test_detector_flags_a_knob():
         ),
     }
     assert unpassed_defaults(trees) == ["f.knob", "f.kw", "K.m.b", "K.s.a"]
+
+
+def test_detector_flags_a_constructor_knob():
+    trees = {
+        "a.py": ast.parse(
+            "class P:\n"
+            "    def __init__(self, a, b=1, c=2, d=3, *, e=4):\n        pass\n\n"
+            "    @classmethod\n    def make(cls, x):\n        return cls(x, c=x)\n\n"
+            "    def other(self):\n        return cls(1, 2, 3, 4, e=5)\n\n"
+            "class Q:\n"
+            "    def __init__(self, a=1):\n        pass\n\n"
+            "    @staticmethod\n    def build():\n        return cls(2)\n"
+        ),
+        "b.py": ast.parse("from .a import P\nP(1, 2)\n"),
+    }
+    assert unpassed_defaults(trees) == ["P.__init__.d", "P.__init__.e", "Q.__init__.a"]
 
 
 def test_the_minors_table_stays_behind_two_modules():

@@ -1,6 +1,5 @@
 """Bracket tables, the biderivation extension, and step-bracket checks."""
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -11,6 +10,7 @@ from tnncells import (
     BracketTable,
     CauchonDiagram,
     LaurentPoly,
+    MatrixTrace,
     RegistryMismatchError,
     VarRegistry,
     bracket,
@@ -403,7 +403,7 @@ class TestStepCertificate:
         rows[i - 1][a - 1] = reg.const(1)
         matrices = list(trace.matrices)
         matrices[k] = tuple(map(tuple, rows))
-        planted = replace(trace, matrices=tuple(matrices))
+        planted = MatrixTrace(trace.m, trace.p, trace.labels, tuple(matrices))
         monkeypatch.setattr(poisson, "restore", lambda X: planted)
         reports = verify_all_step_brackets(ALL_WHITE_33)
         assert [rep.ok for rep in reports] == [r != label for r in trace.labels]
@@ -422,7 +422,7 @@ class TestStepCertificate:
         assert trace.labels[k - 1] == (2, 2)
         matrices = list(trace.matrices)
         matrices[k] = matrices[k - 1]
-        planted = replace(trace, matrices=tuple(matrices))
+        planted = MatrixTrace(trace.m, trace.p, trace.labels, tuple(matrices))
         monkeypatch.setattr(poisson, "restore", lambda X: planted)
         reports = verify_all_step_brackets(ALL_WHITE_33)
         assert reports[k - 1].ok
