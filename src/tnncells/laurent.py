@@ -63,7 +63,7 @@ def _term_map_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(operator.add, ea, eb))
             c = out.get(e)
             if c is None:
                 out[e] = ca * cb
@@ -173,6 +173,11 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("LaurentPoly is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: the default
+        # slot-state restore would assign through `__setattr__`
+        return type(self), (self.registry, self.terms)
 
     # -- predicates ------------------------------------------------------
 

@@ -22,9 +22,12 @@ monomials is then
     {x^alpha, x^beta} = sum over s of (alpha^T Lambda_s beta) * x^(alpha + beta + s)
 
 so {f, g} is one pass over the term pairs of f and the shifted, weighted
-terms of g, with Lambda_s beta computed once per term of g and shift.  The
-cell table has the one shift s = 0; the matrix table adds one shift per
-crossed pair, e_(i,g) + e_(k,a) - e_(i,a) - e_(k,g).
+terms of g, with Lambda_s beta computed once per term of g and shift.
+Every Lambda_s is skew, so beta^T Lambda_s alpha = -(alpha^T Lambda_s beta)
+and {f, g} = -{g, f} holds term by term, on every table: the weighted side
+is the operand with fewer terms, and swapping the operands only negates
+the coefficients.  The cell table has the one shift s = 0; the matrix table
+adds one shift per crossed pair, e_(i,g) + e_(k,a) - e_(i,a) - e_(k,g).
 
 The step-bracket check runs on the cell table, whose one shift is 0, so
 {f, g} sums c_alpha * c_beta * (alpha^T Lambda beta) * x^(alpha + beta).
@@ -101,6 +104,13 @@ class BracketTable(_Value):
         object.__setattr__(self, "shifts", shifts)
 
 
+def _monomial(registry: VarRegistry, c: int, v: int, w: int) -> LaurentPoly:
+    """c * x_v * x_w for distinct generators v and w."""
+    e = [0] * len(registry)
+    e[v] = e[w] = 1
+    return LaurentPoly._raw(registry, {tuple(e): c})
+
+
 def cell_bracket_table(registry: VarRegistry) -> BracketTable:
     """Products for ordered same-row or same-column pairs, zero otherwise."""
     entries = {}
@@ -110,7 +120,7 @@ def cell_bracket_table(registry: VarRegistry) -> BracketTable:
         for w in range(v + 1, n):
             k, g = registry.positions[w]
             if (i == k and a < g) or (i < k and a == g):
-                entries[(v, w)] = registry.gen(v) * registry.gen(w)
+                entries[(v, w)] = _monomial(registry, 1, v, w)
     return BracketTable(registry, entries)
 
 
@@ -129,18 +139,28 @@ def matrix_bracket_table(registry: VarRegistry) -> BracketTable:
         for w in range(v + 1, n):
             k, g = registry.positions[w]
             if (i == k and a < g) or (i < k and a == g):
-                entries[(v, w)] = registry.gen(v) * registry.gen(w)
+                entries[(v, w)] = _monomial(registry, 1, v, w)
             elif i < k and a < g:
-                entries[(v, w)] = 2 * registry.var(i, g) * registry.var(k, a)
+                entries[(v, w)] = _monomial(
+                    registry, 2, registry.index(i, g), registry.index(k, a)
+                )
     return BracketTable(registry, entries)
 
 
 def bracket(f: LaurentPoly, g: LaurentPoly, table: BracketTable) -> LaurentPoly:
-    """The biderivation extension of the table to whole polynomials."""
+    """The biderivation extension of the table to whole polynomials.
+
+    The operand with fewer terms is the weighted one: every Lambda_s is
+    skew, so {f, g} = -{g, f} term by term, and weighing f instead of g
+    only negates each coefficient of its weighted terms."""
     registry = table.registry
     if f.registry != registry or g.registry != registry:
         raise RegistryMismatchError("operands do not match the table's registry")
-    terms = _monomial_bracket(f.terms, _weighted_terms(g.terms, table.shifts))
+    if len(f.terms) < len(g.terms):
+        f_weighted = _weighted_terms(f.terms, table.shifts)
+        terms = _monomial_bracket(g.terms, [(e, -c, lb) for e, c, lb in f_weighted])
+    else:
+        terms = _monomial_bracket(f.terms, _weighted_terms(g.terms, table.shifts))
     return LaurentPoly._raw(registry, terms)
 
 

@@ -272,12 +272,32 @@ def deletion_suite(m: int, p: int, n: int = 100, seed: int = 0) -> SuiteReport:
 
 
 def random_laurent(registry: VarRegistry, rng: random.Random) -> LaurentPoly:
-    """1 to 3 terms, exponents in [-2, 2], integer coefficients in [-9, 9]."""
-    terms = {}
-    for _ in range(rng.randint(1, 3)):
-        e = tuple(rng.randint(-2, 2) for _ in range(len(registry)))
-        terms[e] = terms.get(e, 0) + rng.randint(-9, 9)
-    return LaurentPoly(registry, terms)
+    """The sum of 1 to 3 random terms, each with exponents in [-2, 2] and an
+    integer coefficient in [-9, 9].  Terms with equal exponents merge and
+    zero coefficients drop, so the result may have fewer terms, or none.
+
+    Each value in a range of n values is drawn as `rng.randint` draws it on
+    CPython: k = n.bit_length() random bits, drawn again while >= n.  So
+    the polynomials, and the generator's state after them, are those of
+    `randint(1, 3)`, `randint(-2, 2)` and `randint(-9, 9)`."""
+    bits = rng.getrandbits
+    count = bits(2)
+    while count >= 3:
+        count = bits(2)
+    terms: dict = {}
+    for _ in range(count + 1):
+        e = []
+        for _ in range(len(registry)):
+            x = bits(3)
+            while x >= 5:
+                x = bits(3)
+            e.append(x - 2)
+        c = bits(5)
+        while c >= 19:
+            c = bits(5)
+        key = tuple(e)
+        terms[key] = terms.get(key, 0) + c - 9
+    return LaurentPoly._raw(registry, {e: c for e, c in terms.items() if c})
 
 
 def leibniz_holds(f: LaurentPoly, g: LaurentPoly, h: LaurentPoly, table) -> bool:

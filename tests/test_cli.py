@@ -1,12 +1,14 @@
-"""End-to-end command coverage through cli.main, plus one real subprocess."""
+"""End-to-end command coverage through cli.main, plus real subprocesses."""
 
 import hashlib
 import io
 import json
+import os
 import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -664,6 +666,20 @@ class TestGoldenBytes:
 
 
 class TestConsoleScript:
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        argv = ["verify", "counting", "1", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "tnncells", *argv],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+        )
+        code, out, _ = run(capsys, *argv)
+        assert proc.returncode == code == 0
+        assert proc.stdout == out
+
     def test_installed_entry_point(self):
         exe = shutil.which("tnncells")
         assert exe, "console script not installed"

@@ -300,6 +300,53 @@ class TestMonomialRoute:
             assert check.difference == (None if check.ok else want)
 
 
+def sized_poly(reg, rng, size):
+    """A polynomial with exactly `size` terms and nonzero Fraction
+    coefficients; size 0 gives the zero polynomial."""
+    terms = {}
+    while len(terms) < size:
+        e = tuple(rng.randint(-2, 2) for _ in range(len(reg)))
+        terms[e] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+    return LaurentPoly(reg, terms)
+
+
+class TestOperandOrder:
+    """`bracket` weighs the operand with fewer terms and negates, since
+    {f, g} = -{g, f} term by term; the route taken must not show."""
+
+    @pytest.mark.parametrize("kind", ["cell", "matrix"])
+    @pytest.mark.parametrize("m, p", [(2, 2), (2, 3), (3, 3)])
+    def test_both_routes_equal_the_per_pair_bracket(self, kind, m, p, rng):
+        reg = VarRegistry.grid(m, p)
+        table = (cell_bracket_table if kind == "cell" else matrix_bracket_table)(reg)
+        sample = [sized_poly(reg, rng, size) for size in (0, 1, 2, 2, 3, 5)]
+        orders = set()
+        for f in sample:
+            for g in sample:
+                orders.add((len(f.terms) > len(g.terms)) - (len(f.terms) < len(g.terms)))
+                fg, gf = bracket(f, g, table), bracket(g, f, table)
+                assert fg == -gf
+                assert fg == per_pair_bracket(f, g, table)
+                assert gf == per_pair_bracket(g, f, table)
+        assert orders == {-1, 0, 1}
+
+    def test_the_operand_with_fewer_terms_is_weighted(self, monkeypatch, rng):
+        reg = VarRegistry.grid(2, 3)
+        table = matrix_bracket_table(reg)
+        weighted = []
+
+        def recorded(terms, shifts):
+            weighted.append(terms)
+            return full(terms, shifts)
+
+        full = poisson._weighted_terms
+        monkeypatch.setattr(poisson, "_weighted_terms", recorded)
+        small, large = sized_poly(reg, rng, 2), sized_poly(reg, rng, 4)
+        for f, g in ((small, large), (large, small), (small, small)):
+            bracket(f, g, table)
+        assert weighted == [small.terms, small.terms, small.terms]
+
+
 def assert_reports_match_oracle(C, reports, trace, table):
     """Every step pair's check against the route that builds both sides:
     `bracket` on the table and `expected_step_bracket`, with no

@@ -20,8 +20,10 @@ from tnncells import (  # noqa: E402
     LaurentPoly,
     VarRegistry,
     all_minor_ids,
+    bracket,
     enumerate_diagrams,
     laurent_div_exact,
+    matrix_bracket_table,
     restore,
     symbolic_cauchon_matrix,
 )
@@ -122,3 +124,31 @@ class TestSymbolicDeterminants:
                 assert same(lgv, sympy.Matrix(rows).det()), (C, mid)
                 checked += 1
         assert checked == sum(1 for _ in enumerate_diagrams(m, p)) * len(all_minor_ids(m, p))
+
+
+class TestBracket:
+    def test_operands_of_unequal_size_in_both_orders(self):
+        # the biderivation formula with sympy's own partial derivatives;
+        # `bracket` weighs the smaller operand, so both orders take both routes
+        reg = VarRegistry.grid(2, 3)
+        syms = symbols_of(reg)
+        table = matrix_bracket_table(reg)
+
+        def oracle(F, G):
+            return sum(
+                to_sympy(value, syms)
+                * (
+                    sympy.diff(F, syms[v]) * sympy.diff(G, syms[w])
+                    - sympy.diff(F, syms[w]) * sympy.diff(G, syms[v])
+                )
+                for (v, w), value in table.entries.items()
+            )
+
+        rng = random.Random(31)
+        for _ in range(3):
+            f = g = random_laurent(reg, rng, 1)
+            while len(g.terms) <= len(f.terms):
+                g = random_laurent(reg, rng, 4)
+            F, G = to_sympy(f, syms), to_sympy(g, syms)
+            assert same(to_sympy(bracket(f, g, table), syms), oracle(F, G))
+            assert same(to_sympy(bracket(g, f, table), syms), oracle(G, F))

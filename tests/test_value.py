@@ -15,6 +15,7 @@ from tnncells import (
     BracketTable,
     CauchonDiagram,
     CellDescriptor,
+    LaurentPoly,
     MatrixTrace,
     MinorFamily,
     MinorId,
@@ -25,8 +26,10 @@ from tnncells import (
     block_decompose,
     cell_bracket_table,
     family_of_diagram,
+    matrix_bracket_table,
     perm_of_diagram,
     restore,
+    symbolic_cauchon_matrix,
 )
 from tnncells._value import _Value
 from tnncells.combinat import BlockDecomposition
@@ -113,8 +116,7 @@ def test_value_semantics(cls, make, pinned, ascending):
     assert type(a) is cls and a is not b
     assert a == b and not a != b
     assert copy.copy(a) == a
-    if cls is not BracketTable:  # its values are LaurentPolys, which do not pickle
-        assert pickle.loads(pickle.dumps(a)) == a
+    assert pickle.loads(pickle.dumps(a)) == a
     if cls not in (SuiteReport, BracketTable):
         assert hash(a) == hash(b)
     else:  # SuiteReport is mutable; a BracketTable holds a dict
@@ -155,3 +157,28 @@ def test_value_semantics(cls, make, pinned, ascending):
         with pytest.raises(AttributeError):
             delattr(a, name)
         assert a == b
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(
+            lambda: restore(symbolic_cauchon_matrix(_diagram(black=((1, 2),)))[1]),
+            id="symbolic-trace",
+        ),
+        pytest.param(lambda: matrix_bracket_table(VarRegistry.grid(2, 3)), id="matrix-table"),
+    ],
+)
+def test_values_holding_polynomials_copy_and_pickle(make):
+    a = make()
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is type(a) and twin == a
+
+
+def test_a_copied_polynomial_keeps_its_coefficients_and_stays_immutable():
+    f = LaurentPoly(VarRegistry.grid(1, 2), {(2, -1): Fraction(1, 3), (0, 1): 4, (1, 1): 0})
+    for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert twin.registry == f.registry and twin.terms == f.terms
+        assert [type(c) for c in twin.terms.values()] == [Fraction, int]
+        with pytest.raises(AttributeError):
+            twin.terms = {}

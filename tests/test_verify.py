@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tnncells import cells, linalg, restoration, verify
+from tnncells import LaurentPoly, VarRegistry, cells, linalg, restoration, verify
 from tnncells.minors import MinorFamily, MinorId, _minor_count, _sign_masks
 from tnncells.poisson import PairCheck, StepBracketReport
 from tnncells.verify import (
@@ -19,6 +19,7 @@ from tnncells.verify import (
     deletion_suite,
     match_suite,
     poisson_suite,
+    random_laurent,
     tnn_roundtrip_suite,
 )
 
@@ -41,6 +42,36 @@ class TestCountingOracles:
         rep = counting_suite(((1, 1), (2, 2)))
         assert rep.ok and rep.suite == "counting"
         assert [row["diagrams"] for row in rep.details["sizes"]] == [2, 14]
+
+
+def reference_random_laurent(registry, rng):
+    """The sampler's draws spelled with `randint`: the stream that
+    `random_laurent` must reproduce."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        e = tuple(rng.randint(-2, 2) for _ in range(len(registry)))
+        terms[e] = terms.get(e, 0) + rng.randint(-9, 9)
+    return LaurentPoly(registry, terms)
+
+
+class TestRandomLaurent:
+    @pytest.mark.parametrize("m, p", [(1, 1), (2, 3), (3, 3)])
+    def test_draws_the_randint_stream(self, m, p):
+        registry = VarRegistry.grid(m, p)
+        for seed in range(50):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(30):
+                f, want = random_laurent(registry, rng), reference_random_laurent(registry, ref)
+                assert f.registry is registry and f.terms == want.terms
+                assert all(type(c) is int and c for c in f.terms.values())
+            assert rng.getstate() == ref.getstate()
+
+    def test_merged_and_cancelled_terms(self):
+        # on the 1x1 grid exponents repeat often: sizes 0 to 3 all occur
+        registry = VarRegistry.grid(1, 1)
+        rng = random.Random(1)
+        sizes = {len(random_laurent(registry, rng).terms) for _ in range(300)}
+        assert sizes == {0, 1, 2, 3}
 
 
 class TestSuiteSmoke:
