@@ -134,9 +134,10 @@ def family_of_diagram(C: CauchonDiagram) -> MinorFamily:
     at 1 is.  The run stays in plain ints: every nonzero pivot is an
     untouched entry 1, so floor division is exact.
     """
+    white = ~C.mask  # bit k is 1 on a white cell, 0 on a black one
     M = tuple(
-        tuple(0 if C.is_black(i, a) else 1 for a in range(1, C.p + 1))
-        for i in range(1, C.m + 1)
+        tuple(white >> k & 1 for k in range(start, start + C.p))
+        for start in range(0, C.m * C.p, C.p)
     )
     return vanishing_family(_run(M, +1).final)
 
@@ -144,18 +145,28 @@ def family_of_diagram(C: CauchonDiagram) -> MinorFamily:
 def random_cauchon_matrix(C: CauchonDiagram, seed: int) -> Matrix:
     """Random nonnegative matrix with the diagram's zero pattern: white
     cells get positive rationals with numerator and denominator up to
-    2**32, black cells are zero.  Fully determined by the seed."""
-    rng = random.Random(seed)
-    rows = []
-    for i in range(1, C.m + 1):
-        row = []
-        for a in range(1, C.p + 1):
-            if C.is_black(i, a):
-                row.append(Fraction(0))
-            else:
-                row.append(Fraction(rng.randint(1, 2**32), rng.randint(1, 2**32)))
-        rows.append(tuple(row))
-    return tuple(rows)
+    2**32, black cells are zero.  Fully determined by the seed.
+
+    Each numerator and denominator is drawn as `rng.randint(1, 2**32)`
+    draws it on CPython: 33 random bits, drawn again while >= 2**32, plus
+    1.  So the matrices, and the generator's state after them, are those
+    of `randint`."""
+    bits = random.Random(seed).getrandbits
+
+    def draw() -> int:
+        x = bits(33)
+        while x >> 32:
+            x = bits(33)
+        return x + 1
+
+    white = ~C.mask  # bit k is 1 on a white cell, 0 on a black one
+    return tuple(
+        tuple(
+            Fraction(draw(), draw()) if white >> k & 1 else Fraction(0)
+            for k in range(start, start + C.p)
+        )
+        for start in range(0, C.m * C.p, C.p)
+    )
 
 
 def classify(Xbar: Matrix, *, find_perm: bool = False) -> CellDescriptor:

@@ -10,6 +10,8 @@ bijection itself: it reads a diagram's permutation off its pipe dream.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import chain
 from typing import Iterable, Iterator
 
 from ._value import _Ordered, _Value
@@ -25,22 +27,32 @@ def _check_grid(m: int, p: int) -> None:
         raise SizeCapError(f"{m}x{p} grid exceeds the {MAX_GRID_CELLS}-cell cap")
 
 
-def _mask_is_cauchon(m: int, p: int, mask: int) -> bool:
-    """The left-or-above test on a row-major mask, a row at a time.
+def _row_allowed(row: int, above: int) -> bool:
+    """The left-or-above rule for one row of a diagram.
 
-    In a row, the black cells with every cell to their left black are its
+    The row's black cells with every cell to their left black are its
     trailing run of set bits, ``row ^ (row + 1)`` (plus the first clear
     bit, which is white); `above` holds the columns black in every earlier
-    row.  A black cell outside both fails.
+    row.  A black cell outside both breaks the rule.
     """
+    return not row & ~((row ^ (row + 1)) | above)
+
+
+def _mask_is_cauchon(m: int, p: int, mask: int) -> bool:
+    """The left-or-above test on a row-major mask, a row at a time."""
     width = (1 << p) - 1
     above = width
     for shift in range(0, m * p, p):
         row = mask >> shift & width
-        if row & ~((row ^ (row + 1)) | above):
+        if not _row_allowed(row, above):
             return False
         above &= row
     return True
+
+
+def _rows_under(p: int, above: int) -> list[int]:
+    """The rows of width p that `_row_allowed` admits under `above`."""
+    return [row for row in range(1 << p) if _row_allowed(row, above)]
 
 
 def _black_mask(m: int, p: int, black: Iterable[tuple[int, int]]) -> int:
@@ -90,7 +102,9 @@ class CauchonDiagram(_Ordered):
         )
 
     def to_json_obj(self) -> dict:
-        return {"m": self.m, "p": self.p, "black": [[i, a] for i, a in self.black_cells()]}
+        p, mask = self.p, self.mask
+        black = [[k // p + 1, k % p + 1] for k in range(self.m * p) if mask >> k & 1]
+        return {"m": self.m, "p": p, "black": black}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CauchonDiagram":
@@ -119,15 +133,46 @@ class CauchonDiagram(_Ordered):
 
 
 def enumerate_diagrams(m: int, p: int) -> Iterator[CauchonDiagram]:
-    """All m x p diagrams, ascending by row-major bitmask."""
+    """All m x p diagrams, ascending by row-major bitmask.
+
+    Builds the diagrams a row at a time.  Which rows may come next depends
+    only on `above`, the columns black in every row so far, so the partial
+    masks are grouped by it and each group takes the rows `_rows_under`
+    admits.  The walk meets only diagrams, B(m, p) of them at the end, not
+    the 2^(mp) masks; the masks are then sorted.
+    """
     _check_grid(m, p)
-    for mask in range(1 << (m * p)):
-        if _mask_is_cauchon(m, p, mask):
-            yield CauchonDiagram(m, p, mask)
+    groups: dict[int, list[int]] = {(1 << p) - 1: [0]}
+    for shift in range(0, m * p, p):
+        grown = defaultdict(list)
+        for above, masks in groups.items():
+            for row in _rows_under(p, above):
+                grown[above & row].extend([mask | row << shift for mask in masks])
+        groups = grown
+    masks = sorted(chain.from_iterable(groups.values()))
+    del groups, grown  # or the frame keeps both copies while it yields
+    for mask in masks:
+        yield CauchonDiagram(m, p, mask)
 
 
 def count_diagrams(m: int, p: int) -> int:
-    return sum(1 for _ in enumerate_diagrams(m, p))
+    """The number of m x p diagrams, the poly-Bernoulli number B(m, p).
+
+    The row walk of `enumerate_diagrams` with a count per `above` in place
+    of the masks.  The left-or-above rule maps to itself under transpose,
+    so the walk runs over the shorter side: at most 8 columns, hence 256
+    states, on any grid under the cell cap.
+    """
+    _check_grid(m, p)
+    m, p = max(m, p), min(m, p)
+    counts = {(1 << p) - 1: 1}
+    for _ in range(m):
+        grown = defaultdict(int)
+        for above, count in counts.items():
+            for row in _rows_under(p, above):
+                grown[above & row] += count
+        counts = grown
+    return sum(counts.values())
 
 
 def random_diagram(m: int, p: int, rng) -> CauchonDiagram:

@@ -87,7 +87,7 @@ class MinorFamily(_Value):
         return self.mask.bit_count()
 
     def to_json_obj(self) -> list[dict]:
-        return [{"rows": list(mid.rows), "cols": list(mid.cols)} for mid in self]
+        return [{"rows": [*rows], "cols": [*cols]} for rows, cols in self]
 
 
 def eval_minor(M: linalg.Matrix, mid: MinorId):
@@ -123,9 +123,11 @@ def _sign_masks(M: linalg.Matrix) -> tuple[int, int]:
     """
     values = linalg._all_minors(linalg._scaled_int_rows(M)[0])
     # binary digits, the last minor first
-    zeros = "".join(["0" if value else "1" for value in reversed(values)])
+    zeros = int("".join(["0" if value else "1" for value in reversed(values)]), 2)
+    if min(values) >= 0:  # a tnn matrix, the common case: no digits to build
+        return zeros, 0
     negatives = "".join(["1" if value < 0 else "0" for value in reversed(values)])
-    return int(zeros, 2), int(negatives, 2)
+    return zeros, int(negatives, 2)
 
 
 def vanishing_family(M: linalg.Matrix) -> MinorFamily:

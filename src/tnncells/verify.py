@@ -385,8 +385,8 @@ def bruhat_cell_suite(
         # both pools ascend, as `_undominated` requires: an assignment is
         # sorted by its domain, and the transpose's domain is the rows
         pools = (
-            ("plus", COLS, dict(pp.assignment)),
-            ("minus", ROWS, dict(pp.transpose().assignment)),
+            ("plus", COLS, pp.assignment),
+            ("minus", ROWS, pp.transpose().assignment),
         )
         for sign, axis, pool in pools:
             predicted = _undominated(m, p, axis, pool)

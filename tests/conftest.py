@@ -140,9 +140,9 @@ def path_family(C: CauchonDiagram) -> MinorFamily:
     return MinorFamily(C.m, C.p, mask)
 
 
-def descending_row_pool(m: int, p: int, axis: int, pool: dict[int, int]) -> int:
-    """`families._undominated` with a row pool's keys reversed: a planted
-    fault, since `_undominated` requires ascending keys."""
+def descending_row_pool(m: int, p: int, axis: int, pool: tuple[tuple[int, int], ...]) -> int:
+    """`families._undominated` with a row pool reversed: a planted fault,
+    since `_undominated` requires ascending keys."""
     if axis == ROWS:
-        pool = dict(reversed(pool.items()))
+        pool = pool[::-1]
     return _undominated(m, p, axis, pool)

@@ -1,6 +1,8 @@
 """Cell-level API: nonnegativity verdicts, generic matrices, classification."""
 
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -206,6 +208,34 @@ class TestFamilyOfDiagram:
         assert fam == vanishing_family(NBAR)
 
 
+def randint_cauchon_matrix(C: CauchonDiagram, seed: int):
+    """`random_cauchon_matrix` drawn cell by cell with `randint`, and the
+    generator after it."""
+    rng = random.Random(seed)
+    X = tuple(
+        tuple(
+            Fraction(0) if C.is_black(i, a)
+            else Fraction(rng.randint(1, 2**32), rng.randint(1, 2**32))
+            for a in range(1, C.p + 1)
+        )
+        for i in range(1, C.m + 1)
+    )
+    return X, rng
+
+
+# all-white and mixed diagrams of (1,1), (2,3), (3,4) and (4,4)
+RANDOM_MATRIX_DIAGRAMS = [
+    (1, 1, []),
+    (1, 1, [(1, 1)]),
+    (2, 3, []),
+    (2, 3, [(1, 2), (2, 1), (2, 2)]),
+    (3, 4, []),
+    (3, 4, [(1, 2), (2, 1), (2, 2), (3, 1)]),
+    (4, 4, []),
+    (4, 4, [(1, 2), (2, 1), (2, 2), (4, 1), (4, 2), (4, 3)]),
+]
+
+
 class TestRandomCauchonMatrix:
     def test_zero_pattern_and_positivity(self):
         X = random_cauchon_matrix(FIG_DIAGRAM, 7)
@@ -223,6 +253,23 @@ class TestRandomCauchonMatrix:
         assert random_cauchon_matrix(FIG_DIAGRAM, 3) != random_cauchon_matrix(
             FIG_DIAGRAM, 4
         )
+
+    @pytest.mark.parametrize("m,p,black", RANDOM_MATRIX_DIAGRAMS)
+    def test_draws_are_randint_s(self, monkeypatch, m, p, black):
+        # the stream of `randint(1, 2**32)`: equal matrices, equal state after
+        made = []
+
+        class Recording(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        monkeypatch.setattr(cells, "random", SimpleNamespace(Random=Recording))
+        C = CauchonDiagram.from_black(m, p, black)
+        for seed in range(50):
+            X = random_cauchon_matrix(C, seed)
+            expected, rng = randint_cauchon_matrix(C, seed)
+            assert X == expected and made.pop().getstate() == rng.getstate(), seed
 
     def test_restores_into_matching_cell(self):
         for seed in range(4):

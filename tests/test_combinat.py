@@ -1,6 +1,7 @@
 import json
 import random
 from itertools import permutations
+from math import comb, factorial
 
 import pytest
 
@@ -48,6 +49,20 @@ def cell_by_cell_is_cauchon(m: int, p: int, mask: int) -> bool:
 SMALL_GRIDS = [(m, p) for m in range(1, 13) for p in range(1, 13) if m * p <= 12]
 
 
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind, by inclusion-exclusion."""
+    return sum((-1) ** i * comb(k, i) * (k - i) ** n for i in range(k + 1)) // factorial(k)
+
+
+def poly_bernoulli(m: int, p: int) -> int:
+    """B(m, p) by the closed form sum_j (j!)^2 S(m+1, j+1) S(p+1, j+1)
+    (Kaneko 1997), sharing nothing with the row walk."""
+    return sum(
+        factorial(j) ** 2 * stirling2(m + 1, j + 1) * stirling2(p + 1, j + 1)
+        for j in range(min(m, p) + 1)
+    )
+
+
 def longest_element(n: int) -> tuple[int, ...]:
     """One-line form of the order-reversing permutation [n, n-1, ..., 1]."""
     return tuple(range(n, 0, -1))
@@ -83,6 +98,24 @@ class TestDiagrams:
             if is_cauchon(2, 3, black):
                 expected.add(mask)
         assert got == expected
+
+    @pytest.mark.parametrize("m,p", SMALL_GRIDS + [(4, 4), (2, 8), (8, 2), (1, 16), (16, 1)])
+    def test_row_walk_is_the_ascending_filter(self, m, p):
+        walked = [C.mask for C in enumerate_diagrams(m, p)]
+        assert walked == [mask for mask in range(1 << (m * p)) if _mask_is_cauchon(m, p, mask)]
+
+    @pytest.mark.parametrize("m,p", SMALL_GRIDS + [(4, 4)])
+    def test_count_is_the_enumeration_size(self, m, p):
+        assert count_diagrams(m, p) == sum(1 for _ in enumerate_diagrams(m, p))
+
+    @pytest.mark.parametrize("m,p", [(5, 5), (8, 8), (1, 64), (64, 1)])
+    def test_count_is_the_poly_bernoulli_closed_form(self, m, p):
+        assert count_diagrams(m, p) == poly_bernoulli(m, p)
+
+    def test_poly_bernoulli_goldens(self):
+        assert poly_bernoulli(5, 5) == 329_462
+        assert poly_bernoulli(8, 8) == 276_054_834_902
+        assert poly_bernoulli(1, 64) == 2**64
 
     @pytest.mark.parametrize("m,p", SMALL_GRIDS + [(4, 4)])
     def test_mask_test_matches_the_cell_by_cell_oracle(self, m, p):

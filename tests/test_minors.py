@@ -257,6 +257,16 @@ class TestSignMasks:
                     seen["zero" if value == 0 else "negative" if value < 0 else "positive"] += 1
         assert all(seen.values()), seen
 
+    def test_nonnegative_matrix_has_no_negatives(self):
+        # tnn with vanishing minors: every value >= 0, some == 0
+        M = [[11, 7, 4, 1], [7, 5, 3, 1], [4, 3, 2, 1], [1, 1, 1, 1]]
+        zeros, negatives = _sign_masks(M)
+        assert negatives == 0 and zeros.bit_count() == 8
+
+    def test_one_negative_minor_is_its_bit_alone(self):
+        # minors [1|1] = 0, [1|2] = [2|1] = [2|2] = 1 and det = -1, the last
+        assert _sign_masks([[0, 1], [1, 1]]) == (0b1, 0b10000)
+
     @pytest.mark.parametrize("m,p", SIGN_SHAPES)
     def test_is_tnn_witness_is_the_first_negative_minor(self, rng, m, p):
         ids = all_minor_ids(m, p)
