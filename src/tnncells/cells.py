@@ -21,7 +21,8 @@ diagram's pipe dream (`combinat.perm_of_diagram`, O(mp), no search) and
 makes one self-check: the permutation's own family must equal the
 diagram's.  `match_families` pairs every diagram family with the equal
 permutation family, computing both sides independently, and so stays
-the two-sided cross-check of that construction.
+the two-sided cross-check of that construction.  The 0/1 point, the
+random positive point and the generic matrix are each one `CauchonDiagram.fill`.
 """
 
 from __future__ import annotations
@@ -109,15 +110,7 @@ def symbolic_cauchon_matrix(C: CauchonDiagram) -> tuple[VarRegistry, Matrix]:
     """The generic matrix of the diagram: a fresh indeterminate at every
     white cell, zero at every black cell."""
     registry = VarRegistry.grid(C.m, C.p, skip=C.black_cells())
-    rows = []
-    for i in range(1, C.m + 1):
-        row = []
-        for a in range(1, C.p + 1):
-            row.append(
-                registry.zero() if C.is_black(i, a) else registry.var(i, a)
-            )
-        rows.append(tuple(row))
-    return registry, tuple(rows)
+    return registry, C.fill(registry.var, registry.zero())
 
 
 # 4096 = B(1,12), the most diagrams of any grid under the 12-cell cap of
@@ -134,12 +127,7 @@ def family_of_diagram(C: CauchonDiagram) -> MinorFamily:
     at 1 is.  The run stays in plain ints: every nonzero pivot is an
     untouched entry 1, so floor division is exact.
     """
-    white = ~C.mask  # bit k is 1 on a white cell, 0 on a black one
-    M = tuple(
-        tuple(white >> k & 1 for k in range(start, start + C.p))
-        for start in range(0, C.m * C.p, C.p)
-    )
-    return vanishing_family(_run(M, +1).final)
+    return vanishing_family(_run(C.fill(lambda i, a: 1, 0), +1).final)
 
 
 def random_cauchon_matrix(C: CauchonDiagram, seed: int) -> Matrix:
@@ -159,14 +147,7 @@ def random_cauchon_matrix(C: CauchonDiagram, seed: int) -> Matrix:
             x = bits(33)
         return x + 1
 
-    white = ~C.mask  # bit k is 1 on a white cell, 0 on a black one
-    return tuple(
-        tuple(
-            Fraction(draw(), draw()) if white >> k & 1 else Fraction(0)
-            for k in range(start, start + C.p)
-        )
-        for start in range(0, C.m * C.p, C.p)
-    )
+    return C.fill(lambda i, a: Fraction(draw(), draw()), Fraction(0))
 
 
 def classify(Xbar: Matrix, *, find_perm: bool = False) -> CellDescriptor:

@@ -24,6 +24,7 @@ from .combinat import (
     MAX_GRID_CELLS,
     CauchonDiagram,
     RestrictedPermutation,
+    _count_restricted_perms,
     count_diagrams,
     enumerate_diagrams,
     enumerate_restricted_perms,
@@ -118,10 +119,6 @@ def _cmd_enumerate(args) -> int:
     objs = [x.to_json_obj() for x in args.enumerate(args.m, args.p)]
     _emit({"m": args.m, "p": args.p, "count": len(objs), args.command: objs}, args.format)
     return 0
-
-
-def _count_perms(m: int, p: int) -> int:
-    return sum(1 for _ in enumerate_restricted_perms(m, p))
 
 
 def _cmd_mw(args) -> int:
@@ -330,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         (
             "perms",
             enumerate_restricted_perms,
-            _count_perms,
+            _count_restricted_perms,
             "enumerate or count restricted permutations",
         ),
     ):

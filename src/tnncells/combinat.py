@@ -6,13 +6,18 @@ black.  Restricted permutations are the w in S_{m+p} with
 -p <= w(i) - i <= m; there are exactly as many of them as diagrams, which
 the verification suites check by brute force.  `perm_of_diagram` is the
 bijection itself: it reads a diagram's permutation off its pipe dream.
+
+Bit (i-1)*p + (a-1) of `CauchonDiagram.mask` is set when cell (i, a) is
+black.  Only this module knows that layout: other modules reach it through
+`CauchonDiagram.fill` and `black_cells`, which read it, and `_black_mask`
+(via `from_black`) and `_zero_mask`, which write it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from ._value import _Ordered, _Value
 from .errors import SizeCapError
@@ -66,6 +71,12 @@ def _black_mask(m: int, p: int, black: Iterable[tuple[int, int]]) -> int:
     return mask
 
 
+def _zero_mask(X: Iterable[Iterable]) -> int:
+    """The row-major bitmask of the zero entries of a matrix: the inverse
+    of `CauchonDiagram.fill` with a zero `black` and nonzero whites."""
+    return sum(1 << k for k, x in enumerate(chain.from_iterable(X)) if not x)
+
+
 class CauchonDiagram(_Ordered):
     """An m x p diagram as a row-major bitmask (set bit = black cell)."""
 
@@ -87,19 +98,20 @@ class CauchonDiagram(_Ordered):
     ) -> "CauchonDiagram":
         return cls(m, p, _black_mask(m, p, black))
 
-    def is_black(self, i: int, a: int) -> bool:
-        if not (1 <= i <= self.m and 1 <= a <= self.p):
-            raise ValueError(f"cell {(i, a)} outside the {self.m}x{self.p} grid")
-        return bool(self.mask >> ((i - 1) * self.p + (a - 1)) & 1)
+    def fill(self, white: Callable[[int, int], Any], black: Any) -> tuple[tuple, ...]:
+        """The m x p matrix, as a tuple of row tuples, with `black` at every
+        black cell and ``white(i, a)`` at every white cell (1-based).
+        `white` is called once per white cell, in row-major order."""
+        p, mask = self.p, self.mask
+        return tuple(
+            tuple(black if mask >> (s + a - 1) & 1 else white(i, a) for a in range(1, p + 1))
+            for i, s in enumerate(range(0, self.m * p, p), start=1)
+        )
 
     def black_cells(self) -> tuple[tuple[int, int], ...]:
         """Black cells in row-major order."""
-        return tuple(
-            (i, a)
-            for i in range(1, self.m + 1)
-            for a in range(1, self.p + 1)
-            if self.mask >> ((i - 1) * self.p + (a - 1)) & 1
-        )
+        p, mask = self.p, self.mask
+        return tuple((k // p + 1, k % p + 1) for k in range(self.m * p) if mask >> k & 1)
 
     def to_json_obj(self) -> dict:
         p, mask = self.p, self.mask
@@ -171,6 +183,30 @@ def count_diagrams(m: int, p: int) -> int:
         for above, count in counts.items():
             for row in _rows_under(p, above):
                 grown[above & row] += count
+        counts = grown
+    return sum(counts.values())
+
+
+def _count_restricted_perms(m: int, p: int) -> int:
+    """The number of restricted permutations, by a DP over positions.
+
+    Position j takes a value in the window [j-p, j+m].  The state before
+    it is the set of used values of that window, bit t for value j-p+t,
+    with the values below 1 counted as used; each has p bits set, so there
+    are at most C(m+p, p) states.  Value j-p can sit no later than position
+    j, so while it is free it is the only choice.  Each step then shifts
+    the window right by one.
+    """
+    _check_grid(m, p)
+    n = m + p
+    counts = {(1 << p) - 1: 1}
+    for j in range(1, n + 1):
+        last = min(n, j + m) - (j - p)  # the bit of the largest value in range
+        grown = defaultdict(int)
+        for used, count in counts.items():
+            for t in range(last + 1) if used & 1 else (0,):
+                if not used >> t & 1:
+                    grown[(used | 1 << t) >> 1] += count
         counts = grown
     return sum(counts.values())
 

@@ -132,15 +132,13 @@ def matrix_bracket_table(registry: VarRegistry) -> BracketTable:
     """
     if len(registry) != registry.m * registry.p:
         raise ValueError("matrix bracket table needs the full grid registry")
-    entries = {}
+    entries = dict(cell_bracket_table(registry).entries)
     n = len(registry)
     for v in range(n):
         i, a = registry.positions[v]
         for w in range(v + 1, n):
             k, g = registry.positions[w]
-            if (i == k and a < g) or (i < k and a == g):
-                entries[(v, w)] = _monomial(registry, 1, v, w)
-            elif i < k and a < g:
+            if i < k and a < g:
                 entries[(v, w)] = _monomial(
                     registry, 2, registry.index(i, g), registry.index(k, a)
                 )

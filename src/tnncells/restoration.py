@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from ._value import _Value
-from .combinat import CauchonDiagram, _mask_is_cauchon
+from .combinat import CauchonDiagram, _mask_is_cauchon, _zero_mask
 from .linalg import Matrix, _laplace_plan, as_matrix, dims
 from .minors import MinorFamily, MinorId, _sign_masks
 
@@ -154,19 +154,6 @@ def _run(X: Matrix, direction: int) -> MatrixTrace:
     if direction < 0:
         mats.reverse()
     return MatrixTrace(m, p, tuple(labels), tuple(mats))
-
-
-def _zero_mask(X: Matrix) -> int:
-    """The row-major bitmask of the zero entries of X (bit (i-1)p + a-1
-    for entry (i, a)), the layout of `CauchonDiagram.mask`."""
-    mask = 0
-    bit = 1
-    for row in X:
-        for x in row:
-            if not x:
-                mask |= bit
-            bit <<= 1
-    return mask
 
 
 def is_cauchon_matrix(X: Matrix) -> bool:

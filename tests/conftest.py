@@ -77,7 +77,8 @@ def cauchon_paths(C: CauchonDiagram) -> list[tuple[int, int, int, tuple[int, ...
     at column c if it leaves below row m.
     """
     m, p = C.m, C.p
-    white = [(r, c) for r in range(1, m + 1) for c in range(1, p + 1) if not C.is_black(r, c)]
+    black = C.black_cells()
+    white = [(r, c) for r in range(1, m + 1) for c in range(1, p + 1) if (r, c) not in black]
     var = {cell: k for k, cell in enumerate(white)}
     paths = []
 

@@ -100,7 +100,7 @@ class TestSymbolicMatrix:
         for i in range(1, 4):
             for a in range(1, 4):
                 entry = M[i - 1][a - 1]
-                assert entry.is_zero == C.is_black(i, a)
+                assert entry.is_zero == ((i, a) in C.black_cells())
         assert len(reg) == 9 - 4
 
     def test_all_white_uses_every_variable(self):
@@ -169,7 +169,7 @@ class TestIntegerRoute:
             (trace,) = traces
             traces.clear()
             assert trace.initial == tuple(
-                tuple(0 if C.is_black(i, a) else 1 for a in range(1, p + 1))
+                tuple(0 if (i, a) in C.black_cells() else 1 for a in range(1, p + 1))
                 for i in range(1, m + 1)
             )
             assert trace.final == restore(trace.initial).final, C
@@ -214,7 +214,7 @@ def randint_cauchon_matrix(C: CauchonDiagram, seed: int):
     rng = random.Random(seed)
     X = tuple(
         tuple(
-            Fraction(0) if C.is_black(i, a)
+            Fraction(0) if (i, a) in C.black_cells()
             else Fraction(rng.randint(1, 2**32), rng.randint(1, 2**32))
             for a in range(1, C.p + 1)
         )
@@ -241,7 +241,7 @@ class TestRandomCauchonMatrix:
         X = random_cauchon_matrix(FIG_DIAGRAM, 7)
         for i in range(1, 4):
             for a in range(1, 4):
-                if FIG_DIAGRAM.is_black(i, a):
+                if (i, a) in FIG_DIAGRAM.black_cells():
                     assert X[i - 1][a - 1] == 0
                 else:
                     assert X[i - 1][a - 1] > 0

@@ -75,6 +75,11 @@ class TestCounting:
         code, obj, _ = run_json(capsys, "diagrams", "5", "5", "--count", "--force")
         assert code == 0 and obj == {"m": 5, "p": 5, "count": 329462}
 
+    def test_perm_count_builds_no_permutation(self, capsys):
+        # --count on perms runs the band DP: B(8,8) without listing any
+        code, obj, _ = run_json(capsys, "perms", "8", "8", "--count", "--force")
+        assert code == 0 and obj == {"m": 8, "p": 8, "count": 276_054_834_902}
+
 
 class TestFamilies:
     def test_mw_matches_library(self, capsys):

@@ -12,13 +12,15 @@ from tnncells import (
     block_decompose,
     bruhat_leq,
     count_diagrams,
+    diagram_of_matrix,
     enumerate_diagrams,
     enumerate_restricted_perms,
     index_set_leq,
+    is_cauchon_matrix,
     random_diagram,
     w_max,
 )
-from tnncells.combinat import _black_mask, _mask_is_cauchon
+from tnncells.combinat import _black_mask, _count_restricted_perms, _mask_is_cauchon
 
 COUNTS = {(1, 1): 2, (2, 2): 14, (2, 3): 46, (3, 3): 230}
 
@@ -125,9 +127,41 @@ class TestDiagrams:
     def test_black_white_partition(self):
         C = CauchonDiagram.from_black(2, 2, [(1, 2), (2, 2)])
         assert C.black_cells() == ((1, 2), (2, 2))
-        white = [(i, a) for i in (1, 2) for a in (1, 2) if not C.is_black(i, a)]
+        white = [(i, a) for i in (1, 2) for a in (1, 2) if (i, a) not in C.black_cells()]
         assert white == [(1, 1), (2, 1)]
-        assert C.is_black(1, 2) and not C.is_black(1, 1)
+
+    @pytest.mark.parametrize("m,p", SMALL_GRIDS + [(4, 4)])
+    def test_fill_reads_the_row_major_bits(self, m, p):
+        # bit (i-1)p + (a-1) is cell (i, a); `white` runs once per white
+        # cell, in row-major order
+        for C in enumerate_diagrams(m, p):
+            calls = []
+
+            def white(i, a):
+                calls.append((i, a))
+                return (i, a)
+
+            expected = tuple(
+                tuple(
+                    None if C.mask >> ((i - 1) * p + a - 1) & 1 else (i, a)
+                    for a in range(1, p + 1)
+                )
+                for i in range(1, m + 1)
+            )
+            assert C.fill(white, None) == expected, C
+            assert calls == [cell for row in expected for cell in row if cell], C
+
+    @pytest.mark.parametrize("m,p", SMALL_GRIDS + [(4, 4)])
+    def test_zero_mask_inverts_fill(self, m, p):
+        for C in enumerate_diagrams(m, p):
+            X = C.fill(lambda i, a: 1, 0)
+            assert diagram_of_matrix(X) == C
+            assert is_cauchon_matrix(X)
+
+    @pytest.mark.parametrize("m,p", SMALL_GRIDS + [(4, 4)])
+    def test_from_black_inverts_black_cells(self, m, p):
+        for C in enumerate_diagrams(m, p):
+            assert CauchonDiagram.from_black(m, p, C.black_cells()) == C
 
     def test_invalid_diagram_rejected(self):
         with pytest.raises(ValueError):
@@ -195,6 +229,15 @@ class TestRestrictedPerms:
                 if all(-p <= w[j] - (j + 1) <= m for j in range(m + p))
             ]
             assert got == expected, (m, p)
+
+    @pytest.mark.parametrize("m,p", SMALL_GRIDS + [(4, 4)])
+    def test_count_is_the_enumeration_size(self, m, p):
+        assert _count_restricted_perms(m, p) == sum(1 for _ in enumerate_restricted_perms(m, p))
+
+    @pytest.mark.parametrize("m,p", [(8, 8), (1, 16), (16, 1), (4, 16)])
+    def test_count_is_the_diagram_count(self, m, p):
+        # the bijection: as many restricted permutations as diagrams
+        assert _count_restricted_perms(m, p) == count_diagrams(m, p)
 
     def test_tall_grid_has_no_dead_ends(self):
         # 2^12 permutations; without the forced move this walk took 38 s

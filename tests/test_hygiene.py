@@ -7,6 +7,7 @@ function or method is wrapped in a cache that grows for the life of the
 process, every defaulted parameter is passed by some call in the
 package, only `linalg` and `minors` reach the integer all-minors table,
 only `laurent` names the helpers that keep the Laurent coefficient form,
+only `combinat`, `minors` and `verify` name a `mask` attribute,
 every function and method the benchmark's tracer binds by name,
 and every package name its micro rows import, still exists, every
 exception kept for the tracer names a binding it has, and the README's
@@ -82,6 +83,13 @@ TABLE_MODULES = {"linalg.py", "minors.py"}
 # other module does Laurent arithmetic through `LaurentPoly`.
 COEFFICIENT_NAMES = {"_canonical", "_quotient", "_term_map_mul"}
 COEFFICIENT_MODULES = {"laurent.py"}
+
+# The attribute `mask`: a diagram's row-major cell mask, whose layout only
+# `combinat` knows (every other module reaches the cells through
+# `CauchonDiagram.fill` and `black_cells`), and a minor family's mask, read
+# by `minors`, which defines it, and by `verify`, which compares families
+# as sets.  These modules, and no others, name it.
+MASK_MODULES = {"combinat.py", "minors.py", "verify.py"}
 
 
 def _walk_outside(tree: ast.AST, skip: ast.AST | None):
@@ -576,6 +584,30 @@ def test_detector_flags_a_coefficient_helper_outside_laurent():
         "poisson.py": ["_term_map_mul"],
         "restoration.py": ["_quotient"],
     }
+
+
+def attribute_readers(trees: dict[str, ast.Module], attr: str) -> set[str]:
+    """The modules that name an attribute `attr`."""
+    return {
+        name
+        for name, tree in trees.items()
+        if any(isinstance(node, ast.Attribute) and node.attr == attr for node in ast.walk(tree))
+    }
+
+
+def test_only_the_mask_owners_name_a_mask():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    assert attribute_readers(trees, "mask") == MASK_MODULES
+
+
+def test_detector_flags_a_mask_reader():
+    trees = {
+        "combinat.py": ast.parse("class D:\n    def f(self):\n        return self.mask & 1\n"),
+        "cells.py": ast.parse("white = ~C.mask\n"),
+        "restoration.py": ast.parse("M = C.fill(lambda i, a: 1, 0)\nmask = 0\n"),
+        "minors.py": ast.parse("object.__setattr__(self, 'mask', mask)\n"),
+    }
+    assert attribute_readers(trees, "mask") == {"combinat.py", "cells.py"}
 
 
 TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"

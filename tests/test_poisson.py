@@ -211,6 +211,23 @@ class TestShifts:
             ((-1, 1, 1, -1), nonzero_columns(crossed)),
         )
 
+    @pytest.mark.parametrize("m, p", [(1, 3), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+    def test_matrix_table_is_the_one_pass_rule(self, m, p):
+        # the table as one double loop over ordered pairs: same row or same
+        # column gives t_v t_w, northwest-southeast gives 2 t_ig t_ka
+        reg = VarRegistry.grid(m, p)
+        entries = {}
+        for v, (i, a) in enumerate(reg.positions):
+            for w in range(v + 1, len(reg)):
+                k, g = reg.positions[w]
+                if (i == k and a < g) or (i < k and a == g):
+                    entries[(v, w)] = reg.gen(v) * reg.gen(w)
+                elif i < k and a < g:
+                    entries[(v, w)] = 2 * reg.var(i, g) * reg.var(k, a)
+        table = matrix_bracket_table(reg)
+        assert table.entries == entries
+        assert table.shifts == BracketTable(reg, entries).shifts
+
     @pytest.mark.parametrize("m, p", [(2, 2), (2, 3), (3, 3)])
     def test_matrix_table_equals_per_pair_bracket(self, m, p, rng):
         reg = VarRegistry.grid(m, p)

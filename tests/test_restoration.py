@@ -26,9 +26,10 @@ from tnncells import (
     trace_h_invariance_counterexample,
 )
 from tnncells import restoration
+from tnncells.combinat import _zero_mask
 from tnncells.linalg import submatrix
 from tnncells.minors import _sign_masks
-from tnncells.restoration import MatrixTrace, _apply_step, _zero_mask
+from tnncells.restoration import MatrixTrace, _apply_step
 from tnncells.verify import _corpus
 
 N_START = (
