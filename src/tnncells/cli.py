@@ -108,10 +108,9 @@ def _load_matrix(args, rational: bool = False):
 
 def _cmd_enumerate(args) -> int:
     """``diagrams`` and ``perms``: the parser sets ``args.enumerate``, and
-    ``args.counter`` for ``--count``.  The slowest grids under the cap:
-    ``diagrams 16 1`` and ``diagrams 1 16`` (about 6 s each, most of it
-    writing 27 MiB of JSON) and ``perms 1 16`` (3.0 s) on a shared 2-core
-    box."""
+    ``args.counter`` for ``--count``.  The slowest grids under the cap, on
+    a shared 2-core box: ``diagrams 16 1`` and ``1 16`` (2.5-3 s, most of
+    it writing 27 MiB of JSON), ``perms 1 16`` and ``16 1`` (1.3 s)."""
     _check_cells(args.m, args.p, ENUMERATION_CELL_CAP, args.force)
     if args.count:
         _emit({"m": args.m, "p": args.p, "count": args.counter(args.m, args.p)}, args.format)
@@ -228,13 +227,13 @@ class _Suite(NamedTuple):
 
 
 # Every suite caps its sizes; --force lifts every cap.  The slowest sizes
-# they accept, each at most about 0.7 s of CLI wall time on a 2-core box:
-# bruhat-cell (4,3) and (3,4), poisson (1,9) and (9,1) with 512 diagrams
-# each, counting (4,4) and bruhat-monotone (6,2).  The counts are capped
-# too, so no count can hang a run.  The slowest accepted counts, at the
-# slowest sizes, on the same box: poisson (1,9) --n 10000 4.8 s, deletion
-# (4,4) --n 10000 3.7 s, tnn-roundtrip (4,4) --n 10000 2.1 s, bruhat-cell
-# (4,3) --samples 500 5.4 s, bruhat-monotone (2,6) --sample 100000 0.5 s.
+# they accept, in CLI wall time on a 2-core box: bruhat-cell (4,3) and
+# (3,4) 0.3 s, poisson (1,9) and (9,1) with 512 diagrams each 0.2 s,
+# counting (4,4) 0.15 s, bruhat-monotone (6,2) 0.1 s.  The counts are
+# capped too, so no count can hang a run; at the slowest sizes: poisson
+# (1,9) --n 10000 2.8 s, deletion (4,4) --n 10000 3.2 s, tnn-roundtrip
+# (4,4) --n 10000 1.6 s, bruhat-cell (4,3) --samples 500 4.0 s,
+# bruhat-monotone (2,6) --sample 100000 0.5 s.
 _COUNT_CAPS = {"n": 10_000, "samples": 500, "sample": 100_000}
 _SUITES = {
     "counting": _Suite(  # its filter oracle walks all (M+P)! permutations

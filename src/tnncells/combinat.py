@@ -2,10 +2,11 @@
 
 Diagrams are m x p black/white grids in which every black cell has either
 all cells strictly to its left black or all cells strictly above it
-black.  Restricted permutations are the w in S_{m+p} with
--p <= w(i) - i <= m; there are exactly as many of them as diagrams, which
-the verification suites check by brute force.  `perm_of_diagram` is the
-bijection itself: it reads a diagram's permutation off its pipe dream.
+black; `_row_allowed` is that rule, a row at a time.  Restricted
+permutations are the w in S_{m+p} with -p <= w(i) - i <= m; `_band_moves`
+is that rule, a position at a time.  Each rule alone drives both the
+enumeration and the count of its side.  `perm_of_diagram` is the bijection
+between the two: it reads a diagram's permutation off its pipe dream.
 
 Bit (i-1)*p + (a-1) of `CauchonDiagram.mask` is set when cell (i, a) is
 black.  Only this module knows that layout: other modules reach it through
@@ -187,26 +188,35 @@ def count_diagrams(m: int, p: int) -> int:
     return sum(counts.values())
 
 
-def _count_restricted_perms(m: int, p: int) -> int:
-    """The number of restricted permutations, by a DP over positions.
+def _band_moves(used: int, last: int) -> Iterable[int]:
+    """The band rule: the bits t whose value j-p+t position j may take.
 
-    Position j takes a value in the window [j-p, j+m].  The state before
-    it is the set of used values of that window, bit t for value j-p+t,
-    with the values below 1 counted as used; each has p bits set, so there
-    are at most C(m+p, p) states.  Value j-p can sit no later than position
-    j, so while it is free it is the only choice.  Each step then shifts
-    the window right by one.
-    """
+    `used` has bit t set when value j-p+t is used (values below 1 count as
+    used) and `last` is the bit of the largest value <= m+p, so the window
+    is [j-p, j+m].  Value j-p can sit no later than position j, so while
+    it is free it is the only choice; else any free bit in 1..`last` is."""
+    if not used & 1:
+        return (0,)
+    free, moves = ~used & ((2 << last) - 2), []
+    while free:
+        moves.append((free & -free).bit_length() - 1)
+        free &= free - 1
+    return moves
+
+
+def _count_restricted_perms(m: int, p: int) -> int:
+    """The number of restricted permutations: the walk over positions with
+    a count per state, the `used` of `_band_moves` (p bits set, so at most
+    C(m+p, p) states); each step shifts the window right by one."""
     _check_grid(m, p)
     n = m + p
     counts = {(1 << p) - 1: 1}
     for j in range(1, n + 1):
-        last = min(n, j + m) - (j - p)  # the bit of the largest value in range
+        last = min(n, j + m) - (j - p)
         grown = defaultdict(int)
         for used, count in counts.items():
-            for t in range(last + 1) if used & 1 else (0,):
-                if not used >> t & 1:
-                    grown[(used | 1 << t) >> 1] += count
+            for t in _band_moves(used, last):
+                grown[(used | 1 << t) >> 1] += count
         counts = grown
     return sum(counts.values())
 
@@ -257,34 +267,24 @@ def w_max(m: int, p: int) -> RestrictedPermutation:
 
 
 def enumerate_restricted_perms(m: int, p: int) -> Iterator[RestrictedPermutation]:
-    """All restricted permutations in ascending one-line (lex) order."""
-    if m < 1 or p < 1:
-        raise ValueError("m and p must be positive")
+    """All restricted permutations in ascending one-line (lex) order: the
+    walk of `_count_restricted_perms` with the partial one-line tuples
+    grouped by state in place of the counts, then sorted."""
+    _check_grid(m, p)
     n = m + p
-    used = [False] * (n + 1)
-    line: list[int] = []
-
-    def extend(j: int) -> Iterator[RestrictedPermutation]:
-        if j > n:
-            yield RestrictedPermutation(m, p, tuple(line))
-            return
-        # Value j-p can sit no later than position j, so if it is still
-        # free it is the only choice here; any other leads to a dead end.
-        # It is also the smallest candidate, so the lex order is unchanged.
-        low = j - p
-        if low >= 1 and not used[low]:
-            candidates = (low,)
-        else:
-            candidates = range(max(1, low), min(n, j + m) + 1)
-        for v in candidates:
-            if not used[v]:
-                used[v] = True
-                line.append(v)
-                yield from extend(j + 1)
-                line.pop()
-                used[v] = False
-
-    yield from extend(1)
+    groups: dict[int, list[tuple[int, ...]]] = {(1 << p) - 1: [()]}
+    for j in range(1, n + 1):
+        low, last = j - p, min(n, j + m) - (j - p)
+        grown = defaultdict(list)
+        for used, lines in groups.items():
+            for t in _band_moves(used, last):
+                v = (low + t,)
+                grown[(used | 1 << t) >> 1].extend([line + v for line in lines])
+        groups = grown
+    lines = sorted(chain.from_iterable(groups.values()))
+    del groups, grown  # or the frame keeps both copies while it yields
+    for line in lines:
+        yield RestrictedPermutation(m, p, line)
 
 
 def perm_of_diagram(C: CauchonDiagram) -> RestrictedPermutation:
