@@ -6,7 +6,9 @@ validates them.  Its fields are its slots, or the names in its own
 ``_fields`` when some slot holds derived state.  The base compares,
 hashes and prints an instance by the tuple of its fields, as a frozen
 dataclass does, and refuses assignment with AttributeError; `_Ordered`
-adds the four order comparisons on the same tuple.  Neither imports
+adds the four order comparisons on the same tuple.  `_unchecked` builds
+an instance from its field values without running ``__init__``, for the
+enumerations, whose walks yield only valid values.  Neither imports
 `dataclasses`, which would load `inspect` and `ast` into every process
 and compile each class's methods from generated source at import.
 """
@@ -24,6 +26,16 @@ class _Value:
         if fields:  # `_Ordered` declares none
             cls._fields = fields
             cls._key = attrgetter(*fields)  # two or more fields: a tuple
+
+    @classmethod
+    def _unchecked(cls, *values):
+        """An instance with the given field values, in `_fields` order,
+        set without ``__init__``'s checks.  Only for values the caller
+        built valid, of a class whose fields are all its slots."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(self, name, value)
+        return self
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -152,7 +152,8 @@ def enumerate_diagrams(m: int, p: int) -> Iterator[CauchonDiagram]:
     only on `above`, the columns black in every row so far, so the partial
     masks are grouped by it and each group takes the rows `_rows_under`
     admits.  The walk meets only diagrams, B(m, p) of them at the end, not
-    the 2^(mp) masks; the masks are then sorted.
+    the 2^(mp) masks; the masks are then sorted, and each is yielded
+    without the constructor's checks, which it passes by construction.
     """
     _check_grid(m, p)
     groups: dict[int, list[int]] = {(1 << p) - 1: [0]}
@@ -165,7 +166,7 @@ def enumerate_diagrams(m: int, p: int) -> Iterator[CauchonDiagram]:
     masks = sorted(chain.from_iterable(groups.values()))
     del groups, grown  # or the frame keeps both copies while it yields
     for mask in masks:
-        yield CauchonDiagram(m, p, mask)
+        yield CauchonDiagram._unchecked(m, p, mask)
 
 
 def count_diagrams(m: int, p: int) -> int:
@@ -269,7 +270,8 @@ def w_max(m: int, p: int) -> RestrictedPermutation:
 def enumerate_restricted_perms(m: int, p: int) -> Iterator[RestrictedPermutation]:
     """All restricted permutations in ascending one-line (lex) order: the
     walk of `_count_restricted_perms` with the partial one-line tuples
-    grouped by state in place of the counts, then sorted."""
+    grouped by state in place of the counts, then sorted.  Each is yielded
+    without the constructor's checks, which it passes by construction."""
     _check_grid(m, p)
     n = m + p
     groups: dict[int, list[tuple[int, ...]]] = {(1 << p) - 1: [()]}
@@ -284,7 +286,7 @@ def enumerate_restricted_perms(m: int, p: int) -> Iterator[RestrictedPermutation
     lines = sorted(chain.from_iterable(groups.values()))
     del groups, grown  # or the frame keeps both copies while it yields
     for line in lines:
-        yield RestrictedPermutation(m, p, line)
+        yield RestrictedPermutation._unchecked(m, p, line)
 
 
 def perm_of_diagram(C: CauchonDiagram) -> RestrictedPermutation:

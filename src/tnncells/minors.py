@@ -15,10 +15,16 @@ a time; :mod:`tnncells.families` combines such masks.  `_sign_masks`
 reads the masks of a matrix's zero and negative minors from one integer
 all-minors table; every question of sign or zero asks it.  Minors are
 evaluated on rational matrices only; a Laurent matrix raises `TypeError`.
+
+A family's JSON is a fresh list that picks its members from `_minor_json`,
+one bounded table per grid of ``{"rows": [...], "cols": [...]}`` dicts in
+canonical order.  Those dicts are shared by every family of the grid and
+every call, so callers must treat them as read-only.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress
 from math import comb
 from typing import Iterator
@@ -38,6 +44,14 @@ def all_minor_ids(m: int, p: int) -> list[MinorId]:
 def _minor_count(m: int, p: int) -> int:
     """Number of nonempty minors of an m x p grid, C(m+p, m) - 1."""
     return comb(m + p, m) - 1
+
+
+@lru_cache(maxsize=64)
+def _minor_json(m: int, p: int) -> tuple[dict, ...]:
+    """The JSON of every minor of an m x p grid in canonical order, built
+    once per grid and shared, read-only, by every `MinorFamily.to_json_obj`."""
+    ids = linalg._laplace_plan(m, p).ids
+    return tuple([{"rows": [*rows], "cols": [*cols]} for rows, cols in ids])
 
 
 ROWS, COLS = 0, 1  # the axes of a MinorId, for `_mask_by`
@@ -78,16 +92,23 @@ class MinorFamily(_Value):
                 f"family mask has a bit past the last minor of the {m}x{p} grid"
             )
 
+    def _pick(self, per_minor):
+        """The items of a sequence with one item per minor, in canonical
+        order, at the set bits: the binary digits read backwards, the i-th
+        selects the i-th item."""
+        return compress(per_minor, map("1".__eq__, reversed(f"{self.mask:b}")))
+
     def __iter__(self) -> Iterator[MinorId]:
-        # the binary digits read backwards: the i-th selects the i-th id
-        ids = linalg._laplace_plan(self.m, self.p).ids
-        return compress(ids, map("1".__eq__, reversed(f"{self.mask:b}")))
+        return self._pick(linalg._laplace_plan(self.m, self.p).ids)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
 
     def to_json_obj(self) -> list[dict]:
-        return [{"rows": [*rows], "cols": [*cols]} for rows, cols in self]
+        """The members as ``{"rows": [...], "cols": [...]}`` in canonical
+        order: a fresh list of the grid's shared `_minor_json` dicts, which
+        are read-only."""
+        return list(self._pick(_minor_json(self.m, self.p)))
 
 
 def eval_minor(M: linalg.Matrix, mid: MinorId):

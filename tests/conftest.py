@@ -12,6 +12,9 @@ from tnncells.minors import ROWS
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
 
+# Every grid with at most 12 cells.
+SMALL_GRIDS = [(m, p) for m in range(1, 13) for p in range(1, 13) if m * p <= 12]
+
 
 @pytest.fixture
 def rng() -> random.Random:

@@ -30,7 +30,7 @@ from tnncells import (
 from tnncells.linalg import as_matrix, det_exact, submatrix
 from tnncells.minors import _sign_masks
 
-from conftest import path_family, path_sums
+from conftest import SMALL_GRIDS, path_family, path_sums
 
 NBAR = ((11, 7, 4, 1), (7, 5, 3, 1), (4, 3, 2, 1), (1, 1, 1, 1))
 
@@ -112,16 +112,12 @@ class TestSymbolicMatrix:
         ]
 
 
-# Every grid with at most 12 cells.
-PATH_GRIDS = [(m, p) for m in range(1, 13) for p in range(1, 13) if m * p <= 12]
-
-
 class TestCauchonGraph:
     """Restoring the generic matrix sums the paths of the Cauchon graph:
     each restored entry (i, a), term for term, is the weight sum of the
     paths from row i to column a."""
 
-    @pytest.mark.parametrize("m,p", PATH_GRIDS)
+    @pytest.mark.parametrize("m,p", SMALL_GRIDS)
     def test_path_sums_equal_the_restored_generic_matrix(self, m, p):
         for C in enumerate_diagrams(m, p):
             X = restore(symbolic_cauchon_matrix(C)[1]).final

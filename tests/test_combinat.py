@@ -22,6 +22,8 @@ from tnncells import (
 )
 from tnncells.combinat import _black_mask, _count_restricted_perms, _mask_is_cauchon
 
+from conftest import SMALL_GRIDS
+
 COUNTS = {(1, 1): 2, (2, 2): 14, (2, 3): 46, (3, 3): 230}
 
 
@@ -46,9 +48,6 @@ def cell_by_cell_is_cauchon(m: int, p: int, mask: int) -> bool:
             if not above_full:
                 return False
     return True
-
-
-SMALL_GRIDS = [(m, p) for m in range(1, 13) for p in range(1, 13) if m * p <= 12]
 
 
 def backtracked_perms(m: int, p: int) -> list[tuple[int, ...]]:
@@ -263,6 +262,23 @@ def test_every_walker_checks_its_grid_before_walking(walk, m, p, error, text):
         out = walk(m, p)
         if not isinstance(out, int):
             next(out)  # a generator runs its check on the first next()
+
+
+@pytest.mark.parametrize(
+    "walk, cls, field",
+    [
+        (enumerate_diagrams, CauchonDiagram, "mask"),
+        (enumerate_restricted_perms, RestrictedPermutation, "w"),
+    ],
+    ids=["diagrams", "perms"],
+)
+@pytest.mark.parametrize("m,p", SMALL_GRIDS + [(4, 4), (1, 16), (16, 1)])
+def test_walked_objects_pass_the_public_constructor(walk, cls, field, m, p):
+    # the walkers build without the constructor's checks; every object
+    # they yield must pass them, and equal what the constructor builds
+    for x in walk(m, p):
+        assert type(x) is cls and (x.m, x.p) == (m, p)
+        assert cls(m, p, getattr(x, field)) == x
 
 
 class TestRestrictedPerms:

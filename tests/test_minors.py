@@ -1,4 +1,7 @@
+import copy
+import io
 import json
+import sys
 from itertools import combinations
 from math import comb
 
@@ -14,12 +17,13 @@ from tnncells import (
     as_matrix,
     eval_minor,
     is_tnn,
+    match_families,
     vanishing_family,
 )
-from tnncells import linalg
-from tnncells.minors import COLS, ROWS, _mask_by, _sign_masks
+from tnncells import cli, linalg
+from tnncells.minors import COLS, ROWS, _mask_by, _minor_json, _sign_masks
 
-from conftest import family_of_ids, rand_fraction, rand_matrix
+from conftest import SMALL_GRIDS, family_of_ids, rand_fraction, rand_matrix
 
 
 class TestMinorId:
@@ -319,3 +323,69 @@ class TestLayout:
                             if len(mid.rows) == k and keep(mid[axis])
                         )
                         assert _mask_by(m, p, axis, k, keep) == scan, (m, p, axis, k)
+
+
+NBAR_CSV = "11,7,4,1\n7,5,3,1\n4,3,2,1\n1,1,1,1\n"  # a 4 x 4 tnn matrix
+
+def fresh_json(fam: MinorFamily) -> list[dict]:
+    """The family's JSON built from scratch: the ids by size, rows, then
+    columns, with fresh dicts for the set bits of the mask."""
+    m, p = fam.m, fam.p
+    ids = [
+        (rows, cols)
+        for k in range(1, min(m, p) + 1)
+        for rows in combinations(range(1, m + 1), k)
+        for cols in combinations(range(1, p + 1), k)
+    ]
+    return [
+        {"rows": list(rows), "cols": list(cols)}
+        for bit, (rows, cols) in enumerate(ids)
+        if fam.mask >> bit & 1
+    ]
+
+
+class TestFamilyJson:
+    """`to_json_obj` picks the members from one shared, read-only table
+    of minor dicts per grid."""
+
+    @pytest.mark.parametrize("m, p", SMALL_GRIDS + [(4, 4)])
+    def test_every_cell_family_matches_fresh_dicts(self, m, p):
+        families = [d.family for d in match_families(m, p)]
+        assert MinorFamily(m, p, 0) in families  # the all-white diagram's
+        for fam in families:
+            assert fam.to_json_obj() == fresh_json(fam), (m, p, fam.mask)
+
+    def test_grids_of_one_height_keep_their_own_tables(self):
+        # interleaved, so that a table found by m alone serves a wrong grid
+        for m, p in ((3, 3), (3, 4), (3, 1), (3, 3), (1, 3), (4, 3), (3, 4)):
+            full = MinorFamily(m, p, (1 << len(all_minor_ids(m, p))) - 1)
+            assert full.to_json_obj() == fresh_json(full), (m, p)
+
+    def test_each_call_returns_a_fresh_list(self):
+        fam = MinorFamily(3, 4, 0b1011_0110)
+        first, second = fam.to_json_obj(), fam.to_json_obj()
+        assert first == second and first is not second
+        first.clear()
+        assert fam.to_json_obj() == second == fresh_json(fam)
+
+    def test_no_command_mutates_the_shared_dicts(self, capsys, monkeypatch):
+        grids = [(2, 3), (3, 3), (3, 4), (4, 4)]
+        tables = {grid: _minor_json(*grid) for grid in grids}
+        snapshot = copy.deepcopy(tables)
+        diagram = '{"m": 3, "p": 3, "black": [[1, 1], [1, 3], [2, 1], [2, 2]]}'
+        commands = [
+            ["match", "3", "3"],
+            ["match", "2", "3"],
+            ["mc", "--diagram", diagram],
+            ["mw", "3", "4", "--w", "3,1,4,2,7,6,5"],
+            ["classify", "--matrix", "-", "--find-perm"],
+            ["verify", "match", "3", "3"],
+        ]
+        for argv in commands:
+            for fmt in ("json", "table"):
+                monkeypatch.setattr(sys, "stdin", io.StringIO(NBAR_CSV))
+                assert cli.main([*argv, "--format", fmt]) == 0, argv
+                assert capsys.readouterr().out
+        for grid in grids:
+            assert _minor_json(*grid) is tables[grid], grid
+        assert tables == snapshot
