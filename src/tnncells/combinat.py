@@ -103,11 +103,12 @@ class CauchonDiagram(_Ordered):
         """The m x p matrix, as a tuple of row tuples, with `black` at every
         black cell and ``white(i, a)`` at every white cell (1-based).
         `white` is called once per white cell, in row-major order."""
-        p, mask = self.p, self.mask
-        return tuple(
-            tuple(black if mask >> (s + a - 1) & 1 else white(i, a) for a in range(1, p + 1))
-            for i, s in enumerate(range(0, self.m * p, p), start=1)
-        )
+        p, full = self.p, (1 << self.p) - 1
+        rows = []
+        for i in range(1, self.m + 1):
+            bits = self.mask >> (i - 1) * p & full
+            rows.append(tuple([black if bits >> a & 1 else white(i, a + 1) for a in range(p)]))
+        return tuple(rows)
 
     def black_cells(self) -> tuple[tuple[int, int], ...]:
         """Black cells in row-major order."""

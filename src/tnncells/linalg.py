@@ -11,6 +11,8 @@ Laurent entry with `TypeError`.  One Bareiss kernel (`_bareiss`, rank and
 determinant from one elimination) and one Laplace all-minors kernel run
 on plain integer rows: a rational matrix enters them after clearing
 denominators row by row (`_scaled_int_rows`, which also holds the guard).
+A row of plain ints, such as the restored 0/1 point of
+`cells.family_of_diagram`, skips that pass and enters as it is.
 
 The all-minors kernel runs a Laplace plan built once per grid shape and
 cached (bounded): the canonical ids, each row set's first row and the
@@ -98,16 +100,21 @@ def submatrix(M: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
     return tuple(tuple(M[i][j] for j in cols) for i in rows)
 
 
-def _scaled_int_rows(M: Matrix) -> tuple[list[list[int]], list[int]]:
+def _scaled_int_rows(M: Matrix) -> tuple[list[Sequence[int]], list[int]]:
     """Clear denominators row by row; returns (int rows, positive scales).
 
-    Every minor, determinant and rank reader enters the integer kernels
-    here, so this is where a matrix with any Laurent entry is refused: it
-    has no `denominator`.
+    A row of plain ints is returned as it is, with scale 1.  Every minor,
+    determinant and rank reader enters the integer kernels here, so this
+    is where a matrix with any Laurent entry is refused: it has no
+    `denominator`.
     """
     ints, scales = [], []
     try:
         for row in M:
+            if all(map(int.__instancecheck__, row)):
+                ints.append(row)
+                scales.append(1)
+                continue
             scale = math.lcm(*[x.denominator for x in row])
             ints.append([x.numerator * (scale // x.denominator) for x in row])
             scales.append(scale)

@@ -12,6 +12,11 @@ and a step that writes nothing (a zero pivot among them) returns its
 input matrix itself, so the h-invariance check, the deletion suite and
 the step-bracket checks can skip what a step left alone.
 
+The labels of each grid shape are built once and cached (bounded), and
+that tuple is the only source of the pivots the driver `_run` hands the
+step kernel.  So the kernel neither re-reads the matrix's dimensions nor
+checks its label: every label it is given is a pivot of its grid.
+
 The pivot's type picks the division.  A Fraction pivot takes a rational
 kernel that builds each written entry as one normalised ``Fraction(n, d)``.
 A Laurent pivot takes ``/``, exact Laurent division, so a non-exact pivot
@@ -45,39 +50,42 @@ def step_sequence(m: int, p: int) -> list[Step]:
     """
     if m < 1 or p < 1:
         raise ValueError("grid dimensions must be positive")
-    labels = [(j, b) for j in range(1, m + 1) for b in range(1, p + 1)]
-    labels.remove((1, 1))
-    labels.append((m, p + 1))
-    return labels
+    return list(_labels(m, p))
+
+
+@lru_cache(maxsize=64)
+def _labels(m: int, p: int) -> tuple[Step, ...]:
+    """The labels of `step_sequence`, built once per grid shape."""
+    cells = [(j, b) for j in range(1, m + 1) for b in range(1, p + 1)]
+    return (*cells[1:], (m, p + 1))
 
 
 def _apply_step(X: Matrix, r: Step, direction: int) -> Matrix:
     """One step on a validated matrix, in its pivot's exact division.
 
-    Only entries with a nonzero correction are written (see the module
-    docstring).  A Fraction pivot forms xib/pivot once per row as an
-    unreduced integer pair, so each written entry costs one normalisation,
-    in `Fraction(n, d)`.  An int pivot takes ``xib * X[j][a] // pivot``
+    The label r is not checked: `_run` passes only non-final labels of
+    the matrix's own grid, taken from `_labels`.  Only entries with a
+    nonzero correction are written (see the module docstring).  A
+    Fraction pivot forms xib/pivot once per row as an unreduced integer
+    pair, so each written entry costs one normalisation, in
+    `Fraction(n, d)`.  An int pivot takes ``xib * X[j][a] // pivot``
     and any other (Laurent) pivot ``xib * X[j][a] / pivot``, the exact
     forms where xib/pivot need not lie in the domain.
     """
-    m, p = dims(X)
-    j, b = r
-    if not (1 <= j <= m and 1 <= b <= p) or r == (1, 1):
-        raise ValueError(f"{r} is not a pivot position for a {m}x{p} matrix")
-    pivot = X[j - 1][b - 1]
+    j, b = r[0] - 1, r[1] - 1  # the 0-based pivot position
+    pivot_row = X[j]
+    pivot = pivot_row[b]
     if not pivot:
         return X
-    pivot_row = X[j - 1]
-    cols = [a for a in range(b - 1) if pivot_row[a]]
+    cols = [a for a in range(b) if pivot_row[a]]
     if not cols:
         return X
     kind = type(pivot)
     if kind is Fraction:
         factors = [(a, pivot_row[a].numerator, pivot_row[a].denominator) for a in cols]
     rows = None
-    for i in range(j - 1):
-        xib = X[i][b - 1]
+    for i in range(j):
+        xib = X[i][b]
         if not xib:
             continue
         row = list(X[i])
@@ -144,16 +152,16 @@ def delete_derivations(Xbar: Matrix) -> MatrixTrace:
 def _run(X: Matrix, direction: int) -> MatrixTrace:
     """The whole run without validation or coercion: X is a tuple of row
     tuples, the initial matrix when `direction` is +1 and the final one
-    when it is -1; the trace is keyed by label either way."""
+    when it is -1; the trace is keyed by label either way.  Every pivot
+    the steps take is a label of `_labels`."""
     m, p = dims(X)
-    labels = step_sequence(m, p)
-    steps = labels[:-1] if direction > 0 else reversed(labels[:-1])
+    labels = _labels(m, p)
     mats = [X]
-    for r in steps:
+    for r in labels[:-1] if direction > 0 else labels[-2::-1]:
         mats.append(_apply_step(mats[-1], r, direction))
     if direction < 0:
         mats.reverse()
-    return MatrixTrace(m, p, tuple(labels), tuple(mats))
+    return MatrixTrace(m, p, labels, tuple(mats))
 
 
 def is_cauchon_matrix(X: Matrix) -> bool:

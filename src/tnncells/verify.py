@@ -248,7 +248,8 @@ def deletion_suite(m: int, p: int, n: int = 100, seed: int = 0) -> SuiteReport:
             seen.add(id(mat))
             for row in mat:
                 for x in row:
-                    if x < 0:
+                    # restore made every entry a Fraction, whose sign is its numerator's
+                    if x.numerator < 0:
                         return f"negative entry at label {label} for {C}"
             if not is_cauchon_matrix(mat):
                 return f"non-Cauchon zero pattern at label {label} for {C}"

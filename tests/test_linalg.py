@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -17,6 +18,7 @@ from tnncells import (
     vanishing_family,
 )
 from tnncells.linalg import _all_minors, _scaled_int_rows, is_symbolic, submatrix
+from tnncells.minors import _sign_masks
 from tnncells.verify import _corpus
 
 from conftest import rand_matrix
@@ -146,6 +148,27 @@ class TestScaledMinors:
         assert scaled[((1, 2), (1, 2))] == -1
         assert scaled[((2,), (1,))] == 5
 
+    def test_int_rows_enter_unchanged(self):
+        M = ((3, 0, -2), (Fraction(1, 2), 1, 0), (0, 0, 0))
+        ints, scales = _scaled_int_rows(M)
+        assert ints[0] is M[0] and ints[2] is M[2]
+        assert ints[1] == [1, 2, 0] and scales == [1, 2, 1]
+
+    def test_int_matrices_read_as_their_fractions(self):
+        rng = random.Random(34)
+        zero_rows = negatives = 0
+        for _ in range(200):
+            m, p = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [[rng.randint(-5, 5) for _ in range(p)] for _ in range(m)]
+            if rng.random() < 0.3:
+                rows[rng.randrange(m)] = [0] * p
+            M = tuple(map(tuple, rows))
+            masks = _sign_masks(M)
+            assert masks == _sign_masks(as_matrix(M)), M
+            zero_rows += (0,) * p in M
+            negatives += masks[1] != 0
+        assert zero_rows > 20 and negatives > 100
+
 
 class TestRank:
     def test_golden(self):
@@ -174,8 +197,13 @@ class TestRank:
 def test_rejects_laurent_matrices(read):
     # minors, determinants and ranks are rational-only: one guard refuses
     # a matrix with any Laurent entry for every reader, also when the
-    # corner entry is rational
-    for M in (as_matrix([[T11, T12], [T21, T22]]), ((Fraction(1), T12), (T21, T22))):
+    # corner entry is rational, or the rows before it are plain ints
+    for M in (
+        as_matrix([[T11, T12], [T21, T22]]),
+        ((Fraction(1), T12), (T21, T22)),
+        ((1, 2), (T21, T22)),
+        ((1, 2), (3, T22)),
+    ):
         with pytest.raises(TypeError, match="rational matrices only"):
             read(M)
 

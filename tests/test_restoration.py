@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import rand_matrix
+from conftest import SMALL_GRIDS, rand_matrix
 
 from tnncells import (
     CauchonDiagram,
@@ -15,6 +15,7 @@ from tnncells import (
     as_matrix,
     delete_derivations,
     diagram_of_matrix,
+    enumerate_diagrams,
     eval_minor,
     is_cauchon_matrix,
     is_tnn,
@@ -115,11 +116,27 @@ class TestGoldenTrace:
         with pytest.raises(KeyError):
             tr[(1, 1)]
 
-    def test_step_label_validation(self):
-        with pytest.raises(ValueError):
-            _apply_step(as_matrix(N_START), (1, 1), +1)
-        with pytest.raises(ValueError):
-            _apply_step(as_matrix(N_START), (5, 2), -1)
+    def test_run_labels_are_the_step_sequence(self, monkeypatch):
+        # the step kernel does not check its label: every label it is
+        # given comes from `_run`, so `_run` must give only pivots of the
+        # grid, in step order
+        taken = []
+
+        def spy(X, r, direction):
+            taken.append(r)
+            return _apply_step(X, r, direction)
+
+        monkeypatch.setattr(restoration, "_apply_step", spy)
+        for m in range(1, 7):
+            for p in range(1, 7):
+                cells = [(j, b) for j in range(1, m + 1) for b in range(1, p + 1)]
+                labels = cells[1:] + [(m, p + 1)]
+                assert step_sequence(m, p) == labels
+                X = tuple((0,) * p for _ in range(m))
+                for run, order in ((restore, labels[:-1]), (delete_derivations, labels[-2::-1])):
+                    taken.clear()
+                    assert list(run(X).labels) == labels
+                    assert taken == order
 
 
 class TestStepEntryPoints:
@@ -137,7 +154,7 @@ class TestStepEntryPoints:
     def _stepped(X, forward):
         m, p = len(X), len(X[0])
         labels = step_sequence(m, p)[:-1]
-        mats = [as_matrix(X)]
+        mats = [X]
         for r in labels if forward else reversed(labels):
             mats.append(_apply_step(mats[-1], r, +1 if forward else -1))
         return tuple(mats if forward else reversed(mats))
@@ -154,8 +171,18 @@ class TestStepEntryPoints:
             inputs.append(symbolic_cauchon_matrix(C)[1])
         for X in inputs:
             tr = restore(X)
-            assert tr.matrices == self._stepped(X, forward=True)
+            assert tr.matrices == self._stepped(as_matrix(X), forward=True)
             assert delete_derivations(tr.final).matrices == self._stepped(tr.final, forward=False)
+        # the 0/1 int points of `family_of_diagram`: the run stays in ints,
+        # and a step that writes nothing hands on its input object
+        for m, p in SMALL_GRIDS:
+            for C in enumerate_diagrams(m, p):
+                X = C.fill(lambda i, a: 1, 0)
+                tr = restoration._run(X, +1)
+                assert tr.matrices == self._stepped(X, forward=True), C
+                for before, after in zip(tr.matrices, tr.matrices[1:]):
+                    assert all(type(x) is int for row in after for x in row), C
+                    assert after is before or after != before, C
 
 
 def product_then_divide_step(X, r, direction):
