@@ -63,11 +63,9 @@ def _emit(obj, fmt: str) -> None:
     if isinstance(obj, list):
         for row in obj:
             print(json.dumps(row, separators=(",", ":")))
-    elif isinstance(obj, dict):
+    else:
         for k, v in obj.items():
             print(f"{k}: {json.dumps(v, separators=(',', ':'))}")
-    else:
-        print(obj)
 
 
 def _check_cells(m: int, p: int, cap: int | None = None, force: bool = False) -> None:
@@ -177,9 +175,7 @@ def _cmd_classify(args) -> int:
         ],
     }
     if args.find_perm:
-        report["matched_perm"] = (
-            desc.matched_perm.to_json_obj() if desc.matched_perm else None
-        )
+        report["matched_perm"] = desc.matched_perm.to_json_obj()
     _emit(report, args.format)
     return 0
 

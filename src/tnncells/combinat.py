@@ -4,8 +4,9 @@ Diagrams are m x p black/white grids in which every black cell has either
 all cells strictly to its left black or all cells strictly above it
 black; `_row_allowed` is that rule, a row at a time.  Restricted
 permutations are the w in S_{m+p} with -p <= w(i) - i <= m; `_band_moves`
-is that rule, a position at a time.  Each rule alone drives both the
-enumeration and the count of its side.  `perm_of_diagram` is the bijection
+is that rule, a position at a time.  Each side has one walk, `_row_walk`
+and `_band_walk`, run over lists of partial diagrams or permutations to
+enumerate and over counts to count.  `perm_of_diagram` is the bijection
 between the two: it reads a diagram's permutation off its pipe dream.
 
 Bit (i-1)*p + (a-1) of `CauchonDiagram.mask` is set when cell (i, a) is
@@ -146,26 +147,33 @@ class CauchonDiagram(_Ordered):
         return cls.from_black(m, p, [tuple(c) for c in black])
 
 
-def enumerate_diagrams(m: int, p: int) -> Iterator[CauchonDiagram]:
-    """All m x p diagrams, ascending by row-major bitmask.
+def _row_walk(m: int, p: int, start, extend) -> Iterable:
+    """The row walk, a row at a time; returns its last states' values.
 
-    Builds the diagrams a row at a time.  Which rows may come next depends
-    only on `above`, the columns black in every row so far, so the partial
-    masks are grouped by it and each group takes the rows `_rows_under`
-    admits.  The walk meets only diagrams, B(m, p) of them at the end, not
-    the 2^(mp) masks; the masks are then sorted, and each is yielded
-    without the constructor's checks, which it passes by construction.
+    Which rows may come next depends only on `above`, the columns black in
+    every row so far, so the walk keeps one value per `above`, `start` at
+    first.  Each row `_rows_under` admits adds ``extend(value, row <<
+    shift)`` to its next state's value with ``+=``: lists grow, counts add.
     """
-    _check_grid(m, p)
-    groups: dict[int, list[int]] = {(1 << p) - 1: [0]}
+    values = {(1 << p) - 1: start}
     for shift in range(0, m * p, p):
-        grown = defaultdict(list)
-        for above, masks in groups.items():
+        grown = defaultdict(type(start))
+        for above, value in values.items():
             for row in _rows_under(p, above):
-                grown[above & row].extend([mask | row << shift for mask in masks])
-        groups = grown
-    masks = sorted(chain.from_iterable(groups.values()))
-    del groups, grown  # or the frame keeps both copies while it yields
+                grown[above & row] += extend(value, row << shift)
+        values = grown
+    return values.values()
+
+
+def enumerate_diagrams(m: int, p: int) -> Iterator[CauchonDiagram]:
+    """All m x p diagrams, ascending by row-major bitmask: the row walk over
+    lists of partial masks, which meets only diagrams, B(m, p) at the end,
+    not the 2^(mp) masks.  Each is yielded without the constructor's
+    checks, which it passes by construction."""
+    _check_grid(m, p)
+    masks = sorted(chain.from_iterable(
+        _row_walk(m, p, [0], lambda masks, bits: [mask | bits for mask in masks])
+    ))
     for mask in masks:
         yield CauchonDiagram._unchecked(m, p, mask)
 
@@ -173,21 +181,12 @@ def enumerate_diagrams(m: int, p: int) -> Iterator[CauchonDiagram]:
 def count_diagrams(m: int, p: int) -> int:
     """The number of m x p diagrams, the poly-Bernoulli number B(m, p).
 
-    The row walk of `enumerate_diagrams` with a count per `above` in place
-    of the masks.  The left-or-above rule maps to itself under transpose,
-    so the walk runs over the shorter side: at most 8 columns, hence 256
-    states, on any grid under the cell cap.
+    The row walk over counts.  The left-or-above rule maps to itself under
+    transpose, so the walk runs over the shorter side: at most 8 columns,
+    hence 256 states, on any grid under the cell cap.
     """
     _check_grid(m, p)
-    m, p = max(m, p), min(m, p)
-    counts = {(1 << p) - 1: 1}
-    for _ in range(m):
-        grown = defaultdict(int)
-        for above, count in counts.items():
-            for row in _rows_under(p, above):
-                grown[above & row] += count
-        counts = grown
-    return sum(counts.values())
+    return sum(_row_walk(max(m, p), min(m, p), 1, lambda count, bits: count))
 
 
 def _band_moves(used: int, last: int) -> Iterable[int]:
@@ -206,21 +205,30 @@ def _band_moves(used: int, last: int) -> Iterable[int]:
     return moves
 
 
-def _count_restricted_perms(m: int, p: int) -> int:
-    """The number of restricted permutations: the walk over positions with
-    a count per state, the `used` of `_band_moves` (p bits set, so at most
-    C(m+p, p) states); each step shifts the window right by one."""
-    _check_grid(m, p)
+def _band_walk(m: int, p: int, start, extend) -> Iterable:
+    """The band walk, a position at a time; returns its last states' values.
+
+    The walk keeps one value per `used` of `_band_moves` (p bits set, so
+    at most C(m+p, p) states), `start` at first, and each step shifts the
+    window right by one.  Placing value v adds ``extend(value, v)`` to the
+    next state's value with ``+=``: lists grow, counts add.
+    """
     n = m + p
-    counts = {(1 << p) - 1: 1}
+    values = {(1 << p) - 1: start}
     for j in range(1, n + 1):
-        last = min(n, j + m) - (j - p)
-        grown = defaultdict(int)
-        for used, count in counts.items():
+        low, last = j - p, min(n, j + m) - (j - p)
+        grown = defaultdict(type(start))
+        for used, value in values.items():
             for t in _band_moves(used, last):
-                grown[(used | 1 << t) >> 1] += count
-        counts = grown
-    return sum(counts.values())
+                grown[(used | 1 << t) >> 1] += extend(value, low + t)
+        values = grown
+    return values.values()
+
+
+def _count_restricted_perms(m: int, p: int) -> int:
+    """The number of restricted permutations: the band walk over counts."""
+    _check_grid(m, p)
+    return sum(_band_walk(m, p, 1, lambda count, v: count))
 
 
 def random_diagram(m: int, p: int, rng) -> CauchonDiagram:
@@ -270,22 +278,13 @@ def w_max(m: int, p: int) -> RestrictedPermutation:
 
 def enumerate_restricted_perms(m: int, p: int) -> Iterator[RestrictedPermutation]:
     """All restricted permutations in ascending one-line (lex) order: the
-    walk of `_count_restricted_perms` with the partial one-line tuples
-    grouped by state in place of the counts, then sorted.  Each is yielded
-    without the constructor's checks, which it passes by construction."""
+    band walk over lists of partial one-line tuples, then sorted.  Each is
+    yielded without the constructor's checks, which it passes by
+    construction."""
     _check_grid(m, p)
-    n = m + p
-    groups: dict[int, list[tuple[int, ...]]] = {(1 << p) - 1: [()]}
-    for j in range(1, n + 1):
-        low, last = j - p, min(n, j + m) - (j - p)
-        grown = defaultdict(list)
-        for used, lines in groups.items():
-            for t in _band_moves(used, last):
-                v = (low + t,)
-                grown[(used | 1 << t) >> 1].extend([line + v for line in lines])
-        groups = grown
-    lines = sorted(chain.from_iterable(groups.values()))
-    del groups, grown  # or the frame keeps both copies while it yields
+    lines = sorted(chain.from_iterable(
+        _band_walk(m, p, [()], lambda lines, v: [(*line, v) for line in lines])
+    ))
     for line in lines:
         yield RestrictedPermutation._unchecked(m, p, line)
 

@@ -265,19 +265,14 @@ class LaurentPoly:
     def partial(self, k: int) -> "LaurentPoly":
         """Formal partial derivative with respect to the k-th variable.
 
-        Valid for negative exponents too: d(t^e)/dt = e * t^(e-1).
+        Valid for negative exponents too: d(t^e)/dt = e * t^(e-1).  Terms
+        with distinct exponents stay distinct, so none merge or cancel.
         """
-        out: dict[Exponents, int | Fraction] = {}
-        for e, c in self.terms.items():
-            x = e[k]
-            if x:
-                e2 = e[:k] + (x - 1,) + e[k + 1:]
-                acc = out.get(e2)
-                nc = c * x if acc is None else acc + c * x
-                if nc:
-                    out[e2] = nc
-                else:
-                    out.pop(e2, None)
+        out = {
+            e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k]
+            for e, c in self.terms.items()
+            if e[k]
+        }
         return LaurentPoly._raw(self.registry, out)
 
     # -- text form -------------------------------------------------------

@@ -58,7 +58,7 @@ from .cells import symbolic_cauchon_matrix
 from .combinat import CauchonDiagram
 from .errors import RegistryMismatchError
 from .laurent import LaurentPoly, VarRegistry
-from .restoration import Step, restore, step_sequence
+from .restoration import Step, restore
 
 
 class BracketTable(_Value):
@@ -295,7 +295,6 @@ def verify_all_step_brackets(C: CauchonDiagram) -> list[StepBracketReport]:
     trace = restore(M)
     grid, pairs, reads, turns, passing = _step_plan(C.m, C.p)
     zero_shift = all(not any(s) for s, _ in table.shifts)
-    labels = step_sequence(C.m, C.p)
     # entry u and its Lambda beta terms at the previous label; every entry
     # differs from None, so every pair is examined at the first label
     entries: list = [None] * len(grid)
@@ -303,9 +302,10 @@ def verify_all_step_brackets(C: CauchonDiagram) -> list[StepBracketReport]:
     checks: list = [None] * len(pairs)
     reports = []
     Y = None
-    for t, r in enumerate(labels):
-        before, Y = Y, trace[r]
-        todo = set(turns[grid.index(labels[t - 1])]) if t else set()
+    for t, (r, matrix) in enumerate(trace.items()):
+        before, Y = Y, matrix
+        # label t-1 is grid position t, so its turns are turns[t]
+        todo = set(turns[t]) if t else set()
         if Y is not before:
             for u, entry in enumerate(x for row in Y for x in row):
                 if entry is not entries[u]:

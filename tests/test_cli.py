@@ -667,6 +667,14 @@ class TestGoldenBytes:
         digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
         assert (got_code, digest(out), digest(err)) == (code, out_sha, err_sha), (out, err)
 
+    def test_a_closed_stdout_exits_0(self, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert cli.main(["diagrams", "2", "2", "--count"]) == 0
+
     def test_suite_choices_keep_their_order(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "bogus"])

@@ -123,6 +123,11 @@ class TestDiagrams:
         with pytest.raises(ValueError):
             is_cauchon(2, 2, [(3, 1)])
 
+    @pytest.mark.parametrize("mask", [-1, 1 << 4])
+    def test_out_of_range_mask_rejected(self, mask):
+        with pytest.raises(ValueError, match="mask out of range for the grid"):
+            CauchonDiagram(2, 2, mask)
+
     def test_enumeration_is_exhaustive_filter(self):
         got = {C.mask for C in enumerate_diagrams(2, 3)}
         expected = set()
@@ -141,7 +146,7 @@ class TestDiagrams:
     def test_count_is_the_enumeration_size(self, m, p):
         assert count_diagrams(m, p) == sum(1 for _ in enumerate_diagrams(m, p))
 
-    @pytest.mark.parametrize("m,p", [(5, 5), (8, 8), (1, 64), (64, 1)])
+    @pytest.mark.parametrize("m,p", [(5, 5), (8, 8), (1, 64), (64, 1), (2, 9), (9, 2), (3, 7)])
     def test_count_is_the_poly_bernoulli_closed_form(self, m, p):
         assert count_diagrams(m, p) == poly_bernoulli(m, p)
 
@@ -302,6 +307,11 @@ class TestRestrictedPerms:
     def test_count_is_the_enumeration_size(self, m, p):
         assert _count_restricted_perms(m, p) == sum(1 for _ in enumerate_restricted_perms(m, p))
 
+    @pytest.mark.parametrize("m,p", [(5, 5), (8, 8), (2, 9), (9, 2), (1, 64), (64, 1)])
+    def test_count_is_the_poly_bernoulli_closed_form(self, m, p):
+        # the band walk against a formula that shares nothing with it
+        assert _count_restricted_perms(m, p) == poly_bernoulli(m, p)
+
     @pytest.mark.parametrize("m,p", [(8, 8), (1, 16), (16, 1), (4, 16)])
     def test_count_is_the_diagram_count(self, m, p):
         # the bijection: as many restricted permutations as diagrams
@@ -325,6 +335,11 @@ class TestRestrictedPerms:
             RestrictedPermutation(2, 1, (2, 3, 1))  # w(3)-3 = -2 < -p = -1
         with pytest.raises(ValueError):
             RestrictedPermutation(2, 2, (1, 1, 2, 3))
+
+    @pytest.mark.parametrize("m,p", [(0, 2), (2, 0)])
+    def test_empty_grid_rejected(self, m, p):
+        with pytest.raises(ValueError, match="m and p must be positive"):
+            RestrictedPermutation(m, p, (1, 2))
 
     def test_w_max(self):
         wm = w_max(3, 4)
@@ -390,6 +405,10 @@ class TestBruhat:
         z = w_max(2, 2)
         assert bruhat_leq(w, z)
 
+    def test_different_sizes_rejected(self):
+        with pytest.raises(ValueError, match="permutations act on different sets"):
+            bruhat_leq((1, 2, 3), (1, 2, 3, 4))
+
 
 class TestBlocksAndHelpers:
     def test_block_shapes_and_sums(self):
@@ -425,6 +444,10 @@ class TestBlocksAndHelpers:
             [0, 0, 0, 1],
             [0, 1, 0, 0],
         ]
+
+    def test_block_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="permutation size does not match m \\+ p"):
+            block_decompose((1, 2, 3), 2, 2)
 
     def test_longest_and_compose(self):
         assert longest_element(4) == (4, 3, 2, 1)

@@ -301,6 +301,10 @@ class TestRankConditionShadow:
         for w in enumerate_restricted_perms(2, 2):
             assert closure_rank_conditions_hold(w, zero)
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="matrix is 2x2, expected 2x3"):
+            closure_rank_conditions_hold(w_max(2, 3), as_matrix([[0, 0], [0, 0]]))
+
     def test_witness_matrix_shape(self):
         x = witness_matrix(MinorId((1, 3), (2, 3)), 3, 3)
         assert [[int(v) for v in row] for row in x] == [

@@ -55,6 +55,11 @@ class TestRegistry:
         with pytest.raises(ValueError):
             VarRegistry(2, 2, ((1, 2), (1, 1)))  # not row-major sorted
 
+    @pytest.mark.parametrize("m,p", [(0, 2), (2, 0)])
+    def test_rejects_an_empty_grid(self, m, p):
+        with pytest.raises(ValueError, match="grid dimensions must be positive"):
+            VarRegistry(m, p, ())
+
     def test_var_lookup(self):
         assert R.var(1, 2) == T12
         assert R.var(2, 2) == T22
@@ -101,6 +106,22 @@ class TestArithmetic:
         assert (T11 + 1) - 1 == T11
         assert Fraction(1, 2) * (T11 + T11) == T11
 
+    def test_scalar_minus_poly(self):
+        assert 3 - T11 == R.const(3) - T11 == poly({(0, 0, 0, 0): 3, (1, 0, 0, 0): -1})
+        assert Fraction(1, 2) - T11 == -(T11 - Fraction(1, 2))
+
+    def test_other_operands_are_not_implemented(self):
+        for name in ("__eq__", "__add__", "__sub__", "__rsub__", "__mul__"):
+            assert getattr(T11, name)("x") is NotImplemented, name
+        assert T11 != "t[1,1]" and not T11 == "t[1,1]"
+        for op in (lambda: T11 + "x", lambda: T11 - "x", lambda: "x" - T11, lambda: T11 * "x"):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_rejects_an_exponent_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match=r"exponent vector \(1, 2, 3\) has length 3, expected 4"):
+            LaurentPoly(R, {(1, 2, 3): 1})
+
     def test_cross_registry_rejected(self):
         other = VarRegistry.grid(2, 2, skip=[(2, 2)])
         with pytest.raises(RegistryMismatchError):
@@ -145,6 +166,11 @@ class TestDivision:
     def test_zero_divisor_raises(self):
         with pytest.raises(ZeroDivisionError):
             laurent_div_exact(T11, R.zero())
+
+    def test_cross_registry_raises(self):
+        other = VarRegistry.grid(2, 2, skip=[(2, 2)])
+        with pytest.raises(RegistryMismatchError, match="different variable registries"):
+            laurent_div_exact(T11, other.var(1, 1))
 
     def test_zero_dividend(self):
         assert laurent_div_exact(R.zero(), T11 + T12) == R.zero()
@@ -191,6 +217,11 @@ class TestEvaluateAndText:
         reg = VarRegistry.grid(2, 2, skip=[(2, 2)])
         with pytest.raises((KeyError, ValueError)):
             parse_laurent("t[2,2]", reg)
+
+    @pytest.mark.parametrize("text", ["", "   "])
+    def test_parse_rejects_empty_text(self, text):
+        with pytest.raises(ValueError, match="empty polynomial text"):
+            parse_laurent(text, R)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):

@@ -55,6 +55,11 @@ class TestMinorId:
         ids = all_minor_ids(2, 2)
         assert [x.text() for x in ids] == ["[1|1]", "[1|2]", "[2|1]", "[2|2]", "[1,2|1,2]"]
 
+    @pytest.mark.parametrize("m,p", [(0, 3), (3, 0)])
+    def test_ids_of_an_empty_grid_rejected(self, m, p):
+        with pytest.raises(ValueError, match="grid dimensions must be positive"):
+            all_minor_ids(m, p)
+
     def test_id_count_formula(self):
         for m, p in ((1, 1), (2, 2), (2, 3), (3, 3), (3, 4)):
             assert len(all_minor_ids(m, p)) == comb(m + p, m) - 1

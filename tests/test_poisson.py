@@ -623,6 +623,12 @@ class TestStepBrackets:
             ((1, 1), (2, 1)),
         ]
 
+    @pytest.mark.parametrize("pos1, pos2", [((2, 2), (1, 1)), ((1, 2), (1, 1)), ((1, 2), (1, 2))])
+    def test_unordered_positions_rejected(self, pos1, pos2):
+        reg, M = symbolic_cauchon_matrix(CauchonDiagram.from_black(2, 2, ()))
+        with pytest.raises(ValueError, match="are not lexicographically ordered"):
+            poisson.expected_step_bracket(M, (2, 3), pos1, pos2, reg)
+
     def test_all_two_by_two_diagrams(self):
         for C in enumerate_diagrams(2, 2):
             assert all(rep.ok for rep in verify_all_step_brackets(C))

@@ -140,6 +140,7 @@ def test_value_semantics(cls, make, pinned, ascending):
     if ascending is not None:
         assert sorted(reversed(ascending)) == ascending
         assert ascending[0] < ascending[1] <= ascending[1] and ascending[-1] >= ascending[0]
+        assert ascending[-1] > ascending[0] and not ascending[0] > ascending[-1]
     else:
         with pytest.raises(TypeError):
             a < b
@@ -157,6 +158,15 @@ def test_value_semantics(cls, make, pinned, ascending):
         with pytest.raises(AttributeError):
             delattr(a, name)
         assert a == b
+
+
+def test_order_holds_only_within_one_class():
+    diagram, perm = _diagram(), RestrictedPermutation(2, 2, (1, 2, 3, 4))
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(diagram, name)(perm) is NotImplemented, name
+        assert getattr(perm, name)(diagram) is NotImplemented, name
+    with pytest.raises(TypeError, match="not supported between instances"):
+        diagram < perm
 
 
 @pytest.mark.parametrize(
