@@ -21,7 +21,6 @@ from .cells import (
 from .combinat import (
     CauchonDiagram,
     RestrictedPermutation,
-    block_decompose,
     bruhat_leq,
     count_diagrams,
     enumerate_diagrams,
@@ -102,7 +101,6 @@ __all__ = [
     "all_minors",
     "all_minors_table",
     "as_matrix",
-    "block_decompose",
     "bracket",
     "bruhat_cell_vanishes",
     "bruhat_leq",

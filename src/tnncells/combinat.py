@@ -21,10 +21,13 @@ from collections import defaultdict
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator
 
-from ._value import _Ordered, _Value
+from ._value import _Ordered
 from .errors import SizeCapError
 
-MAX_GRID_CELLS = 64  # diagrams are stored as 64-bit row-major masks
+# `_check_grid` and the CLI refuse grids with more cells than this.  Masks
+# are unbounded ints, so the cap bounds work, not storage: the walks, the
+# rejection sampler and the minors tables grow exponentially with the grid.
+MAX_GRID_CELLS = 64
 
 
 def _check_grid(m: int, p: int) -> None:
@@ -340,49 +343,6 @@ def bruhat_leq(w, z) -> bool:
             if cw > cz:
                 return False
     return True
-
-
-class BlockDecomposition(_Value):
-    """The four blocks of an (m+p) x (m+p) permutation matrix split after
-    row m and column p; entries are 0/1, matrix convention P[i][j] = 1 iff
-    w(j) = i."""
-
-    __slots__ = ("w11", "w12", "w21", "w22")
-
-    def __init__(
-        self,
-        w11: tuple[tuple[int, ...], ...],  # m x p
-        w12: tuple[tuple[int, ...], ...],  # m x m
-        w21: tuple[tuple[int, ...], ...],  # p x p
-        w22: tuple[tuple[int, ...], ...],  # p x m
-    ) -> None:
-        object.__setattr__(self, "w11", w11)
-        object.__setattr__(self, "w12", w12)
-        object.__setattr__(self, "w21", w21)
-        object.__setattr__(self, "w22", w22)
-
-
-def block_decompose(w, m: int, p: int) -> BlockDecomposition:
-    line = _one_line(w)
-    if len(line) != m + p:
-        raise ValueError("permutation size does not match m + p")
-    w11 = tuple(
-        tuple(1 if line[a - 1] == i else 0 for a in range(1, p + 1))
-        for i in range(1, m + 1)
-    )
-    w12 = tuple(
-        tuple(1 if line[p + j - 1] == i else 0 for j in range(1, m + 1))
-        for i in range(1, m + 1)
-    )
-    w21 = tuple(
-        tuple(1 if line[a - 1] == m + c else 0 for a in range(1, p + 1))
-        for c in range(1, p + 1)
-    )
-    w22 = tuple(
-        tuple(1 if line[p + j - 1] == m + c else 0 for j in range(1, m + 1))
-        for c in range(1, p + 1)
-    )
-    return BlockDecomposition(w11, w12, w21, w22)
 
 
 def index_set_leq(I: Iterable[int], J: Iterable[int]) -> bool:

@@ -34,8 +34,9 @@ partial permutation: one search over the witnesses, where the minus sign
 is the plus search on the transposes.  The `verify bruhat-cell` suite
 checks it against the masks of `_undominated`, the code behind
 conditions 1 and 2, on both signs.  `closure_rank_conditions_hold`
-realizes the vanishing data through rank inequalities, an independent
-oracle for the tests.
+realizes the vanishing data through rank inequalities on regions of the
+matrix, an independent oracle for the tests; each region's bound is a
+count read straight off the one-line notation of w.
 """
 
 from __future__ import annotations
@@ -48,11 +49,7 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from ._value import _Value
-from .combinat import (
-    RestrictedPermutation,
-    block_decompose,
-    index_set_leq,
-)
+from .combinat import RestrictedPermutation, index_set_leq
 from .minors import COLS, ROWS, MinorFamily, MinorId, _mask_by, _minor_count
 
 
@@ -248,51 +245,42 @@ def family_of_perm(w: RestrictedPermutation) -> MinorFamily:
 # -- rank-condition oracle ---------------------------------------------------
 
 
-def _ones_in(block, rows: range, cols: range) -> int:
-    return sum(block[i - 1][a - 1] for i in rows for a in cols)
-
-
 def closure_rank_conditions_hold(w: RestrictedPermutation, x: linalg.Matrix) -> bool:
     """Do all four families of rank inequalities hold for the matrix x?
 
-    The right-hand bounds come from the blocks of the permutation matrix;
-    block slices are partial permutation matrices, so their rank is their
-    number of ones.
+    Each region of x, a set of rows by a set of columns (1-based), has its
+    rank bounded by a count read off the one-line notation of w, n = m+p:
+
+    - lower-left corner, rows [r, m] x cols [1, s]:
+      #{a <= s : w(a) <= m+1-r};
+    - upper-right corner, rows [1, r] x cols [s, p]:
+      #{i <= r : w(n+1-i) >= m+s};
+    - column window, all rows x cols [r, s]:
+      (s+1-r) - #{a in [r, s] : w(a) >= m+r};
+    - row window, rows [r, s] x all cols:
+      (s+1-r) - #{j <= s : m+1-s <= w(n+1-j) <= m+1-r}.
     """
-    m, p = w.m, w.p
+    m, p, n, line = w.m, w.p, w.n, w.w
     mm, pp = linalg.dims(x)
     if (mm, pp) != (m, p):
         raise ValueError(f"matrix is {mm}x{pp}, expected {m}x{p}")
-    blocks = block_decompose(w, m, p)
-    rev_rows_11 = tuple(blocks.w11[m - i] for i in range(1, m + 1))  # flip rows
-    w22t = tuple(tuple(blocks.w22[a - 1][i - 1] for a in range(1, p + 1)) for i in range(1, m + 1))
-    rev_rows_22t = tuple(w22t[m - i] for i in range(1, m + 1))
-    flip12 = tuple(
-        tuple(blocks.w12[m - i][m - j] for j in range(1, m + 1)) for i in range(1, m + 1)
-    )
-
-    def xrank(rows: range, cols: range) -> int:
-        sub = linalg.submatrix(x, [i - 1 for i in rows], [a - 1 for a in cols])
-        return linalg.rank_exact(sub)
-
+    regions = []
     for r in range(1, m + 1):
         for s in range(1, p + 1):
-            if xrank(range(r, m + 1), range(1, s + 1)) > _ones_in(
-                rev_rows_11, range(r, m + 1), range(1, s + 1)
-            ):
-                return False
-            if xrank(range(1, r + 1), range(s, p + 1)) > _ones_in(
-                rev_rows_22t, range(1, r + 1), range(s, p + 1)
-            ):
-                return False
+            lower = sum(line[a - 1] <= m + 1 - r for a in range(1, s + 1))
+            upper = sum(line[n - i] >= m + s for i in range(1, r + 1))
+            regions.append((range(r, m + 1), range(1, s + 1), lower))
+            regions.append((range(1, r + 1), range(s, p + 1), upper))
     for r in range(1, p + 1):
         for s in range(r, p + 1):
-            bound = s + 1 - r - _ones_in(blocks.w21, range(r, p + 1), range(r, s + 1))
-            if xrank(range(1, m + 1), range(r, s + 1)) > bound:
-                return False
+            held = sum(line[a - 1] >= m + r for a in range(r, s + 1))
+            regions.append((range(1, m + 1), range(r, s + 1), s + 1 - r - held))
     for r in range(1, m + 1):
         for s in range(r, m + 1):
-            bound = s + 1 - r - _ones_in(flip12, range(r, s + 1), range(1, s + 1))
-            if xrank(range(r, s + 1), range(1, p + 1)) > bound:
-                return False
-    return True
+            held = sum(m + 1 - s <= line[n - j] <= m + 1 - r for j in range(1, s + 1))
+            regions.append((range(r, s + 1), range(1, p + 1), s + 1 - r - held))
+    return all(
+        linalg.rank_exact(linalg.submatrix(x, [i - 1 for i in rows], [a - 1 for a in cols]))
+        <= bound
+        for rows, cols, bound in regions
+    )

@@ -19,6 +19,7 @@ from .cells import (
     random_cauchon_matrix,
 )
 from .combinat import (
+    _count_restricted_perms,
     bruhat_leq,
     count_diagrams,
     enumerate_diagrams,
@@ -111,12 +112,14 @@ def _count_perms_by_permanent(m: int, p: int) -> int:
 def counting_suite(
     sizes: Iterable[tuple[int, int]] = ((1, 1), (2, 2), (2, 3), (3, 3))
 ) -> SuiteReport:
-    """Diagram count = permutation count, by three independent computations."""
+    """Diagram count = permutation count, by four computations: the row walk
+    over diagrams, the band walk over permutations, a filter over all of
+    S_{m+p} and the permanent of the allowed-position matrix."""
     rows = []
     ok = True
     for m, p in sizes:
         diagrams = count_diagrams(m, p)
-        perms = sum(1 for _ in enumerate_restricted_perms(m, p))
+        perms = _count_restricted_perms(m, p)
         filtered = _count_perms_by_filter(m, p)
         permanent = _count_perms_by_permanent(m, p)
         agree = diagrams == perms == filtered == permanent

@@ -9,7 +9,6 @@ from tnncells import (
     CauchonDiagram,
     RestrictedPermutation,
     SizeCapError,
-    block_decompose,
     bruhat_leq,
     count_diagrams,
     diagram_of_matrix,
@@ -411,44 +410,6 @@ class TestBruhat:
 
 
 class TestBlocksAndHelpers:
-    def test_block_shapes_and_sums(self):
-        w = RestrictedPermutation(3, 4, (3, 1, 4, 2, 7, 6, 5))
-        b = block_decompose(w, 3, 4)
-        assert len(b.w11) == 3 and len(b.w11[0]) == 4
-        assert len(b.w12) == 3 and len(b.w12[0]) == 3
-        assert len(b.w21) == 4 and len(b.w21[0]) == 4
-        assert len(b.w22) == 4 and len(b.w22[0]) == 3
-        # stacked blocks reassemble the permutation matrix: every row/col sums to 1
-        n = 7
-        full = [[0] * n for _ in range(n)]
-        for i in range(3):
-            for a in range(4):
-                full[i][a] = b.w11[i][a]
-            for j in range(3):
-                full[i][4 + j] = b.w12[i][j]
-        for c in range(4):
-            for a in range(4):
-                full[3 + c][a] = b.w21[c][a]
-            for j in range(3):
-                full[3 + c][4 + j] = b.w22[c][j]
-        assert all(sum(row) == 1 for row in full)
-        assert all(sum(full[i][j] for i in range(n)) == 1 for j in range(n))
-
-    def test_block_golden(self):
-        # reversing the rows of the upper-left block of w = 3,1,4,2,7,6,5
-        w = RestrictedPermutation(3, 4, (3, 1, 4, 2, 7, 6, 5))
-        b = block_decompose(w, 3, 4)
-        reversed_w11 = list(reversed(b.w11))
-        assert [list(r) for r in reversed_w11] == [
-            [1, 0, 0, 0],
-            [0, 0, 0, 1],
-            [0, 1, 0, 0],
-        ]
-
-    def test_block_size_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="permutation size does not match m \\+ p"):
-            block_decompose((1, 2, 3), 2, 2)
-
     def test_longest_and_compose(self):
         assert longest_element(4) == (4, 3, 2, 1)
         assert all(bruhat_leq(w, longest_element(4)) for w in permutations(range(1, 5)))

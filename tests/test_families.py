@@ -8,6 +8,7 @@ from tnncells import (
     as_matrix,
     bruhat_cell_vanishes,
     closure_rank_conditions_hold,
+    enumerate_diagrams,
     enumerate_partial_permutations,
     enumerate_restricted_perms,
     family_of_perm,
@@ -16,9 +17,12 @@ from tnncells import (
     MinorId,
     all_minor_ids,
     perm_of_diagram,
+    random_cauchon_matrix,
     random_diagram,
+    restore,
     w_max,
 )
+from tnncells import families
 from tnncells.families import _bounded_subsets, _condition_masks, _undominated
 from tnncells.minors import COLS, ROWS
 
@@ -279,8 +283,79 @@ class TestFamilyEdges:
         assert len(set(fams)) == 14
 
 
+def block_count_regions(w):
+    """Each region of `closure_rank_conditions_hold` as (rows, cols,
+    bound), 0-based, with the bound counted as ones of the permutation
+    matrix P[i][j] = [w(j) = i] in a flipped block of P."""
+    m, p, n = w.m, w.p, w.n
+    # 1-based: row and column 0 are padding
+    P = [[int(0 < j and w.w[j - 1] == i) for j in range(n + 1)] for i in range(n + 1)]
+
+    def ones(cells):
+        return sum(P[i][j] for i, j in cells)
+
+    regions = []
+    for r in range(1, m + 1):
+        for s in range(1, p + 1):
+            # the upper-left block with its rows flipped: (i, a) is P[m+1-i][a]
+            corner = ones((m + 1 - i, a) for i in range(r, m + 1) for a in range(1, s + 1))
+            regions.append((range(r, m + 1), range(1, s + 1), corner))
+            # the lower-right block transposed, rows flipped: (i, a) is P[m+a][n+1-i]
+            corner = ones((m + a, n + 1 - i) for i in range(1, r + 1) for a in range(s, p + 1))
+            regions.append((range(1, r + 1), range(s, p + 1), corner))
+    for r in range(1, p + 1):
+        for s in range(r, p + 1):
+            # the lower-left block: (c, a) is P[m+c][a], rows [r, p], cols [r, s]
+            held = ones((m + c, a) for c in range(r, p + 1) for a in range(r, s + 1))
+            regions.append((range(1, m + 1), range(r, s + 1), s + 1 - r - held))
+    for r in range(1, m + 1):
+        for s in range(r, m + 1):
+            # the upper-right block, both axes flipped: (i, j) is P[m+1-i][n+1-j]
+            held = ones((m + 1 - i, n + 1 - j) for i in range(r, s + 1) for j in range(1, s + 1))
+            regions.append((range(r, s + 1), range(1, p + 1), s + 1 - r - held))
+    return sorted(
+        (tuple(i - 1 for i in rows), tuple(a - 1 for a in cols), bound)
+        for rows, cols, bound in regions
+    )
+
+
+class _Bound:
+    """Stands in for a region's rank: logs the bound it is compared with."""
+
+    def __init__(self, region, log):
+        self.region, self.log = region, log
+
+    def __le__(self, bound):
+        self.log.append((*self.region, bound))
+        return True
+
+
 class TestRankConditionShadow:
-    """The rank-condition description must reject every vanishing-minor witness."""
+    """The rank-condition description must reject every vanishing-minor
+    witness, hold on every point of the cell, and bound each region by the
+    ones of w's permutation matrix in it."""
+
+    @pytest.mark.parametrize(
+        "m,p",
+        [(m, p) for m in range(1, 5) for p in range(1, 5)] + [(1, 7), (7, 1)],
+    )
+    def test_region_bounds_match_block_counts(self, m, p, monkeypatch):
+        log = []
+        monkeypatch.setattr(
+            families.linalg, "submatrix", lambda x, rows, cols: (tuple(rows), tuple(cols))
+        )
+        monkeypatch.setattr(families.linalg, "rank_exact", lambda region: _Bound(region, log))
+        zero = as_matrix([[0] * p for _ in range(m)])
+        for w in enumerate_restricted_perms(m, p):
+            log.clear()
+            assert closure_rank_conditions_hold(w, zero)
+            assert sorted(log) == block_count_regions(w), w.w
+
+    @pytest.mark.parametrize("m,p", [(2, 3), (3, 3)])
+    def test_every_cell_point_meets_its_bounds(self, m, p):
+        for k, C in enumerate(enumerate_diagrams(m, p)):
+            x = restore(random_cauchon_matrix(C, k)).final
+            assert closure_rank_conditions_hold(perm_of_diagram(C), x), C
 
     @pytest.mark.parametrize("m,p", [(2, 2), (2, 3)])
     def test_witnesses_violate_rank_conditions(self, m, p):

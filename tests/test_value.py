@@ -23,7 +23,6 @@ from tnncells import (
     RestrictedPermutation,
     TnnVerdict,
     VarRegistry,
-    block_decompose,
     cell_bracket_table,
     family_of_diagram,
     matrix_bracket_table,
@@ -32,7 +31,6 @@ from tnncells import (
     symbolic_cauchon_matrix,
 )
 from tnncells._value import _Value
-from tnncells.combinat import BlockDecomposition
 from tnncells.poisson import PairCheck, StepBracketReport
 from tnncells.verify import SuiteReport
 
@@ -86,7 +84,6 @@ CASES = [
             RestrictedPermutation(2, 2, (3, 4, 1, 2)),
         ],
     ),
-    (BlockDecomposition, lambda: block_decompose((3, 4, 1, 2), 2, 2), None, None),
     (PartialPermutation, lambda: PartialPermutation(2, 3, ((1, 2), (3, 1))), None, None),
     (VarRegistry, lambda: VarRegistry.grid(2, 2, skip=[(1, 2)]), None, None),
     (MinorFamily, lambda: MinorFamily(2, 2, 5), "MinorFamily(m=2, p=2, mask=5)", None),
