@@ -259,6 +259,10 @@ def closure_rank_conditions_hold(w: RestrictedPermutation, x: linalg.Matrix) -> 
       (s+1-r) - #{a in [r, s] : w(a) >= m+r};
     - row window, rows [r, s] x all cols:
       (s+1-r) - #{j <= s : m+1-s <= w(n+1-j) <= m+1-r}.
+
+    Some regions recur across the families (a corner can also be a
+    window); each distinct region is ranked once, against the smallest of
+    its bounds.
     """
     m, p, n, line = w.m, w.p, w.n, w.w
     mm, pp = linalg.dims(x)
@@ -279,8 +283,11 @@ def closure_rank_conditions_hold(w: RestrictedPermutation, x: linalg.Matrix) -> 
         for s in range(r, m + 1):
             held = sum(m + 1 - s <= line[n - j] <= m + 1 - r for j in range(1, s + 1))
             regions.append((range(r, s + 1), range(1, p + 1), s + 1 - r - held))
+    bounds: dict[tuple[range, range], int] = {}
+    for rows, cols, bound in regions:
+        bounds[rows, cols] = min(bound, bounds.get((rows, cols), bound))
     return all(
         linalg.rank_exact(linalg.submatrix(x, [i - 1 for i in rows], [a - 1 for a in cols]))
         <= bound
-        for rows, cols, bound in regions
+        for (rows, cols), bound in bounds.items()
     )

@@ -23,6 +23,9 @@ monomials is then
 
 so {f, g} is one pass over the term pairs of f and the shifted, weighted
 terms of g, with Lambda_s beta computed once per term of g and shift.
+Each column of Lambda_s is stored as its nonzero entries only, so
+Lambda_s beta costs the nonzero entries of the columns in the support of
+beta.
 Every Lambda_s is skew, so beta^T Lambda_s alpha = -(alpha^T Lambda_s beta)
 and {f, g} = -{g, f} holds term by term, on every table: the weighted side
 is the operand with fewer terms, and swapping the operands only negates
@@ -43,13 +46,14 @@ northwest-southeast pair whose Y_ig or Y_ka changed, or (c) it is a
 northwest-southeast pair whose second position is the previous label, so
 its case turns from zero to crossed.  What depends only on the grid's
 shape (the pairs, which pairs read each entry, which turn crossed at each
-label, and the passing check of each pair) is built once per shape.
+label, the passing check of each pair, and each pair's case at each label)
+is built once per shape.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import combinations
 from operator import add, mul
 from typing import Iterable, Mapping
 
@@ -58,7 +62,7 @@ from .cells import symbolic_cauchon_matrix
 from .combinat import CauchonDiagram
 from .errors import RegistryMismatchError
 from .laurent import LaurentPoly, VarRegistry
-from .restoration import Step, restore
+from .restoration import Step, _labels, restore
 
 
 class BracketTable(_Value):
@@ -67,7 +71,9 @@ class BracketTable(_Value):
     `shifts` splits the values by shift: one pair (s, columns) per shift s
     that some term c * x^e of a value b[v,w] has, s = e - e_v - e_w.
     That shift's skew matrix Lambda_s has c at [v][w] and -c at [w][v];
-    `columns` maps u to column u of Lambda_s, for the nonzero columns only.
+    `columns` maps u to column u of Lambda_s, for the nonzero columns only,
+    and holds each column as its nonzero entries (v, Lambda_s[v][u]),
+    sorted by v.
     """
 
     __slots__ = ("registry", "entries", "shifts")
@@ -83,22 +89,19 @@ class BracketTable(_Value):
                 raise ValueError(f"pair {(v, w)} is not ordered or out of range")
             if value.registry != registry:
                 raise RegistryMismatchError("table value from a foreign registry")
-        n = len(registry)
-        # cols[u] is column u of Lambda_s: Lambda_s[v][w] = c lands in
+        # cols[u] maps row v to Lambda_s[v][u]: Lambda_s[v][w] = c lands in
         # column w at row v, and Lambda_s[w][v] = -c in column v at row w
-        by_shift: dict[tuple[int, ...], list[list]] = {}
+        by_shift: dict[tuple[int, ...], dict[int, dict]] = {}
         for (v, w), value in entries.items():
             for e, c in value.terms.items():
                 shift = list(e)
                 shift[v] -= 1
                 shift[w] -= 1
-                cols = by_shift.get(tuple(shift))
-                if cols is None:
-                    cols = by_shift[tuple(shift)] = [[0] * n for _ in range(n)]
-                cols[w][v] = c
-                cols[v][w] = -c
+                cols = by_shift.setdefault(tuple(shift), {})
+                cols.setdefault(w, {})[v] = c
+                cols.setdefault(v, {})[w] = -c
         shifts = tuple(
-            (s, {u: tuple(column) for u, column in enumerate(cols) if any(column)})
+            (s, {u: tuple(sorted(column.items())) for u, column in cols.items()})
             for s, cols in by_shift.items()
         )
         object.__setattr__(self, "shifts", shifts)
@@ -152,7 +155,9 @@ def bracket(f: LaurentPoly, g: LaurentPoly, table: BracketTable) -> LaurentPoly:
     skew, so {f, g} = -{g, f} term by term, and weighing f instead of g
     only negates each coefficient of its weighted terms."""
     registry = table.registry
-    if f.registry != registry or g.registry != registry:
+    if (f.registry is not registry and f.registry != registry) or (
+        g.registry is not registry and g.registry != registry
+    ):
         raise RegistryMismatchError("operands do not match the table's registry")
     if len(f.terms) < len(g.terms):
         f_weighted = _weighted_terms(f.terms, table.shifts)
@@ -167,7 +172,8 @@ def _weighted_terms(terms: dict, shifts: tuple) -> list[tuple]:
     once per shift s whose Lambda_s beta is nonzero.
 
     Lambda_s beta is summed as beta_u times column u over the support of
-    beta only, so a sparse term costs only its own columns."""
+    beta only, and each column holds only its nonzero entries, so a term
+    costs only the nonzero entries of its own columns."""
     out = []
     for e, c in terms.items():
         support = [(u, x) for u, x in enumerate(e) if x]
@@ -177,11 +183,12 @@ def _weighted_terms(terms: dict, shifts: tuple) -> list[tuple]:
                 column = columns.get(u)
                 if column is None:
                     continue
-                if x != 1:
-                    column = map(mul, column, repeat(x))
-                lb = tuple(column) if lb is None else tuple(map(add, lb, column))
+                if lb is None:
+                    lb = [0] * len(e)
+                for v, y in column:
+                    lb[v] += x * y
             if lb is not None and any(lb):
-                out.append((tuple(map(add, e, s)), c, lb))
+                out.append((tuple(map(add, e, s)), c, tuple(lb)))
     return out
 
 
@@ -293,7 +300,7 @@ def verify_all_step_brackets(C: CauchonDiagram) -> list[StepBracketReport]:
     registry, M = symbolic_cauchon_matrix(C)
     table = cell_bracket_table(registry)
     trace = restore(M)
-    grid, pairs, reads, turns, passing = _step_plan(C.m, C.p)
+    grid, pairs, reads, turns, passing, cases = _step_plan(C.m, C.p)
     zero_shift = all(not any(s) for s, _ in table.shifts)
     # entry u and its Lambda beta terms at the previous label; every entry
     # differs from None, so every pair is examined at the first label
@@ -312,14 +319,14 @@ def verify_all_step_brackets(C: CauchonDiagram) -> list[StepBracketReport]:
                     entries[u] = entry
                     weighted[u] = _weighted_terms(entry.terms, table.shifts)
                     todo.update(reads[u])
+        case_of = cases[t]
         for j in todo:
             x, y = pairs[j]
-            pos1, pos2 = grid[x], grid[y]
-            case = _step_case(r, pos1, pos2)
             f, g_weighted = entries[x], weighted[y]
-            if zero_shift and _certified(case, f.terms, entries[y].terms, g_weighted):
+            if zero_shift and _certified(case_of[j], f.terms, entries[y].terms, g_weighted):
                 checks[j] = passing[j]
                 continue
+            pos1, pos2 = grid[x], grid[y]
             lhs = _monomial_bracket(f.terms, g_weighted)
             rhs = expected_step_bracket(Y, r, pos1, pos2, registry)
             if lhs == rhs.terms:
@@ -340,7 +347,8 @@ def _step_plan(m: int, p: int) -> tuple:
     `combinations(grid, 2)` order.  `reads[u]` holds the pairs that read
     entry u: as one of their entries or, for a northwest-southeast pair,
     as Y_ig or Y_ka.  `turns[u]` holds the northwest-southeast pairs whose
-    second position is u.  `passing[j]` is the passing check of pair j."""
+    second position is u.  `passing[j]` is the passing check of pair j,
+    and `cases[t][j]` is its `_step_case` at the t-th step label."""
     grid = tuple((i, a) for i in range(1, m + 1) for a in range(1, p + 1))
     pairs = tuple(combinations(range(m * p), 2))
     reads: list[list[int]] = [[] for _ in grid]
@@ -354,7 +362,10 @@ def _step_plan(m: int, p: int) -> tuple:
             reads[(k - 1) * p + a - 1].append(j)
             turns[y].append(j)
     passing = tuple(PairCheck(grid[x], grid[y], True) for x, y in pairs)
-    return grid, pairs, tuple(map(tuple, reads)), tuple(map(tuple, turns)), passing
+    cases = tuple(
+        tuple(_step_case(r, grid[x], grid[y]) for x, y in pairs) for r in _labels(m, p)
+    )
+    return grid, pairs, tuple(map(tuple, reads)), tuple(map(tuple, turns)), passing, cases
 
 
 def _certified(case: str, f_terms: dict, g_terms: dict, g_weighted: list[tuple]) -> bool:

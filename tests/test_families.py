@@ -284,9 +284,10 @@ class TestFamilyEdges:
 
 
 def block_count_regions(w):
-    """Each region of `closure_rank_conditions_hold` as (rows, cols,
-    bound), 0-based, with the bound counted as ones of the permutation
-    matrix P[i][j] = [w(j) = i] in a flipped block of P."""
+    """Each distinct region of `closure_rank_conditions_hold` as (rows,
+    cols, bound), 0-based, with the bound counted as ones of the
+    permutation matrix P[i][j] = [w(j) = i] in a flipped block of P, and
+    the smallest such bound kept for a region that several blocks give."""
     m, p, n = w.m, w.p, w.n
     # 1-based: row and column 0 are padding
     P = [[int(0 < j and w.w[j - 1] == i) for j in range(n + 1)] for i in range(n + 1)]
@@ -313,10 +314,12 @@ def block_count_regions(w):
             # the upper-right block, both axes flipped: (i, j) is P[m+1-i][n+1-j]
             held = ones((m + 1 - i, n + 1 - j) for i in range(r, s + 1) for j in range(1, s + 1))
             regions.append((range(r, s + 1), range(1, p + 1), s + 1 - r - held))
-    return sorted(
-        (tuple(i - 1 for i in rows), tuple(a - 1 for a in cols), bound)
-        for rows, cols, bound in regions
-    )
+    # a region that recurs is ranked once, against its smallest bound
+    smallest = {}
+    for rows, cols, bound in regions:
+        region = (tuple(i - 1 for i in rows), tuple(a - 1 for a in cols))
+        smallest[region] = min(bound, smallest.get(region, bound))
+    return sorted((*region, bound) for region, bound in smallest.items())
 
 
 class _Bound:

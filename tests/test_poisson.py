@@ -19,6 +19,7 @@ from tnncells import (
     matrix_bracket_table,
     poisson,
     restore,
+    step_sequence,
     symbolic_cauchon_matrix,
     verify_all_step_brackets,
     verify_jacobi,
@@ -83,8 +84,42 @@ def cell_skew(reg):
 
 def nonzero_columns(skew):
     """A skew matrix as the columns that `BracketTable.shifts` keeps: the
-    nonzero ones, keyed by column index."""
-    return {u: column for u, column in enumerate(zip(*skew)) if any(column)}
+    nonzero ones, keyed by column index, each as its nonzero entries
+    (row, value) in row order."""
+    return {
+        u: tuple((v, x) for v, x in enumerate(column) if x)
+        for u, column in enumerate(zip(*skew))
+        if any(column)
+    }
+
+
+def dense_skews(table):
+    """Each shift's Lambda_s as a dense n x n matrix, read from the table's
+    values alone: a term c * x^e of b[v,w] puts c at [v][w] and -c at
+    [w][v] of the skew of shift e - e_v - e_w."""
+    n = len(table.registry)
+    skews = {}
+    for (v, w), value in table.entries.items():
+        for e, c in value.terms.items():
+            s = list(e)
+            s[v] -= 1
+            s[w] -= 1
+            skew = skews.setdefault(tuple(s), [[0] * n for _ in range(n)])
+            skew[v][w] += c
+            skew[w][v] -= c
+    return skews
+
+
+def dense_weighted_terms(terms, table):
+    """(beta + s, c, Lambda_s beta) for each term and each shift whose
+    Lambda_s beta is nonzero, by dense matrix-vector products."""
+    out = []
+    for beta, c in terms.items():
+        for s, skew in dense_skews(table).items():
+            lb = tuple(sum(x * y for x, y in zip(row, beta)) for row in skew)
+            if any(lb):
+                out.append((tuple(x + y for x, y in zip(beta, s)), c, lb))
+    return out
 
 
 def white_cell_registries():
@@ -277,6 +312,54 @@ class TestShifts:
                 assert bracket(f, g, table) == per_pair_bracket(f, g, table)
 
 
+def random_exponents(n, rng, count):
+    """`count` distinct exponent vectors with entries in [-3, 3], about a
+    third of them zero, plus the zero vector and every unit vector."""
+    vectors = {(0,) * n, *(tuple(int(u == v) for v in range(n)) for u in range(n))}
+    while len(vectors) < count + n + 1:
+        vectors.add(tuple(rng.choice((0, 0, 0, -3, -2, -1, 1, 2, 3)) for _ in range(n)))
+    return vectors
+
+
+class TestSparseColumns:
+    def test_weighted_terms_equal_dense_products(self, rng):
+        # `_weighted_terms` on the sparse columns of `shifts` against
+        # Lambda_s beta built densely from the table's values alone, on
+        # tables with one zero shift, several shifts, and a nonzero shift
+        reg33 = VarRegistry.grid(3, 3)
+        white = white_cell_registries()[1]
+        x, y, z = generators(white)[:3]
+        other = BracketTable(
+            white,
+            {
+                (0, 2): Fraction(2, 3) * x / y + Fraction(-5, 4) * z + 7 * x * y * z,
+                (1, 3): 3 * y * y,
+                (0, 1): white.zero(),
+            },
+        )
+        tables = [
+            cell_bracket_table(reg33),
+            cell_bracket_table(white),
+            matrix_bracket_table(reg33),
+            other,
+        ]
+        assert [len(table.shifts) > 1 for table in tables] == [False, False, True, True]
+        assert any(any(s) for s, _ in other.shifts)
+        # the diagonal's columns of the 3x3 cell skew cancel: its Lambda beta
+        # is built from columns and is zero, so it must be dropped
+        diagonal = tuple(int(i == a) for i, a in reg33.positions)
+        assert not dense_weighted_terms({diagonal: 1}, tables[0])
+        for table in tables:
+            exponents = random_exponents(len(table.registry), rng, 60)
+            if table.registry is reg33:
+                exponents |= {diagonal, tuple(-2 * d for d in diagonal)}
+            terms = {
+                e: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)) for e in exponents
+            }
+            got = poisson._weighted_terms(terms, table.shifts)
+            assert sorted(got) == sorted(dense_weighted_terms(terms, table))
+
+
 class TestMonomialRoute:
     """The monomial route against the gradient formula on cell tables:
     `per_pair_bracket` takes fresh partials for every pair."""
@@ -307,8 +390,16 @@ class TestMonomialRoute:
         reg, M = symbolic_cauchon_matrix(C)
         Y = restore(M)[(2, 3)]
         table = cell_bracket_table(reg)
+        # the step loop reads each pair's case from the shape's plan, so the
+        # plan is rebuilt under the planted rule and dropped afterwards
         monkeypatch.setattr(poisson, "_step_case", lambda r, pos1, pos2: "zero")
-        report = step_report(C, (2, 3))
+        poisson._step_plan.cache_clear()
+        try:
+            cases = poisson._step_plan(C.m, C.p)[-1]
+            assert {case for row in cases for case in row} == {"zero"}
+            report = step_report(C, (2, 3))
+        finally:
+            poisson._step_plan.cache_clear()
         assert len(report.checks) == 15 and report.failures
         for check in report.checks:
             (i, a), (k, g) = check.first, check.second
@@ -496,6 +587,20 @@ class TestStepCertificate:
         )
 
 
+class TestStepPlanCases:
+    @pytest.mark.parametrize("m, p", [(1, 2), (2, 2), (2, 3), (3, 3), (3, 4)])
+    def test_cases_equal_the_five_case_rule(self, m, p):
+        grid, pairs, *_, cases = poisson._step_plan(m, p)
+        positions = [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
+        assert [(grid[x], grid[y]) for x, y in pairs] == list(combinations(positions, 2))
+        labels = step_sequence(m, p)
+        assert len(cases) == len(labels)
+        for r, row in zip(labels, cases):
+            assert list(row) == [
+                poisson._step_case(r, pos1, pos2) for pos1, pos2 in combinations(positions, 2)
+            ]
+
+
 class TestBracketLaws:
     @pytest.fixture(params=["cell", "matrix"])
     def table(self, request, reg22):
@@ -549,10 +654,26 @@ class TestBracketLaws:
         assert not verify_jacobi(broken, [t11 * t12, t21, t22 + t11])
 
     def test_registry_mismatch_rejected(self, reg22):
-        other = VarRegistry.grid(2, 3)
         table = cell_bracket_table(reg22)
-        with pytest.raises(RegistryMismatchError):
-            bracket(other.gen(0), other.gen(1), table)
+        t11 = reg22.gen(0)
+        # another shape, and the same shape with one cell fewer, on either side
+        for other in (VarRegistry.grid(2, 3), VarRegistry.grid(2, 2, skip=((2, 2),))):
+            x = other.gen(0)
+            for f, g in ((x, other.gen(1)), (x, t11), (t11, x)):
+                with pytest.raises(
+                    RegistryMismatchError, match="operands do not match the table's registry"
+                ):
+                    bracket(f, g, table)
+
+    def test_equal_registries_are_accepted(self, reg22):
+        twin = VarRegistry.grid(2, 2)
+        assert twin is not reg22 and twin == reg22
+        t11, t12 = generators(twin)[:2]
+        product = reg22.gen(0) * reg22.gen(1)
+        table = cell_bracket_table(reg22)
+        assert bracket(t11, t12, table) == product
+        assert bracket(reg22.gen(0), t12, table) == product
+        assert bracket(t11, reg22.gen(1), table) == product
 
 
 class TestMultidegree:
