@@ -107,9 +107,10 @@ def _refuted(X: Matrix, negatives: int) -> TnnVerdict:
 
 
 def symbolic_cauchon_matrix(C: CauchonDiagram) -> tuple[VarRegistry, Matrix]:
-    """The generic matrix of the diagram: a fresh indeterminate at every
-    white cell, zero at every black cell."""
-    registry = VarRegistry.grid(C.m, C.p, skip=C.black_cells())
+    """The generic matrix of the diagram over the grid's variables: the
+    cell's indeterminate at every white cell and 0 at every black cell, so
+    a black cell's variable never appears in it or in its restoration."""
+    registry = VarRegistry.grid(C.m, C.p)
     return registry, C.fill(registry.var, registry.zero())
 
 

@@ -87,7 +87,7 @@ def _load_diagram(spec: str) -> CauchonDiagram:
     try:
         text = spec if spec.lstrip().startswith("{") else _read_text(spec)
         return CauchonDiagram.from_json_obj(json.loads(text))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # json.loads recurses on nesting
         raise UsageError(f"bad --diagram: {exc}") from exc
 
 

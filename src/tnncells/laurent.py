@@ -1,12 +1,12 @@
 """Sparse multivariate Laurent polynomials over exact rationals.
 
-Variables live at 1-based positions of an m x p grid; a registry fixes
-which positions carry a variable and numbers them row-major, so values
-from different grids can never be mixed silently.  Exponents may be
-negative.  The term map of every polynomial is kept normalized (no zero
-coefficients), which makes equality structural.  Division ``a / b`` is
-exact: it returns the Laurent polynomial q with q*b = a and raises
-:class:`InexactDivisionError` when there is none.
+Variables live at the 1-based positions of an m x p grid, one per cell:
+a registry is its grid shape, and variable k sits at cell k in row-major
+order, so values from different grids can never be mixed silently.
+Exponents may be negative.  The term map of every polynomial is kept
+normalized (no zero coefficients), which makes equality structural.
+Division ``a / b`` is exact: it returns the Laurent polynomial q with
+q*b = a and raises :class:`InexactDivisionError` when there is none.
 
 Coefficients are ``int`` or ``Fraction``.  The entry points (the
 constructor, `VarRegistry.const` and `parse_laurent`) and exact division
@@ -29,7 +29,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from ._value import _Value
 from .errors import InexactDivisionError, RegistryMismatchError
@@ -77,48 +77,32 @@ def _term_map_mul(a: dict, b: dict) -> dict:
 
 
 class VarRegistry(_Value):
-    """The grid positions carrying a variable, in row-major order."""
+    """The variables of an m x p grid: variable k sits at cell k of
+    `positions`, which lists every cell in row-major order."""
 
-    __slots__ = ("m", "p", "positions", "_index")
-    _fields = ("m", "p", "positions")  # `_index` is derived from them
+    __slots__ = ("m", "p", "positions")
+    _fields = ("m", "p")  # `positions` is derived from them
 
-    def __init__(self, m: int, p: int, positions: tuple[tuple[int, int], ...]) -> None:
+    def __init__(self, m: int, p: int) -> None:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "positions", positions)
         if m < 1 or p < 1:
             raise ValueError("grid dimensions must be positive")
-        index: dict[tuple[int, int], int] = {}
-        for k, (i, a) in enumerate(positions):
-            if not (1 <= i <= m and 1 <= a <= p):
-                raise ValueError(f"position {(i, a)} outside the {m}x{p} grid")
-            if (i, a) in index:
-                raise ValueError(f"duplicate position {(i, a)}")
-            index[(i, a)] = k
-        if list(positions) != sorted(positions):
-            raise ValueError("positions must be listed in row-major order")
-        object.__setattr__(self, "_index", index)
+        positions = tuple((i, a) for i in range(1, m + 1) for a in range(1, p + 1))
+        object.__setattr__(self, "positions", positions)
 
     @classmethod
-    def grid(cls, m: int, p: int, skip: Iterable[tuple[int, int]] = ()) -> "VarRegistry":
-        """Registry over every grid cell except those in `skip`."""
-        omitted = frozenset((int(i), int(a)) for i, a in skip)
-        positions = tuple(
-            (i, a)
-            for i in range(1, m + 1)
-            for a in range(1, p + 1)
-            if (i, a) not in omitted
-        )
-        return cls(m, p, positions)
+    def grid(cls, m: int, p: int) -> "VarRegistry":
+        """The registry of the m x p grid."""
+        return cls(m, p)
 
     def __len__(self) -> int:
         return len(self.positions)
 
     def index(self, i: int, a: int) -> int:
-        try:
-            return self._index[(i, a)]
-        except KeyError:
-            raise ValueError(f"no variable at position {(i, a)}") from None
+        if not (1 <= i <= self.m and 1 <= a <= self.p):
+            raise ValueError(f"no variable at position {(i, a)}")
+        return (i - 1) * self.p + a - 1
 
     def name(self, k: int) -> str:
         i, a = self.positions[k]

@@ -45,9 +45,10 @@ only when (a) one of its entries changed, (b) it is a
 northwest-southeast pair whose Y_ig or Y_ka changed, or (c) it is a
 northwest-southeast pair whose second position is the previous label, so
 its case turns from zero to crossed.  What depends only on the grid's
-shape (the pairs, which pairs read each entry, which turn crossed at each
-label, the passing check of each pair, and each pair's case at each label)
-is built once per shape.
+shape (the cell table, which every diagram's generic matrix shares, the
+pairs, which pairs read each entry, which turn crossed at each label, the
+passing check of each pair, and each pair's case at each label) is built
+once per shape.
 """
 
 from __future__ import annotations
@@ -128,13 +129,9 @@ def cell_bracket_table(registry: VarRegistry) -> BracketTable:
 
 
 def matrix_bracket_table(registry: VarRegistry) -> BracketTable:
-    """The cell table plus the crossed term for northwest-southeast pairs.
-
-    Needs every crossed position present, so the registry must cover the
-    full grid.
-    """
-    if len(registry) != registry.m * registry.p:
-        raise ValueError("matrix bracket table needs the full grid registry")
+    """The cell table plus the crossed term 2 * t[i,g] * t[k,a] for each
+    northwest-southeast pair (i, a), (k, g); every registry covers the
+    full grid, so every crossed position carries a variable."""
     entries = dict(cell_bracket_table(registry).entries)
     n = len(registry)
     for v in range(n):
@@ -298,10 +295,8 @@ def verify_all_step_brackets(C: CauchonDiagram) -> list[StepBracketReport]:
     `_certified`; only a pair it cannot prove builds both sides, and a
     difference is built only for a pair whose bracket misses."""
     registry, M = symbolic_cauchon_matrix(C)
-    table = cell_bracket_table(registry)
     trace = restore(M)
-    grid, pairs, reads, turns, passing, cases = _step_plan(C.m, C.p)
-    zero_shift = all(not any(s) for s, _ in table.shifts)
+    table, zero_shift, grid, pairs, reads, turns, passing, cases = _step_plan(C.m, C.p)
     # entry u and its Lambda beta terms at the previous label; every entry
     # differs from None, so every pair is examined at the first label
     entries: list = [None] * len(grid)
@@ -342,14 +337,20 @@ def verify_all_step_brackets(C: CauchonDiagram) -> list[StepBracketReport]:
 def _step_plan(m: int, p: int) -> tuple:
     """What the step checks of an m x p grid need from its shape alone.
 
-    `grid` lists the positions row-major, so position (i, a) has index
-    (i-1)*p + a-1, and `pairs` lists their index pairs x < y in
-    `combinations(grid, 2)` order.  `reads[u]` holds the pairs that read
-    entry u: as one of their entries or, for a northwest-southeast pair,
-    as Y_ig or Y_ka.  `turns[u]` holds the northwest-southeast pairs whose
-    second position is u.  `passing[j]` is the passing check of pair j,
-    and `cases[t][j]` is its `_step_case` at the t-th step label."""
-    grid = tuple((i, a) for i in range(1, m + 1) for a in range(1, p + 1))
+    `table` is the cell table of the grid's registry, which every
+    diagram's generic matrix shares, and `zero_shift` says whether its
+    every shift is 0, as `_certified` needs.  `grid` is the registry's
+    `positions`, row-major, so position (i, a) has index (i-1)*p + a-1,
+    and `pairs` lists their index pairs x < y in `combinations(grid, 2)`
+    order.  `reads[u]` holds the pairs that read entry u: as one of their
+    entries or, for a northwest-southeast pair, as Y_ig or Y_ka.
+    `turns[u]` holds the northwest-southeast pairs whose second position
+    is u.  `passing[j]` is the passing check of pair j, and `cases[t][j]`
+    is its `_step_case` at the t-th step label."""
+    registry = VarRegistry.grid(m, p)
+    table = cell_bracket_table(registry)
+    zero_shift = all(not any(s) for s, _ in table.shifts)
+    grid = registry.positions
     pairs = tuple(combinations(range(m * p), 2))
     reads: list[list[int]] = [[] for _ in grid]
     turns: list[list[int]] = [[] for _ in grid]
@@ -358,14 +359,15 @@ def _step_plan(m: int, p: int) -> tuple:
         reads[x].append(j)
         reads[y].append(j)
         if i < k and a < g:
-            reads[(i - 1) * p + g - 1].append(j)
-            reads[(k - 1) * p + a - 1].append(j)
+            reads[registry.index(i, g)].append(j)
+            reads[registry.index(k, a)].append(j)
             turns[y].append(j)
     passing = tuple(PairCheck(grid[x], grid[y], True) for x, y in pairs)
     cases = tuple(
         tuple(_step_case(r, grid[x], grid[y]) for x, y in pairs) for r in _labels(m, p)
     )
-    return grid, pairs, tuple(map(tuple, reads)), tuple(map(tuple, turns)), passing, cases
+    reads_of, turns_at = tuple(map(tuple, reads)), tuple(map(tuple, turns))
+    return table, zero_shift, grid, pairs, reads_of, turns_at, passing, cases
 
 
 def _certified(case: str, f_terms: dict, g_terms: dict, g_weighted: list[tuple]) -> bool:

@@ -183,7 +183,7 @@ def _closed_before(m: int, p: int) -> dict[Step, int]:
     corners = [(mid.rows[-1], mid.cols[-1]) for mid in _laplace_plan(m, p).ids]
     return {
         r: sum(1 << bit for bit, corner in enumerate(corners) if corner < r)
-        for r in step_sequence(m, p)[:-1]
+        for r in _labels(m, p)[:-1]
     }
 
 

@@ -19,9 +19,13 @@ def parse_matrix_csv(text: str) -> Matrix:
     """Parse a matrix from CSV.
 
     If any cell mentions a variable the whole matrix is read symbolically,
-    against the full grid registry of the matrix's own shape.
+    against the grid registry of the matrix's own shape.  Malformed CSV,
+    such as a field past the csv module's size limit, raises ValueError.
     """
-    cells = [row for row in csv.reader(io.StringIO(text)) if row]
+    try:
+        cells = [row for row in csv.reader(io.StringIO(text)) if row]
+    except csv.Error as exc:
+        raise ValueError(f"malformed CSV: {exc}") from None
     if not cells:
         raise ValueError("empty matrix")
     if not any("t[" in c for row in cells for c in row):

@@ -70,8 +70,8 @@ def cauchon_paths(C: CauchonDiagram) -> list[tuple[int, int, int, tuple[int, ...
     """Every path of the Cauchon graph of C, as (start row, end column,
     cells, weight).  `cells` has bit (r-1)*p + (c-1) set for each cell
     (r, c) the path visits; `weight` is the exponent vector of its
-    monomial over the white cells in row-major order, the variables of
-    `symbolic_cauchon_matrix(C)`.
+    monomial over every grid cell in row-major order, the variables of
+    `symbolic_cauchon_matrix(C)`, so a black cell's exponent stays 0.
 
     A path from row i enters cell (i, p) moving left.  It goes straight
     through black cells.  On a white cell (r, c) it either goes straight
@@ -81,8 +81,6 @@ def cauchon_paths(C: CauchonDiagram) -> list[tuple[int, int, int, tuple[int, ...
     """
     m, p = C.m, C.p
     black = C.black_cells()
-    white = [(r, c) for r in range(1, m + 1) for c in range(1, p + 1) if (r, c) not in black]
-    var = {cell: k for k, cell in enumerate(white)}
     paths = []
 
     def walk(start, r, c, down, cells, weight):
@@ -91,11 +89,11 @@ def cauchon_paths(C: CauchonDiagram) -> list[tuple[int, int, int, tuple[int, ...
         if r > m:
             paths.append((start, c, cells, weight))
             return
-        cells |= 1 << ((r - 1) * p + c - 1)
-        for turn in (False, True) if (r, c) in var else (False,):
+        k = (r - 1) * p + c - 1
+        cells |= 1 << k
+        for turn in (False,) if (r, c) in black else (False, True):
             w = weight
             if turn:
-                k = var[(r, c)]
                 w = w[:k] + (w[k] + (-1 if down else 1),) + w[k + 1:]
             if down != turn:
                 walk(start, r + 1, c, True, cells, w)
@@ -103,7 +101,7 @@ def cauchon_paths(C: CauchonDiagram) -> list[tuple[int, int, int, tuple[int, ...
                 walk(start, r, c - 1, False, cells, w)
 
     for i in range(1, m + 1):
-        walk(i, i, p, False, 0, (0,) * len(white))
+        walk(i, i, p, False, 0, (0,) * (m * p))
     return paths
 
 

@@ -14,6 +14,7 @@ from tnncells import (
     NotTotallyNonnegativeError,
     RestrictedPermutation,
     SelfCheckError,
+    VarRegistry,
     classify,
     enumerate_diagrams,
     family_of_diagram,
@@ -101,7 +102,8 @@ class TestSymbolicMatrix:
             for a in range(1, 4):
                 entry = M[i - 1][a - 1]
                 assert entry.is_zero == ((i, a) in C.black_cells())
-        assert len(reg) == 9 - 4
+                assert entry == (reg.zero() if entry.is_zero else reg.var(i, a))
+        assert len(reg) == 9
 
     def test_all_white_uses_every_variable(self):
         reg, M = symbolic_cauchon_matrix(CauchonDiagram.from_black(2, 3, ()))
@@ -110,6 +112,19 @@ class TestSymbolicMatrix:
             "1 * t[1,2]^1",
             "1 * t[1,3]^1",
         ]
+
+    @pytest.mark.parametrize("m,p", [(2, 3), (3, 2), (3, 3)])
+    def test_black_cell_variables_never_appear(self, m, p):
+        # every diagram shares the grid's registry, and a black cell's
+        # variable has exponent 0 in every entry at every label, so the
+        # step brackets over the full grid are those of the white cells
+        for C in enumerate_diagrams(m, p):
+            reg, M = symbolic_cauchon_matrix(C)
+            assert reg == VarRegistry.grid(m, p)
+            black = [reg.index(i, a) for i, a in C.black_cells()]
+            for Y in restore(M).matrices:
+                for x in (x for row in Y for x in row):
+                    assert all(e[k] == 0 for e in x.terms for k in black), (C, x)
 
 
 class TestCauchonGraph:

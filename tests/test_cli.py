@@ -239,6 +239,61 @@ class TestZeroDenominators:
         assert err == f"bad --matrix: zero denominator in {literal!r}\n"
 
 
+# a quoted field past the csv module's 131,072-character limit
+OVERSIZED_FIELD_CSV = '"' + "1" * 200_000 + '"\n'
+# an unclosed JSON object nested deeper than the interpreter recurses
+DEEP_JSON = '{"m": ' + "[" * 100_000
+
+
+class TestMalformedInput:
+    """Input that makes a parser raise its own error exits 2 with one
+    message line, not a traceback."""
+
+    @pytest.mark.parametrize("source", ["stdin", "file"])
+    @pytest.mark.parametrize("command", ["tnn-check", "classify", "restore"])
+    def test_oversized_csv_field(self, capsys, monkeypatch, tmp_path, command, source):
+        spec = "-"
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.StringIO(OVERSIZED_FIELD_CSV))
+        else:
+            spec = str(tmp_path / "big.csv")
+            Path(spec).write_text(OVERSIZED_FIELD_CSV)
+        code, out, err = run(capsys, command, "--matrix", spec)
+        assert (code, out) == (2, "")
+        assert err == "bad --matrix: malformed CSV: field larger than field limit (131072)\n"
+
+    @pytest.mark.parametrize("source", ["inline", "file"])
+    def test_deeply_nested_diagram_json(self, capsys, tmp_path, source):
+        spec = DEEP_JSON
+        if source == "file":
+            spec = str(tmp_path / "deep.json")
+            Path(spec).write_text(DEEP_JSON)
+        code, out, err = run(capsys, "mc", "--diagram", spec)
+        assert (code, out) == (2, "")
+        assert err.startswith("bad --diagram: maximum recursion depth exceeded")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["csv", "json"])
+    def test_a_process_exits_2_without_a_traceback(self, tmp_path, case):
+        if case == "csv":
+            argv, stdin = ["tnn-check", "--matrix", "-"], OVERSIZED_FIELD_CSV
+        else:
+            spec = tmp_path / "deep.json"
+            spec.write_text(DEEP_JSON)
+            argv, stdin = ["mc", "--diagram", str(spec)], ""
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tnncells", *argv],
+            input=stdin,
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 class TestTnnCheck:
     def test_witness_report(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("0,1\n1,0\n"))

@@ -56,12 +56,16 @@ EXPORT_EXCEPTIONS = {
     "matrix_bracket_table": "the standard Poisson structure on matrices, named in the README",
     "all_minors_table": "the benchmark's tracer binds it by name (`FUNCTIONS` in "
     "perfbench/tracing.py); it goes when that binding does, ROADMAP item 1",
+    "step_sequence": "the validated list of a grid's step labels; perfbench/workloads.py "
+    "calls it in the `poisson` check, and the package reads the cached `_labels`",
 }
 
 # Public methods no module references, each kept for a stated reason.
 METHOD_EXCEPTIONS = {
     "LaurentPoly.partial": "the benchmark's tracer binds it by name (`METHODS` in "
     "perfbench/tracing.py); it moves into the tests when that binding goes, ROADMAP item 1",
+    "CauchonDiagram.black_cells": "perfbench/workloads.py calls it in the `corpus` and "
+    "`classify` checks",
 }
 
 # Defaulted parameters no call in the package passes, each kept for a

@@ -39,26 +39,24 @@ class TestRegistry:
         assert R.index(2, 1) == 2
         assert R.positions == ((1, 1), (1, 2), (2, 1), (2, 2))
 
-    def test_grid_skip(self):
-        reg = VarRegistry.grid(2, 2, skip=[(1, 1)])
-        assert len(reg) == 3
-        with pytest.raises(ValueError):
-            reg.index(1, 1)
+    def test_a_registry_is_its_grid_shape(self):
+        reg = VarRegistry(2, 3)
+        assert reg == VarRegistry.grid(2, 3) and reg != VarRegistry.grid(3, 2)
+        assert len(reg) == 6
+        assert [reg.index(i, a) for i, a in reg.positions] == list(range(6))
+        assert [reg.name(k) for k in range(6)] == [
+            "t[1,1]", "t[1,2]", "t[1,3]", "t[2,1]", "t[2,2]", "t[2,3]"
+        ]
 
-    def test_rejects_bad_positions(self):
-        with pytest.raises(ValueError):
-            VarRegistry(2, 2, ((1, 1), (1, 1)))
-        with pytest.raises(ValueError):
-            VarRegistry(2, 2, ((0, 1),))
-        with pytest.raises(ValueError):
-            VarRegistry(2, 2, ((1, 3),))
-        with pytest.raises(ValueError):
-            VarRegistry(2, 2, ((1, 2), (1, 1)))  # not row-major sorted
+    @pytest.mark.parametrize("pos", [(0, 1), (1, 0), (3, 1), (1, 4)])
+    def test_index_rejects_a_position_outside_the_grid(self, pos):
+        with pytest.raises(ValueError, match=r"no variable at position"):
+            VarRegistry.grid(2, 3).index(*pos)
 
     @pytest.mark.parametrize("m,p", [(0, 2), (2, 0)])
     def test_rejects_an_empty_grid(self, m, p):
         with pytest.raises(ValueError, match="grid dimensions must be positive"):
-            VarRegistry(m, p, ())
+            VarRegistry(m, p)
 
     def test_var_lookup(self):
         assert R.var(1, 2) == T12
@@ -123,7 +121,7 @@ class TestArithmetic:
             LaurentPoly(R, {(1, 2, 3): 1})
 
     def test_cross_registry_rejected(self):
-        other = VarRegistry.grid(2, 2, skip=[(2, 2)])
+        other = VarRegistry.grid(1, 4)  # as many variables, another shape
         with pytest.raises(RegistryMismatchError):
             T11 + other.var(1, 1)
 
@@ -168,7 +166,7 @@ class TestDivision:
             laurent_div_exact(T11, R.zero())
 
     def test_cross_registry_raises(self):
-        other = VarRegistry.grid(2, 2, skip=[(2, 2)])
+        other = VarRegistry.grid(1, 4)  # as many variables, another shape
         with pytest.raises(RegistryMismatchError, match="different variable registries"):
             laurent_div_exact(T11, other.var(1, 1))
 
@@ -214,9 +212,9 @@ class TestEvaluateAndText:
         assert parse_laurent("3/4", R) == R.const(Fraction(3, 4))
 
     def test_parse_rejects_unknown_variable(self):
-        reg = VarRegistry.grid(2, 2, skip=[(2, 2)])
-        with pytest.raises((KeyError, ValueError)):
-            parse_laurent("t[2,2]", reg)
+        for text in ("t[3,1]", "t[1,3]", "t[0,1]"):
+            with pytest.raises(ValueError, match=r"no variable at position"):
+                parse_laurent(text, R)
 
     @pytest.mark.parametrize("text", ["", "   "])
     def test_parse_rejects_empty_text(self, text):
@@ -315,7 +313,7 @@ class TestTrueDivision:
             T11 / 0
 
     def test_cross_registry_raises(self):
-        other = VarRegistry.grid(2, 2, skip=[(2, 2)])
+        other = VarRegistry.grid(1, 4)  # as many variables, another shape
         with pytest.raises(RegistryMismatchError):
             T11 / other.var(1, 1)
 

@@ -52,11 +52,14 @@ def generators(reg):
     return [reg.gen(k) for k in range(len(reg))]
 
 
-def rand_poly(reg, rng, terms=3):
+def rand_poly(reg, rng, terms=3, support=None):
+    """A random polynomial of at most `terms` terms whose exponents are 0
+    outside the variable indices `support` (default: every variable)."""
+    support = range(len(reg)) if support is None else set(support)
     out = reg.zero()
     for _ in range(rng.randint(1, terms)):
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        e = tuple(rng.randint(-2, 2) for _ in range(len(reg)))
+        e = tuple(rng.randint(-2, 2) if k in support else 0 for k in range(len(reg)))
         out = out + LaurentPoly(reg, {e: c})
     return out
 
@@ -122,18 +125,27 @@ def dense_weighted_terms(terms, table):
     return out
 
 
-def white_cell_registries():
-    """The registries of a few diagrams with black cells."""
-    diagrams = [
-        CauchonDiagram.from_black(2, 2, ((1, 1),)),
-        CauchonDiagram.from_black(3, 3, ((1, 1), (1, 2))),
-        CauchonDiagram.from_black(3, 3, ((2, 1), (3, 1), (3, 2))),
-        CauchonDiagram.from_black(3, 3, ((1, 3), (2, 3), (3, 3))),
-    ]
-    return [symbolic_cauchon_matrix(C)[0] for C in diagrams]
+def white_indices(C):
+    """The variable indices of the diagram's white cells."""
+    black = C.black_cells()
+    return [k for k, pos in enumerate(VarRegistry.grid(C.m, C.p).positions) if pos not in black]
 
 
-REGISTRIES = [VarRegistry.grid(2, 2), VarRegistry.grid(3, 3), *white_cell_registries()]
+# Two all-white grids and a few diagrams with black cells, named by their
+# shape and their number of white cells, the variables their generic
+# matrices use.
+DIAGRAMS = [
+    CauchonDiagram.from_black(2, 2, ()),
+    CauchonDiagram.from_black(3, 3, ()),
+    CauchonDiagram.from_black(2, 2, ((1, 1),)),
+    CauchonDiagram.from_black(3, 3, ((1, 1), (1, 2))),
+    CauchonDiagram.from_black(3, 3, ((2, 1), (3, 1), (3, 2))),
+    CauchonDiagram.from_black(3, 3, ((1, 3), (2, 3), (3, 3))),
+]
+
+
+def diagram_id(C):
+    return f"{C.m}x{C.p}-{len(white_indices(C))}vars"
 
 
 class TestGeneratorTables:
@@ -162,11 +174,11 @@ class TestGeneratorTables:
                     want = -table.entries.get((w, v), reg22.zero())
                 assert bracket(gens[v], gens[w], table) == want
 
-    def test_matrix_table_needs_full_grid(self):
-        reg = VarRegistry.grid(2, 2, skip=((1, 2),))
-        with pytest.raises(ValueError):
-            matrix_bracket_table(reg)
-        cell_bracket_table(reg)  # partial grids are fine here
+    @pytest.mark.parametrize("C", DIAGRAMS[2:], ids=diagram_id)
+    def test_matrix_table_of_a_diagram_with_black_cells(self, C):
+        reg = symbolic_cauchon_matrix(C)[0]
+        assert C.black_cells()
+        assert matrix_bracket_table(reg) == matrix_bracket_table(VarRegistry.grid(C.m, C.p))
 
     def test_table_validation(self, reg22):
         t11 = reg22.gen(0)
@@ -180,8 +192,10 @@ class TestGeneratorTables:
 
 
 class TestLogCanonicalSkew:
-    @pytest.mark.parametrize("reg", REGISTRIES, ids=lambda r: f"{r.m}x{r.p}-{len(r)}vars")
-    def test_cell_table_records_its_skew(self, reg):
+    @pytest.mark.parametrize("C", DIAGRAMS, ids=diagram_id)
+    def test_cell_table_records_its_skew(self, C):
+        reg = symbolic_cauchon_matrix(C)[0]
+        assert reg == VarRegistry.grid(C.m, C.p)
         zero = (0,) * len(reg)
         assert cell_bracket_table(reg).shifts == ((zero, nonzero_columns(cell_skew(reg))),)
 
@@ -301,10 +315,12 @@ class TestShifts:
                 assert bracket(f, g, broken) == per_pair_bracket(f, g, broken)
 
     def test_multi_term_fraction_value_on_a_white_cell_registry(self, rng):
-        reg = white_cell_registries()[1]
-        x, y, z = generators(reg)[:3]
+        C = DIAGRAMS[3]
+        reg = symbolic_cauchon_matrix(C)[0]
+        a, b, c, d = white_indices(C)[:4]
+        x, y, z = reg.gen(a), reg.gen(b), reg.gen(c)
         value = Fraction(2, 3) * x / y + Fraction(-5, 4) * z + 7 * x * y * z
-        table = BracketTable(reg, {(0, 2): value, (1, 3): reg.zero()})
+        table = BracketTable(reg, {(a, c): value, (b, d): reg.zero()})
         assert len(table.shifts) == 3
         sample = self.sample(reg, rng)
         for f in sample:
@@ -326,20 +342,19 @@ class TestSparseColumns:
         # `_weighted_terms` on the sparse columns of `shifts` against
         # Lambda_s beta built densely from the table's values alone, on
         # tables with one zero shift, several shifts, and a nonzero shift
-        reg33 = VarRegistry.grid(3, 3)
-        white = white_cell_registries()[1]
-        x, y, z = generators(white)[:3]
+        reg33, reg24 = VarRegistry.grid(3, 3), VarRegistry.grid(2, 4)
+        x, y, z = generators(reg24)[:3]
         other = BracketTable(
-            white,
+            reg24,
             {
                 (0, 2): Fraction(2, 3) * x / y + Fraction(-5, 4) * z + 7 * x * y * z,
                 (1, 3): 3 * y * y,
-                (0, 1): white.zero(),
+                (0, 1): reg24.zero(),
             },
         )
         tables = [
             cell_bracket_table(reg33),
-            cell_bracket_table(white),
+            cell_bracket_table(reg24),
             matrix_bracket_table(reg33),
             other,
         ]
@@ -364,12 +379,15 @@ class TestMonomialRoute:
     """The monomial route against the gradient formula on cell tables:
     `per_pair_bracket` takes fresh partials for every pair."""
 
-    @pytest.mark.parametrize("reg", REGISTRIES, ids=lambda r: f"{r.m}x{r.p}-{len(r)}vars")
-    def test_equals_gradient_route_on_random_pairs(self, reg, rng):
+    @pytest.mark.parametrize("C", DIAGRAMS, ids=diagram_id)
+    def test_equals_gradient_route_on_random_pairs(self, C, rng):
+        # polynomials in the diagram's white-cell variables, as its
+        # restored generic matrix holds
+        reg, white = symbolic_cauchon_matrix(C)[0], white_indices(C)
         table = cell_bracket_table(reg)
         assert len(table.shifts) == 1
-        sample = [rand_poly(reg, rng) for _ in range(8)]
-        last = reg.gen(len(reg) - 1)
+        sample = [rand_poly(reg, rng, support=white) for _ in range(8)]
+        last = reg.gen(white[-1])
         sample += [reg.const(1) / (last * last), reg.const(Fraction(7, 3)), reg.zero()]
         for f in sample:
             for g in sample:
@@ -477,6 +495,19 @@ def assert_reports_match_oracle(C, reports, trace, table):
 ALL_WHITE_33 = CauchonDiagram.from_black(3, 3, ())
 
 
+def reports_on_planted_table(monkeypatch, table):
+    """The step reports of `ALL_WHITE_33` with `table` in place of the
+    cell table.  The step checks read the table from the shape's plan, so
+    the plan is rebuilt under the planted table and dropped afterwards."""
+    monkeypatch.setattr(poisson, "cell_bracket_table", lambda registry: table)
+    poisson._step_plan.cache_clear()
+    try:
+        assert poisson._step_plan(3, 3)[0] is table
+        return verify_all_step_brackets(ALL_WHITE_33)
+    finally:
+        poisson._step_plan.cache_clear()
+
+
 class TestStepCertificate:
     """Weight certificates and reuse across steps against the oracle route,
     and plants that each must fall through to the full comparison."""
@@ -513,8 +544,7 @@ class TestStepCertificate:
         entries[(0, 1)] = 2 * entries[(0, 1)]  # t11, t12: same row
         doubled = BracketTable(reg, entries)
         assert len(doubled.shifts) == 1 and not any(doubled.shifts[0][0])
-        monkeypatch.setattr(poisson, "cell_bracket_table", lambda registry: doubled)
-        reports = verify_all_step_brackets(ALL_WHITE_33)
+        reports = reports_on_planted_table(monkeypatch, doubled)
         assert not all(rep.ok for rep in reports)
         assert_reports_match_oracle(ALL_WHITE_33, reports, restore(M), doubled)
 
@@ -522,8 +552,7 @@ class TestStepCertificate:
         reg, M = symbolic_cauchon_matrix(ALL_WHITE_33)
         table = matrix_bracket_table(reg)
         assert len(table.shifts) > 1
-        monkeypatch.setattr(poisson, "cell_bracket_table", lambda registry: table)
-        reports = verify_all_step_brackets(ALL_WHITE_33)
+        reports = reports_on_planted_table(monkeypatch, table)
         assert not all(rep.ok for rep in reports)
         assert_reports_match_oracle(ALL_WHITE_33, reports, restore(M), table)
 
@@ -535,8 +564,7 @@ class TestStepCertificate:
         entries = cell_bracket_table(reg).entries
         shifted = BracketTable(reg, {vw: value * t33 for vw, value in entries.items()})
         assert len(shifted.shifts) == 1 and any(shifted.shifts[0][0])
-        monkeypatch.setattr(poisson, "cell_bracket_table", lambda registry: shifted)
-        reports = verify_all_step_brackets(ALL_WHITE_33)
+        reports = reports_on_planted_table(monkeypatch, shifted)
         assert not all(rep.ok for rep in reports)
         assert_reports_match_oracle(ALL_WHITE_33, reports, restore(M), shifted)
 
@@ -590,7 +618,7 @@ class TestStepCertificate:
 class TestStepPlanCases:
     @pytest.mark.parametrize("m, p", [(1, 2), (2, 2), (2, 3), (3, 3), (3, 4)])
     def test_cases_equal_the_five_case_rule(self, m, p):
-        grid, pairs, *_, cases = poisson._step_plan(m, p)
+        _, _, grid, pairs, *_, cases = poisson._step_plan(m, p)
         positions = [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
         assert [(grid[x], grid[y]) for x, y in pairs] == list(combinations(positions, 2))
         labels = step_sequence(m, p)
@@ -656,8 +684,8 @@ class TestBracketLaws:
     def test_registry_mismatch_rejected(self, reg22):
         table = cell_bracket_table(reg22)
         t11 = reg22.gen(0)
-        # another shape, and the same shape with one cell fewer, on either side
-        for other in (VarRegistry.grid(2, 3), VarRegistry.grid(2, 2, skip=((2, 2),))):
+        # another shape, and another shape with as many cells, on either side
+        for other in (VarRegistry.grid(2, 3), VarRegistry.grid(1, 4)):
             x = other.gen(0)
             for f, g in ((x, other.gen(1)), (x, t11), (t11, x)):
                 with pytest.raises(

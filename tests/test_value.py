@@ -85,7 +85,7 @@ CASES = [
         ],
     ),
     (PartialPermutation, lambda: PartialPermutation(2, 3, ((1, 2), (3, 1))), None, None),
-    (VarRegistry, lambda: VarRegistry.grid(2, 2, skip=[(1, 2)]), None, None),
+    (VarRegistry, lambda: VarRegistry.grid(2, 3), "VarRegistry(m=2, p=3)", None),
     (MinorFamily, lambda: MinorFamily(2, 2, 5), "MinorFamily(m=2, p=2, mask=5)", None),
     (BracketTable, lambda: cell_bracket_table(VarRegistry.grid(2, 2)), None, None),
     (
