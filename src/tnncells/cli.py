@@ -227,9 +227,9 @@ class _Suite(NamedTuple):
 # (3,4) 0.3 s, poisson (1,9) and (9,1) with 512 diagrams each 0.2 s,
 # counting (4,4) 0.15 s, bruhat-monotone (6,2) 0.1 s.  The counts are
 # capped too, so no count can hang a run; at the slowest sizes: poisson
-# (1,9) --n 10000 2.8 s, deletion (4,4) --n 10000 3.2 s, tnn-roundtrip
-# (4,4) --n 10000 1.6 s, bruhat-cell (4,3) --samples 500 4.0 s,
-# bruhat-monotone (2,6) --sample 100000 0.5 s.
+# (9,1) and (1,9) --n 10000 2.9 and 2.7 s, deletion (4,4) --n 10000 3.2 s,
+# tnn-roundtrip (4,4) --n 10000 1.6 s, bruhat-cell (4,3) --samples 500
+# 4.0 s, bruhat-monotone (2,6) --sample 100000 0.5 s.
 _COUNT_CAPS = {"n": 10_000, "samples": 500, "sample": 100_000}
 _SUITES = {
     "counting": _Suite(  # its filter oracle walks all (M+P)! permutations
@@ -383,6 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Exact values print in full: the int-to-decimal digit limit is lifted
+    # while a command runs.  Input literals stay under the csv module's
+    # 131,072-character field limit; one that long parses in about 0.12 s.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except (UsageError, SizeCapError) as exc:
@@ -390,6 +395,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         return 0
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

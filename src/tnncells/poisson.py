@@ -32,23 +32,13 @@ is the operand with fewer terms, and swapping the operands only negates
 the coefficients.  The cell table has the one shift s = 0; the matrix table
 adds one shift per crossed pair, e_(i,g) + e_(k,a) - e_(i,a) - e_(k,g).
 
-The step-bracket check runs on the cell table, whose one shift is 0, so
-{f, g} sums c_alpha * c_beta * (alpha^T Lambda beta) * x^(alpha + beta).
-A pair predicted to be the product f * g is proved when every term-pair
-weight is 1 and no term of g has a zero Lambda beta; a pair predicted to
-be zero is proved when every weight is 0.  Every other pair - crossed,
-mixed weights, or a table with another shift - builds both sides and
-compares them.  A restoration step shares every entry it leaves alone,
-so each label starts from the previous label's checks, recomputes
-Lambda beta only for the entries that changed, and examines a pair again
-only when (a) one of its entries changed, (b) it is a
-northwest-southeast pair whose Y_ig or Y_ka changed, or (c) it is a
-northwest-southeast pair whose second position is the previous label, so
-its case turns from zero to crossed.  What depends only on the grid's
-shape (the cell table, which every diagram's generic matrix shares, the
-pairs, which pairs read each entry, which turn crossed at each label, the
-passing check of each pair, and each pair's case at each label) is built
-once per shape.
+The step-bracket check runs on the cell table.  It carries each pair's
+check from label to label while the entries the pair reads stay the same
+objects, and it memoises by content across the diagrams of a shape:
+Lambda beta at most once per distinct entry, and one verdict per distinct
+case and entries, so only a key seen for the first time builds both
+sides.  What depends only on the grid's shape, the memos included, is
+built once per shape.
 """
 
 from __future__ import annotations
@@ -247,6 +237,7 @@ class StepBracketReport(_Value):
 
 
 _PRODUCT, _ZERO, _CROSSED = "product", "zero", "crossed"
+_UNSEEN = object()  # the verdict of a key not looked up before
 
 
 def _step_case(r: Step, pos1: tuple[int, int], pos2: tuple[int, int]) -> str:
@@ -291,16 +282,26 @@ def verify_all_step_brackets(C: CauchonDiagram) -> list[StepBracketReport]:
     entries is not the object it was at r', (b) it is a northwest-southeast
     pair whose Y_ig or Y_ka is not the object it was at r', or (c) it is a
     northwest-southeast pair whose second position is r'; every pair is
-    examined at the first label.  An examined pair is first offered to
-    `_certified`; only a pair it cannot prove builds both sides, and a
-    difference is built only for a pair whose bracket misses."""
+    examined at the first label.
+
+    Every entry that changes gets its content key: one small int per
+    distinct term map of the shape.  An examined pair looks up one verdict
+    under its case at r and the keys of its two entries, and of Y_ig and
+    Y_ka when the case is crossed: None when the bracket equals the
+    prediction, else their difference.  Only a key not seen before takes a
+    full comparison, which computes Lambda beta at most once per entry key.
+    The memos are the shape's, shared by all its diagrams, and grow only
+    with its distinct restored entries: over every diagram, (3,3) restores
+    56 distinct entries and has 785 verdict keys, (3,4) 203 and 3,935, and
+    (1,9) 10 and 53."""
     registry, M = symbolic_cauchon_matrix(C)
     trace = restore(M)
-    table, zero_shift, grid, pairs, reads, turns, passing, cases = _step_plan(C.m, C.p)
-    # entry u and its Lambda beta terms at the previous label; every entry
+    plan = _step_plan(C.m, C.p)
+    table, grid, pairs, reads, turns, corners, passing, ids, lambdas, verdicts, cases = plan
+    # entry u and its content key at the previous label; every entry
     # differs from None, so every pair is examined at the first label
     entries: list = [None] * len(grid)
-    weighted: list = [None] * len(grid)
+    keys: list = [None] * len(grid)
     checks: list = [None] * len(pairs)
     reports = []
     Y = None
@@ -312,23 +313,28 @@ def verify_all_step_brackets(C: CauchonDiagram) -> list[StepBracketReport]:
             for u, entry in enumerate(x for row in Y for x in row):
                 if entry is not entries[u]:
                     entries[u] = entry
-                    weighted[u] = _weighted_terms(entry.terms, table.shifts)
+                    keys[u] = ids.setdefault(frozenset(entry.terms.items()), len(ids))
                     todo.update(reads[u])
         case_of = cases[t]
         for j in todo:
             x, y = pairs[j]
-            f, g_weighted = entries[x], weighted[y]
-            if zero_shift and _certified(case_of[j], f.terms, entries[y].terms, g_weighted):
-                checks[j] = passing[j]
-                continue
-            pos1, pos2 = grid[x], grid[y]
-            lhs = _monomial_bracket(f.terms, g_weighted)
-            rhs = expected_step_bracket(Y, r, pos1, pos2, registry)
-            if lhs == rhs.terms:
+            case = case_of[j]
+            key = (case, keys[x], keys[y])
+            if case == _CROSSED:
+                ig, ka = corners[j]
+                key += (keys[ig], keys[ka])
+            verdict = verdicts.get(key, _UNSEEN)
+            if verdict is _UNSEEN:
+                if keys[y] not in lambdas:
+                    lambdas[keys[y]] = _weighted_terms(entries[y].terms, table.shifts)
+                lhs = _monomial_bracket(entries[x].terms, lambdas[keys[y]])
+                rhs = expected_step_bracket(Y, r, grid[x], grid[y], registry)
+                verdict = None if lhs == rhs.terms else LaurentPoly._raw(registry, lhs) - rhs
+                verdicts[key] = verdict
+            if verdict is None:
                 checks[j] = passing[j]
             else:
-                diff = LaurentPoly._raw(registry, lhs) - rhs
-                checks[j] = PairCheck(pos1, pos2, False, diff)
+                checks[j] = PairCheck(grid[x], grid[y], False, verdict)
         reports.append(StepBracketReport(C, r, tuple(checks)))
     return reports
 
@@ -338,54 +344,39 @@ def _step_plan(m: int, p: int) -> tuple:
     """What the step checks of an m x p grid need from its shape alone.
 
     `table` is the cell table of the grid's registry, which every
-    diagram's generic matrix shares, and `zero_shift` says whether its
-    every shift is 0, as `_certified` needs.  `grid` is the registry's
+    diagram's generic matrix shares.  `grid` is the registry's
     `positions`, row-major, so position (i, a) has index (i-1)*p + a-1,
     and `pairs` lists their index pairs x < y in `combinations(grid, 2)`
     order.  `reads[u]` holds the pairs that read entry u: as one of their
     entries or, for a northwest-southeast pair, as Y_ig or Y_ka.
     `turns[u]` holds the northwest-southeast pairs whose second position
-    is u.  `passing[j]` is the passing check of pair j, and `cases[t][j]`
-    is its `_step_case` at the t-th step label."""
+    is u, and `corners[j]` holds the indices of Y_ig and Y_ka for a
+    northwest-southeast pair j.  `passing[j]` is the passing check of pair
+    j.  `ids`, `lambdas` and `verdicts` are the content memos that
+    `verify_all_step_brackets` fills.  `cases[t][j]` is pair j's
+    `_step_case` at the t-th step label."""
     registry = VarRegistry.grid(m, p)
     table = cell_bracket_table(registry)
-    zero_shift = all(not any(s) for s, _ in table.shifts)
     grid = registry.positions
     pairs = tuple(combinations(range(m * p), 2))
     reads: list[list[int]] = [[] for _ in grid]
     turns: list[list[int]] = [[] for _ in grid]
+    corners: dict[int, tuple[int, int]] = {}
     for j, (x, y) in enumerate(pairs):
         (i, a), (k, g) = grid[x], grid[y]
         reads[x].append(j)
         reads[y].append(j)
         if i < k and a < g:
-            reads[registry.index(i, g)].append(j)
-            reads[registry.index(k, a)].append(j)
+            ig, ka = corners[j] = (registry.index(i, g), registry.index(k, a))
+            reads[ig].append(j)
+            reads[ka].append(j)
             turns[y].append(j)
     passing = tuple(PairCheck(grid[x], grid[y], True) for x, y in pairs)
     cases = tuple(
         tuple(_step_case(r, grid[x], grid[y]) for x, y in pairs) for r in _labels(m, p)
     )
     reads_of, turns_at = tuple(map(tuple, reads)), tuple(map(tuple, turns))
-    return table, zero_shift, grid, pairs, reads_of, turns_at, passing, cases
-
-
-def _certified(case: str, f_terms: dict, g_terms: dict, g_weighted: list[tuple]) -> bool:
-    """Whether the term-pair weights alone prove {f, g} equals the
-    prediction, on a table whose one shift is 0.
-
-    There {f, g} = sum of c_alpha * c_beta * (alpha^T Lambda beta) *
-    x^(alpha + beta), so every weight 0 makes it zero, and every weight 1,
-    with no term of g dropped for a zero Lambda beta, makes it f * g.  A
-    crossed pair, or a pair with mixed weights, is never certified."""
-    if case == _CROSSED:
-        return False
-    want = 1 if case == _PRODUCT else 0
-    if want and len(g_weighted) != len(g_terms):
-        return False
-    return all(
-        sum(map(mul, ea, lb)) == want for ea in f_terms for _, _, lb in g_weighted
-    )
+    return table, grid, pairs, reads_of, turns_at, corners, passing, {}, {}, {}, cases
 
 
 def verify_jacobi(table: BracketTable, sample: Iterable[LaurentPoly]) -> bool:

@@ -315,6 +315,39 @@ class TestTnnCheck:
         assert "(9,8) exceeds the 64-cell bitmask limit" in err
 
 
+# 10^4000 has 4,001 digits, under the interpreter's 4,300-digit limit on
+# int-to-decimal conversion; the values computed from it are past it:
+# det = 1 - 10^8000 = -(8,000 nines), and restoring adds 10^8000 to the
+# (1,1) entry
+TEN_4000 = "1" + "0" * 4000
+LONG_CSV = f"1,{TEN_4000}\n{TEN_4000},1\n"
+LONG_WITNESS = {"witness": "[1,2|1,2]", "value": "-" + "9" * 8000}
+
+
+class TestLongValues:
+    """Exact values with more digits than the interpreter converts to text
+    by default print in full, and the limit is restored afterwards."""
+
+    @pytest.mark.parametrize(
+        "command, code, out",
+        [
+            ("tnn-check", 0, json.dumps({"is_tnn": False, **LONG_WITNESS}, indent=2) + "\n"),
+            (
+                "classify",
+                1,
+                json.dumps({"error": "not totally nonnegative", **LONG_WITNESS}, indent=2) + "\n",
+            ),
+            ("restore", 0, f"1{'0' * 7999}1,{TEN_4000}\n{TEN_4000},1\n"),
+        ],
+        ids=["tnn-check", "classify", "restore"],
+    )
+    def test_printed_in_full(self, capsys, monkeypatch, command, code, out):
+        limit = sys.get_int_max_str_digits()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(LONG_CSV))
+        assert run(capsys, command, "--matrix", "-") == (code, out, "")
+        assert sys.get_int_max_str_digits() == limit
+
+
 class _UnrunSuites:
     """Stands in for the verify module: every suite passes without running."""
 

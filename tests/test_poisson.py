@@ -24,6 +24,7 @@ from tnncells import (
     verify_all_step_brackets,
     verify_jacobi,
 )
+from tnncells.verify import poisson_suite
 
 
 def multidegree(f):
@@ -475,8 +476,8 @@ class TestOperandOrder:
 
 def assert_reports_match_oracle(C, reports, trace, table):
     """Every step pair's check against the route that builds both sides:
-    `bracket` on the table and `expected_step_bracket`, with no
-    certificate and no reuse."""
+    `bracket` on the table and `expected_step_bracket`, with no memo and
+    no reuse."""
     grid = [(i, a) for i in range(1, C.m + 1) for a in range(1, C.p + 1)]
     assert [rep.step for rep in reports] == list(trace.labels)
     for rep in reports:
@@ -497,20 +498,25 @@ ALL_WHITE_33 = CauchonDiagram.from_black(3, 3, ())
 
 def reports_on_planted_table(monkeypatch, table):
     """The step reports of `ALL_WHITE_33` with `table` in place of the
-    cell table.  The step checks read the table from the shape's plan, so
-    the plan is rebuilt under the planted table and dropped afterwards."""
+    cell table.  The step checks read the table and their memos from the
+    shape's plan, so the plan is rebuilt under the planted table and
+    dropped afterwards; a second pass, served from the warm memos, must
+    repeat the first."""
     monkeypatch.setattr(poisson, "cell_bracket_table", lambda registry: table)
     poisson._step_plan.cache_clear()
     try:
         assert poisson._step_plan(3, 3)[0] is table
-        return verify_all_step_brackets(ALL_WHITE_33)
+        reports = verify_all_step_brackets(ALL_WHITE_33)
+        assert verify_all_step_brackets(ALL_WHITE_33) == reports
+        return reports
     finally:
         poisson._step_plan.cache_clear()
 
 
 class TestStepCertificate:
-    """Weight certificates and reuse across steps against the oracle route,
-    and plants that each must fall through to the full comparison."""
+    """Reuse across steps and the shape's content memos against the oracle
+    route, and planted tables and traces whose verdicts the memos must
+    not take from another table, case or entry."""
 
     @pytest.mark.parametrize("m, p", [(2, 3), (3, 2), (3, 3), (2, 4)])
     def test_every_step_pair_matches_the_oracle(self, m, p):
@@ -522,20 +528,30 @@ class TestStepCertificate:
 
     def test_few_pairs_fall_through(self, monkeypatch):
         # 74,520 step pairs at (3,3); carrying checks from label to label
-        # leaves 17,598 to examine, and certificates leave 3,398 of those
-        calls = {"expected_step_bracket": 0, "_certified": 0}
-        for name in calls:
-            full = getattr(poisson, name)
-
-            def counted(*args, name=name, full=full):
-                calls[name] += 1
-                return full(*args)
-
-            monkeypatch.setattr(poisson, name, counted)
-        for C in enumerate_diagrams(3, 3):
+        # leaves 12,450 to examine, and they hold 785 distinct verdict keys
+        calls = []
+        full = poisson.expected_step_bracket
+        monkeypatch.setattr(
+            poisson, "expected_step_bracket", lambda *args: calls.append(args) or full(*args)
+        )
+        diagrams = list(enumerate_diagrams(3, 3))
+        poisson._step_plan.cache_clear()
+        for C in diagrams:
             verify_all_step_brackets(C)
-        assert 0 < calls["expected_step_bracket"] <= 6000
-        assert 0 < calls["_certified"] <= 17_598
+        verdicts = poisson._step_plan(3, 3)[-2]
+        assert len(calls) == len(verdicts) == 785
+        assert set(verdicts.values()) == {None}
+        calls.clear()
+        for C in diagrams:
+            verify_all_step_brackets(C)
+        assert not calls
+
+    def test_a_warm_suite_repeats_its_report(self):
+        poisson._step_plan.cache_clear()
+        first = poisson_suite(3, 3, 20, 1)
+        assert poisson._step_plan(3, 3)[-2]
+        second = poisson_suite(3, 3, 20, 1)
+        assert second == first and second.to_json_obj() == first.to_json_obj()
 
     def test_a_wrong_weight_falls_through(self, monkeypatch):
         reg, M = symbolic_cauchon_matrix(ALL_WHITE_33)
@@ -569,12 +585,12 @@ class TestStepCertificate:
         assert_reports_match_oracle(ALL_WHITE_33, reports, restore(M), shifted)
 
     # (3,3) is never written, so it is one object throughout the trace.
-    # At label (3,2) no entry changes: (1,2) is then Y_ig of the crossed
-    # pair (1,1), (2,2), whose own entries stay the same objects, and a
-    # constant (1,1) makes that pair's bracket 0 against a nonzero crossed
-    # prediction.
+    # At label (3,2) no entry changes: (1,2) and (2,1) are then Y_ig and
+    # Y_ka of the crossed pair (1,1), (2,2), whose own entries stay the
+    # same objects, and a constant (1,1) makes that pair's bracket 0
+    # against a nonzero crossed prediction.
     @pytest.mark.parametrize(
-        "pos, label", [((3, 3), (2, 2)), ((1, 2), (3, 2)), ((1, 1), (3, 2))]
+        "pos, label", [((3, 3), (2, 2)), ((1, 2), (3, 2)), ((1, 1), (3, 2)), ((2, 1), (3, 2))]
     )
     def test_a_replaced_entry_is_checked_again(self, monkeypatch, pos, label):
         reg, M = symbolic_cauchon_matrix(ALL_WHITE_33)
@@ -590,6 +606,26 @@ class TestStepCertificate:
         monkeypatch.setattr(poisson, "restore", lambda X: planted)
         reports = verify_all_step_brackets(ALL_WHITE_33)
         assert [rep.ok for rep in reports] == [r != label for r in trace.labels]
+        assert_reports_match_oracle(
+            ALL_WHITE_33, reports, planted, cell_bracket_table(reg)
+        )
+
+    def test_equal_entries_under_two_cases(self, monkeypatch):
+        # At the first label, (2,1) is planted as a copy of (1,1).  The pairs
+        # (1,1), (2,2) and (2,1), (2,2) then read equal entries, t11 and t22,
+        # whose bracket is 0: the first pair, predicted zero, passes, and
+        # the second, predicted the product t11 * t22, fails.
+        reg, M = symbolic_cauchon_matrix(ALL_WHITE_33)
+        trace = restore(M)
+        rows = [list(row) for row in trace.matrices[0]]
+        rows[1][0] = rows[0][0]
+        matrices = (tuple(map(tuple, rows)), *trace.matrices[1:])
+        planted = MatrixTrace(trace.m, trace.p, trace.labels, matrices)
+        monkeypatch.setattr(poisson, "restore", lambda X: planted)
+        reports = verify_all_step_brackets(ALL_WHITE_33)
+        failed = {(c.first, c.second) for c in reports[0].failures}
+        assert ((2, 1), (2, 2)) in failed and ((1, 1), (2, 2)) not in failed
+        assert all(rep.ok for rep in reports[1:])
         assert_reports_match_oracle(
             ALL_WHITE_33, reports, planted, cell_bracket_table(reg)
         )
@@ -618,7 +654,7 @@ class TestStepCertificate:
 class TestStepPlanCases:
     @pytest.mark.parametrize("m, p", [(1, 2), (2, 2), (2, 3), (3, 3), (3, 4)])
     def test_cases_equal_the_five_case_rule(self, m, p):
-        _, _, grid, pairs, *_, cases = poisson._step_plan(m, p)
+        _, grid, pairs, *_, cases = poisson._step_plan(m, p)
         positions = [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
         assert [(grid[x], grid[y]) for x, y in pairs] == list(combinations(positions, 2))
         labels = step_sequence(m, p)
