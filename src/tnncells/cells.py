@@ -48,16 +48,18 @@ from .restoration import _run, delete_derivations, diagram_of_matrix
 
 
 class TnnVerdict(_Value):
-    """Outcome of the total-nonnegativity test."""
+    """Outcome of the total-nonnegativity test: the first negative minor
+    and its exact value, both None when every minor is nonnegative."""
 
-    __slots__ = ("is_tnn", "witness", "witness_value")
+    __slots__ = ("witness", "witness_value")
 
-    def __init__(
-        self, is_tnn: bool, witness: MinorId | None = None, witness_value: Fraction | None = None
-    ) -> None:
-        object.__setattr__(self, "is_tnn", is_tnn)
+    def __init__(self, witness: MinorId | None, witness_value: Fraction | None) -> None:
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "witness_value", witness_value)
+
+    @property
+    def is_tnn(self) -> bool:
+        return self.witness is None
 
 
 class CellDescriptor(_Value):
@@ -96,14 +98,14 @@ def is_tnn(X: Matrix) -> TnnVerdict:
     """
     X = as_matrix(X)
     negatives = _sign_masks(X)[1]
-    return _refuted(X, negatives) if negatives else TnnVerdict(True)
+    return _refuted(X, negatives) if negatives else TnnVerdict(None, None)
 
 
 def _refuted(X: Matrix, negatives: int) -> TnnVerdict:
     """The verdict on X with a nonempty negative mask: its first negative
     minor in canonical order, with the minor's exact value."""
     mid = next(iter(MinorFamily(len(X), len(X[0]), negatives)))
-    return TnnVerdict(False, mid, eval_minor(X, mid))
+    return TnnVerdict(mid, eval_minor(X, mid))
 
 
 def symbolic_cauchon_matrix(C: CauchonDiagram) -> tuple[VarRegistry, Matrix]:

@@ -2,10 +2,10 @@
 
 Every subcommand prints a stable machine-readable report (JSON by
 default) and exits 0 on success, 1 when a verification or assertion
-fails, and 2 on usage errors: bad sizes, flags or input, a grid or a
-count over its cap without ``--force``, or a symbolic pivot that does not
-divide.  Input helpers raise :class:`UsageError`; only :func:`main`
-prints it and exits 2.
+fails, and 2 on usage errors: bad sizes, flags or input, a grid, a count
+or a numeric matrix's digits over its cap without ``--force``, or a
+symbolic pivot that does not divide.  Input helpers raise
+:class:`UsageError`; only :func:`main` prints it and exits 2.
 The ``verify`` suites are the one table ``_SUITES``.  All randomness is
 seed-driven, so equal invocations produce byte-identical output.
 """
@@ -49,6 +49,14 @@ POISSON_CELL_CAP = 9      # symbolic brackets over every diagram
 SWEEP_CELL_CAP = 12       # every permutation pair, or partial permutation x minor
 PERMUTATION_SPAN_CAP = 8  # M+P, for suites that walk permutations of M+P letters
 ENUMERATION_CELL_CAP = 16  # diagrams and perms each list up to 2^(MP), at (1,MP)
+# Numeric restore, delete and classify refuse a matrix whose entries hold
+# more numerator and denominator digits in all: restored entries grow with
+# both the grid and the digits.  The slowest accepted inputs found, on a
+# 2-core box, hold all their digits in the last entry: `delete --trace`
+# 2.6 s at (9,7) and 2.3 s at (8,8); `restore --trace` at (8,8) takes up
+# to 1.6 s, and `classify` (16 cells at most) 0.1 s.  tnn-check is
+# uncapped: 2.0 s at (8,8) with 1,000-digit entries.
+DIGIT_CAP = 10_000
 
 
 class UsageError(Exception):
@@ -75,6 +83,21 @@ def _check_cells(m: int, p: int, cap: int | None = None, force: bool = False) ->
         raise UsageError(f"({m},{p}) exceeds the {MAX_GRID_CELLS}-cell bitmask limit")
     if cap is not None and m * p > cap and not force:
         raise UsageError(f"({m},{p}) exceeds the {cap}-cell cap; pass --force to run anyway")
+
+
+def _check_digits(X, force: bool) -> None:
+    """Refuse a rational matrix whose numerators and denominators hold more
+    than DIGIT_CAP digits in all, unless forced; counting stops at the cap."""
+    if force:
+        return
+    digits = 0
+    for row in X:
+        for x in row:
+            digits += len(str(abs(x.numerator))) + len(str(x.denominator))
+            if digits > DIGIT_CAP:
+                raise UsageError(
+                    f"entries exceed the {DIGIT_CAP}-digit cap; pass --force to run anyway"
+                )
 
 
 def _read_text(spec: str) -> str:
@@ -150,6 +173,7 @@ def _cmd_match(args) -> int:
 def _cmd_classify(args) -> int:
     X = _load_matrix(args, rational=True)
     _check_cells(len(X), len(X[0]), CORPUS_CELL_CAP, args.force)
+    _check_digits(X, args.force)
     try:
         desc = classify(X, find_perm=args.find_perm)
     except NotTotallyNonnegativeError as exc:
@@ -183,8 +207,11 @@ def _cmd_classify(args) -> int:
 def _cmd_trace(args) -> int:
     """``restore`` runs the trace forward, ``delete`` backward."""
     X = _load_matrix(args)
-    cap = SYMBOLIC_CELL_CAP if is_symbolic(X) else None
-    _check_cells(len(X), len(X[0]), cap, args.force)
+    if is_symbolic(X):
+        _check_cells(len(X), len(X[0]), SYMBOLIC_CELL_CAP, args.force)
+    else:
+        _check_cells(len(X), len(X[0]))
+        _check_digits(X, args.force)
     forward = args.command == "restore"
     try:
         trace = restore(X) if forward else delete_derivations(X)

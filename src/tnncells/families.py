@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import le
 from typing import Iterable, Sequence
 
@@ -102,8 +102,6 @@ def enumerate_partial_permutations(
 ) -> Iterable[PartialPermutation]:
     """Every partial injection from columns into rows, including the empty
     one."""
-    from itertools import permutations
-
     cols = range(1, size_cols + 1)
     rows = range(1, size_rows + 1)
     for k in range(0, min(size_rows, size_cols) + 1):

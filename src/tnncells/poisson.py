@@ -32,13 +32,13 @@ is the operand with fewer terms, and swapping the operands only negates
 the coefficients.  The cell table has the one shift s = 0; the matrix table
 adds one shift per crossed pair, e_(i,g) + e_(k,a) - e_(i,a) - e_(k,g).
 
-The step-bracket check runs on the cell table.  It carries each pair's
-check from label to label while the entries the pair reads stay the same
-objects, and it memoises by content across the diagrams of a shape:
-Lambda beta at most once per distinct entry, and one verdict per distinct
-case and entries, so only a key seen for the first time builds both
-sides.  What depends only on the grid's shape, the memos included, is
-built once per shape.
+The step-bracket check runs on the cell table, and a step's report lists
+only its failing pairs.  It carries each pair's verdict from label to
+label while the entries the pair reads stay the same objects, and it
+memoises by content across the diagrams of a shape: Lambda beta at most
+once per distinct entry, and one verdict per distinct case and entries,
+so only a key seen for the first time builds both sides.  What depends
+only on the grid's shape, the memos included, is built once per shape.
 """
 
 from __future__ import annotations
@@ -202,38 +202,31 @@ def _monomial_bracket(f_terms: dict, g_weighted: list[tuple]) -> dict:
 
 
 class PairCheck(_Value):
-    """One bracket comparison inside a step verification."""
+    """A step pair whose bracket differs from its prediction, with the
+    difference bracket - prediction."""
 
-    __slots__ = ("first", "second", "ok", "difference")
+    __slots__ = ("first", "second", "difference")
 
     def __init__(
-        self,
-        first: tuple[int, int],
-        second: tuple[int, int],
-        ok: bool,
-        difference: LaurentPoly | None = None,
+        self, first: tuple[int, int], second: tuple[int, int], difference: LaurentPoly
     ) -> None:
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
-        object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "difference", difference)
 
 
 class StepBracketReport(_Value):
-    __slots__ = ("diagram", "step", "checks")
+    """The failing pairs of one step label, in `combinations` order."""
 
-    def __init__(self, diagram: CauchonDiagram, step: Step, checks: tuple[PairCheck, ...]) -> None:
-        object.__setattr__(self, "diagram", diagram)
+    __slots__ = ("step", "failures")
+
+    def __init__(self, step: Step, failures: tuple[PairCheck, ...]) -> None:
         object.__setattr__(self, "step", step)
-        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[PairCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
+        return not self.failures
 
 
 _PRODUCT, _ZERO, _CROSSED = "product", "zero", "crossed"
@@ -275,14 +268,16 @@ def expected_step_bracket(
 
 def verify_all_step_brackets(C: CauchonDiagram) -> list[StepBracketReport]:
     """Step-bracket reports for every label of the diagram's grid, from one
-    restoration of the generic matrix.
+    restoration of the generic matrix: each lists its label's failing
+    pairs, in `combinations` order.
 
-    Each label starts from the previous label's checks.  At label r with
-    predecessor r' a pair is examined again only when (a) one of its
+    Each label starts from the previous label's failing pairs.  At label r
+    with predecessor r' a pair is examined again only when (a) one of its
     entries is not the object it was at r', (b) it is a northwest-southeast
     pair whose Y_ig or Y_ka is not the object it was at r', or (c) it is a
     northwest-southeast pair whose second position is r'; every pair is
-    examined at the first label.
+    examined at the first label.  An examined pair enters the failing
+    pairs when it fails and leaves them when it passes.
 
     Every entry that changes gets its content key: one small int per
     distinct term map of the shape.  An examined pair looks up one verdict
@@ -297,18 +292,19 @@ def verify_all_step_brackets(C: CauchonDiagram) -> list[StepBracketReport]:
     registry, M = symbolic_cauchon_matrix(C)
     trace = restore(M)
     plan = _step_plan(C.m, C.p)
-    table, grid, pairs, reads, turns, corners, passing, ids, lambdas, verdicts, cases = plan
+    table, grid, pairs, reads, turns, corners, ids, lambdas, verdicts, cases = plan
     # entry u and its content key at the previous label; every entry
     # differs from None, so every pair is examined at the first label
     entries: list = [None] * len(grid)
     keys: list = [None] * len(grid)
-    checks: list = [None] * len(pairs)
+    failing: dict[int, PairCheck] = {}  # pair index -> its failure
     reports = []
     Y = None
     for t, (r, matrix) in enumerate(trace.items()):
         before, Y = Y, matrix
-        # label t-1 is grid position t, so its turns are turns[t]
-        todo = set(turns[t]) if t else set()
+        # label t-1 is grid position t, so its turns are turns[t]; no
+        # pair turns at the first label, as turns[0] is empty
+        todo = set(turns[t])
         if Y is not before:
             for u, entry in enumerate(x for row in Y for x in row):
                 if entry is not entries[u]:
@@ -331,11 +327,13 @@ def verify_all_step_brackets(C: CauchonDiagram) -> list[StepBracketReport]:
                 rhs = expected_step_bracket(Y, r, grid[x], grid[y], registry)
                 verdict = None if lhs == rhs.terms else LaurentPoly._raw(registry, lhs) - rhs
                 verdicts[key] = verdict
-            if verdict is None:
-                checks[j] = passing[j]
-            else:
-                checks[j] = PairCheck(grid[x], grid[y], False, verdict)
-        reports.append(StepBracketReport(C, r, tuple(checks)))
+            if verdict is not None:
+                failing[j] = PairCheck(grid[x], grid[y], verdict)
+            elif failing:
+                failing.pop(j, None)
+        reports.append(
+            StepBracketReport(r, tuple(failing[j] for j in sorted(failing)) if failing else ())
+        )
     return reports
 
 
@@ -351,10 +349,9 @@ def _step_plan(m: int, p: int) -> tuple:
     entries or, for a northwest-southeast pair, as Y_ig or Y_ka.
     `turns[u]` holds the northwest-southeast pairs whose second position
     is u, and `corners[j]` holds the indices of Y_ig and Y_ka for a
-    northwest-southeast pair j.  `passing[j]` is the passing check of pair
-    j.  `ids`, `lambdas` and `verdicts` are the content memos that
-    `verify_all_step_brackets` fills.  `cases[t][j]` is pair j's
-    `_step_case` at the t-th step label."""
+    northwest-southeast pair j.  `ids`, `lambdas` and `verdicts` are the
+    content memos that `verify_all_step_brackets` fills.  `cases[t][j]` is
+    pair j's `_step_case` at the t-th step label."""
     registry = VarRegistry.grid(m, p)
     table = cell_bracket_table(registry)
     grid = registry.positions
@@ -371,12 +368,11 @@ def _step_plan(m: int, p: int) -> tuple:
             reads[ig].append(j)
             reads[ka].append(j)
             turns[y].append(j)
-    passing = tuple(PairCheck(grid[x], grid[y], True) for x, y in pairs)
     cases = tuple(
         tuple(_step_case(r, grid[x], grid[y]) for x, y in pairs) for r in _labels(m, p)
     )
     reads_of, turns_at = tuple(map(tuple, reads)), tuple(map(tuple, turns))
-    return table, grid, pairs, reads_of, turns_at, corners, passing, {}, {}, {}, cases
+    return table, grid, pairs, reads_of, turns_at, corners, {}, {}, {}, cases
 
 
 def verify_jacobi(table: BracketTable, sample: Iterable[LaurentPoly]) -> bool:

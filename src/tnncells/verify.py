@@ -202,6 +202,7 @@ def _corpus(m: int, p: int, n: int, seed: int):
         out.append((C, random_cauchon_matrix(C, rng.getrandbits(63))))
     return out
 
+
 def tnn_roundtrip_suite(m: int, p: int, n: int = 100, seed: int = 0) -> SuiteReport:
     """Restored random diagram matrices are tnn with the diagram's family."""
     corpus = _corpus(m, p, n, seed)

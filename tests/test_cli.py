@@ -12,7 +12,16 @@ from pathlib import Path
 
 import pytest
 
-from tnncells import RestrictedPermutation, cells, cli, family_of_perm, verify
+from tnncells import (
+    RestrictedPermutation,
+    cells,
+    cli,
+    delete_derivations,
+    family_of_perm,
+    restore,
+    verify,
+)
+from tnncells.serialize import format_matrix_csv, parse_matrix_csv
 from tnncells.verify import SuiteReport
 
 from conftest import descending_row_pool
@@ -221,6 +230,63 @@ class TestTraces:
             f"{command}: (1 * t[1,2]^1 * t[2,1]^1) is not divisible by "
             "(1 * t[1,1]^1 + 1 * t[2,2]^1)\n"
         )
+
+
+# nine 1,111-digit numerators and nine 1-digit denominators: 10,008
+# digits, over the 10,000-digit cap; a rank-1 matrix, so it is tnn
+OVER_DIGIT_CAP_CSV = (",".join(["9" * 1111] * 3) + "\n") * 3
+DIGIT_CAP_ERR = "entries exceed the 10000-digit cap; pass --force to run anyway\n"
+
+
+class TestDigitCap:
+    """Numeric restore, delete and classify refuse a matrix whose
+    numerators and denominators hold more than 10,000 digits in all,
+    unless --force is given; tnn-check reads only minor signs and stays
+    uncapped."""
+
+    @pytest.mark.parametrize(
+        "csv", [OVER_DIGIT_CAP_CSV, "9" * 10_000 + "\n"], ids=["3x3", "one-digit-over"]
+    )
+    @pytest.mark.parametrize("command", ["restore", "delete", "classify"])
+    def test_refused_over_the_cap(self, capsys, monkeypatch, command, csv):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(csv))
+        assert run(capsys, command, "--matrix", "-") == (2, "", DIGIT_CAP_ERR)
+
+    @pytest.mark.parametrize(
+        "csv",
+        ["9" * 9_999 + "\n", "1/" + "7" * 9_999 + "\n", "2" * 4_999 + "1/1" + "0" * 4_999 + "\n"],
+        ids=["integer", "unit-fraction", "fraction"],
+    )
+    @pytest.mark.parametrize("command", ["restore", "delete", "classify"])
+    def test_accepted_at_the_cap(self, capsys, monkeypatch, command, csv):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(csv))
+        code, out, err = run(capsys, command, "--matrix", "-")
+        assert (code, err) == (0, "") and out
+
+    def test_lowest_terms_are_counted(self, capsys, monkeypatch):
+        # 10,002 digits as written, 10,000 once 2...20/10 is reduced to 2...2
+        monkeypatch.setattr(sys, "stdin", io.StringIO("2" * 9_999 + "0/10\n"))
+        assert run(capsys, "restore", "--matrix", "-") == (0, "2" * 9_999 + "\n", "")
+
+    @pytest.mark.parametrize("command", ["restore", "delete"])
+    def test_force_runs_anyway(self, capsys, monkeypatch, command):
+        X = parse_matrix_csv(OVER_DIGIT_CAP_CSV)
+        want = restore(X).final if command == "restore" else delete_derivations(X).initial
+        monkeypatch.setattr(sys, "stdin", io.StringIO(OVER_DIGIT_CAP_CSV))
+        code, out, err = run(capsys, command, "--matrix", "-", "--force")
+        assert (code, out, err) == (0, format_matrix_csv(want), "")
+
+    def test_force_runs_classify_anyway(self, capsys, monkeypatch):
+        want = cells.classify(parse_matrix_csv(OVER_DIGIT_CAP_CSV))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(OVER_DIGIT_CAP_CSV))
+        code, obj, err = run_json(capsys, "classify", "--matrix", "-", "--force")
+        assert (code, err) == (0, "")
+        assert obj["diagram"] == want.diagram.to_json_obj()
+
+    def test_tnn_check_is_uncapped(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(OVER_DIGIT_CAP_CSV))
+        code, obj, err = run_json(capsys, "tnn-check", "--matrix", "-")
+        assert (code, obj, err) == (0, {"is_tnn": True, "witness": None, "value": None}, "")
 
 
 class TestZeroDenominators:

@@ -24,6 +24,7 @@ from tnncells import (
     verify_all_step_brackets,
     verify_jacobi,
 )
+from tnncells.poisson import PairCheck, StepBracketReport
 from tnncells.verify import poisson_suite
 
 
@@ -419,12 +420,12 @@ class TestMonomialRoute:
             report = step_report(C, (2, 3))
         finally:
             poisson._step_plan.cache_clear()
-        assert len(report.checks) == 15 and report.failures
-        for check in report.checks:
-            (i, a), (k, g) = check.first, check.second
-            want = per_pair_bracket(Y[i - 1][a - 1], Y[k - 1][g - 1], table)
-            assert check.ok == (not want)
-            assert check.difference == (None if check.ok else want)
+        want = []
+        for (i, a), (k, g) in combinations(reg.positions, 2):
+            full = per_pair_bracket(Y[i - 1][a - 1], Y[k - 1][g - 1], table)
+            if full:
+                want.append(PairCheck((i, a), (k, g), full))
+        assert want and report.failures == tuple(want)
 
 
 def sized_poly(reg, rng, size):
@@ -475,22 +476,23 @@ class TestOperandOrder:
 
 
 def assert_reports_match_oracle(C, reports, trace, table):
-    """Every step pair's check against the route that builds both sides:
-    `bracket` on the table and `expected_step_bracket`, with no memo and
-    no reuse."""
+    """Every step pair against the route that builds both sides: `bracket`
+    on the table and `expected_step_bracket`, with no memo and no reuse.
+    Each report must list exactly the pairs where the two differ, in
+    `combinations` order, each with the difference lhs - rhs."""
     grid = [(i, a) for i in range(1, C.m + 1) for a in range(1, C.p + 1)]
     assert [rep.step for rep in reports] == list(trace.labels)
     for rep in reports:
         Y = trace[rep.step]
-        assert [(c.first, c.second) for c in rep.checks] == list(combinations(grid, 2))
-        for check in rep.checks:
-            (i, a), (k, g) = check.first, check.second
+        want = []
+        for pos1, pos2 in combinations(grid, 2):
+            (i, a), (k, g) = pos1, pos2
             lhs = bracket(Y[i - 1][a - 1], Y[k - 1][g - 1], table)
-            rhs = poisson.expected_step_bracket(
-                Y, rep.step, check.first, check.second, table.registry
-            )
-            assert check.ok == (lhs == rhs), (rep.step, check)
-            assert check.difference == (None if check.ok else lhs - rhs), (rep.step, check)
+            rhs = poisson.expected_step_bracket(Y, rep.step, pos1, pos2, table.registry)
+            if lhs != rhs:
+                want.append(PairCheck(pos1, pos2, lhs - rhs))
+        assert rep.failures == tuple(want), rep.step
+        assert rep.ok == (not want), rep.step
 
 
 ALL_WHITE_33 = CauchonDiagram.from_black(3, 3, ())
@@ -798,15 +800,12 @@ class TestStepBrackets:
         table = cell_bracket_table(reg)
         assert bracket(M[0][0], M[1][1], table).is_zero
 
-    def test_report_shape(self):
+    def test_report_shape(self, reg22):
         C = CauchonDiagram.from_black(2, 2, ((1, 1),))
         report = step_report(C, (2, 3))
-        assert report.ok and len(report.checks) == 6 and not report.failures
-        assert report.diagram == C and report.step == (2, 3)
-        assert [(c.first, c.second) for c in report.checks[:2]] == [
-            ((1, 1), (1, 2)),
-            ((1, 1), (2, 1)),
-        ]
+        assert report == StepBracketReport((2, 3), ()) and report.ok
+        failing = StepBracketReport((2, 3), (PairCheck((1, 1), (2, 2), reg22.const(1)),))
+        assert not failing.ok
 
     @pytest.mark.parametrize("pos1, pos2", [((2, 2), (1, 1)), ((1, 2), (1, 1)), ((1, 2), (1, 2))])
     def test_unordered_positions_rejected(self, pos1, pos2):

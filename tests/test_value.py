@@ -57,10 +57,15 @@ def _diagram(m=2, p=3, black=((1, 1),)):
     return CauchonDiagram.from_black(m, p, black)
 
 
+def _t11_t22():
+    registry = VarRegistry.grid(2, 2)
+    return registry.var(1, 1) * registry.var(2, 2)
+
+
 # (class, a factory returning a fresh instance with the same fields each
 # call, its repr when pinned, instances in ascending order when ordered)
 CASES = [
-    (TnnVerdict, lambda: TnnVerdict(False, MinorId((1, 2), (1, 2)), Fraction(-1)), None, None),
+    (TnnVerdict, lambda: TnnVerdict(MinorId((1, 2), (1, 2)), Fraction(-1)), None, None),
     (
         CellDescriptor,
         lambda: CellDescriptor(_diagram(), family_of_diagram(_diagram()), perm_of_diagram(_diagram())),
@@ -90,13 +95,13 @@ CASES = [
     (BracketTable, lambda: cell_bracket_table(VarRegistry.grid(2, 2)), None, None),
     (
         PairCheck,
-        lambda: PairCheck((1, 1), (2, 2), True),
-        "PairCheck(first=(1, 1), second=(2, 2), ok=True, difference=None)",
+        lambda: PairCheck((1, 1), (2, 2), _t11_t22()),
+        "PairCheck(first=(1, 1), second=(2, 2), difference=1 * t[1,1]^1 * t[2,2]^1)",
         None,
     ),
     (
         StepBracketReport,
-        lambda: StepBracketReport(_diagram(), (1, 2), (PairCheck((1, 1), (2, 2), True),)),
+        lambda: StepBracketReport((1, 2), (PairCheck((1, 1), (2, 2), _t11_t22()),)),
         None,
         None,
     ),
@@ -114,9 +119,10 @@ def test_value_semantics(cls, make, pinned, ascending):
     assert a == b and not a != b
     assert copy.copy(a) == a
     assert pickle.loads(pickle.dumps(a)) == a
-    if cls not in (SuiteReport, BracketTable):
+    if cls not in (SuiteReport, BracketTable, PairCheck, StepBracketReport):
         assert hash(a) == hash(b)
-    else:  # SuiteReport is mutable; a BracketTable holds a dict
+    else:  # SuiteReport is mutable; a BracketTable holds a dict, and a
+        # failing pair holds its difference, an unhashable LaurentPoly
         with pytest.raises(TypeError):
             hash(a)
 

@@ -189,7 +189,8 @@ class TestFailureRows:
 
     def test_poisson_bracket_failures(self, monkeypatch):
         def one_miss(C):
-            return [StepBracketReport(C, (1, 2), (PairCheck((1, 1), (2, 2), False),))]
+            difference = VarRegistry.grid(2, 2).var(1, 1)
+            return [StepBracketReport((1, 2), (PairCheck((1, 1), (2, 2), difference),))]
 
         monkeypatch.setattr(verify, "verify_all_step_brackets", one_miss)
         rep = poisson_suite(2, 2, triples=3, seed=1)
